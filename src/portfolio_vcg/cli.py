@@ -29,7 +29,6 @@ from .allocation import (
     TransformUndefinedError,
     allocate,
     min_form_to_max_form,
-    qmap_allocate,
 )
 from .market import MarketInstance, MarketValidationError, Offer, make_market
 from .pricing import PriceSchedule, QmapPricingError, price_schedule, qmap_prices
@@ -271,8 +270,8 @@ def cmd_qmap(args) -> int:
     config = _config_from_args(args)
     if form == "min":
         instance = min_form_to_max_form(instance)
-    alloc = qmap_allocate(instance, config)
     schedule = qmap_prices(instance, config)
+    alloc = schedule.allocation
     result = {
         "input_digest": digest,
         "form": form,

@@ -19,13 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qp import min_eigenvalue, psd_slack
+from .qp import SYM_TOL, min_eigenvalue, psd_slack
 
 PER_AD_CALL = "per_ad_call"
 PER_RESPONSE = "per_response"
-
-SYM_TOL = 1e-10   # absolute; covariance estimates round-trip through text files
-PSD_TOL = 1e-8    # relative to the largest diagonal entry
 
 
 class MarketValidationError(ValueError):
@@ -137,7 +134,8 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     Returns a new instance with ``mu`` populated, or raises
     MarketValidationError carrying one named diagnostic per violated
     invariant (dimension mismatch, asymmetry, PSD failure, n < 2, q < 0,
-    bad pool size, per-offer problems, infeasible caps).
+    bad pool size, per-offer problems, infeasible caps, caps that leave no
+    feasible allocation once one offer is removed for its price).
     """
     problems = []
     n = raw.n
@@ -199,6 +197,14 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
             problems.append(("infeasible_caps",
                              f"caps sum to {float(caps.sum()):.6g} < 1; "
                              "no feasible allocation"))
+        elif n >= 2 and float(caps.sum() - caps.max()) < 1.0 - 1e-12:
+            # each price pins one offer to zero; the largest cap is the
+            # one the others can least afford to lose
+            i = int(np.argmax(caps))
+            problems.append(("infeasible_without_offer",
+                             f"without offer {raw.offers[i].id!r} the other "
+                             f"caps sum to {float(caps.sum() - caps[i]):.6g} "
+                             "< 1; no feasible allocation to price it against"))
 
     if problems:
         raise MarketValidationError(problems)

@@ -19,7 +19,7 @@ schedule is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .allocation import (
     validate_qmap,
 )
 from .market import PER_RESPONSE, MarketInstance
-from .qp import DEFAULT_CONFIG, SolverConfig
+from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig
 
 
 class QmapPricingError(ValueError):
@@ -73,6 +73,26 @@ class PriceSchedule:
             object.__setattr__(self, name, arr)
 
 
+def _pinned_optimum(problem: QpProblem, i: int, config: SolverConfig,
+                    warm_start: Optional[np.ndarray]) -> float:
+    pinned = replace(problem, zero_set=frozenset({int(i)}))
+    return qp.solve(pinned, config, warm_start=warm_start).objective_value
+
+
+def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
+                config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every offer's VCG charge and pinned optimum, one pinned solve each.
+
+    ``values`` holds each offer's own per-unit value (mu, or c for the
+    call-count program), so offer i's share of the chosen objective is
+    w_i * values[i] and the others' value is the rest.
+    """
+    pinned = np.array([_pinned_optimum(problem, i, config, alloc.weights)
+                       for i in range(problem.dimension)])
+    others = alloc.objective_value - alloc.weights * values
+    return pinned - others, pinned
+
+
 def restricted_objective(market: MarketInstance, i: int,
                          config: SolverConfig = DEFAULT_CONFIG,
                          warm_start: Optional[np.ndarray] = None) -> float:
@@ -81,8 +101,7 @@ def restricted_objective(market: MarketInstance, i: int,
     This is the pivot term in every offer's price; it depends only on the
     other participants' valuations.
     """
-    problem = market_problem(market, zero_set=frozenset({int(i)}))
-    return qp.solve(problem, config, warm_start=warm_start).objective_value
+    return _pinned_optimum(market_problem(market), i, config, warm_start)
 
 
 def price_offer(market: MarketInstance, alloc: Allocation, i: int,
@@ -125,13 +144,7 @@ def price_schedule(market: MarketInstance,
         raise ValueError("market must be validated before pricing")
     alloc = allocate(market, config)
     n = market.n
-
-    prices = np.empty(n)
-    pinned = np.empty(n)
-    for i in range(n):
-        pinned[i] = restricted_objective(market, i, config, warm_start=alloc.weights)
-        others = alloc.objective_value - float(alloc.weights[i] * market.mu[i])
-        prices[i] = pinned[i] - others
+    prices, pinned = _vcg_prices(market_problem(market), alloc, market.mu, config)
 
     per_ad_call = np.full(n, np.nan)
     per_response = np.full(n, np.nan)
@@ -171,15 +184,8 @@ def qmap_prices(instance: QmapInstance,
             "only offer empties the market"
         )
     alloc = qmap_allocate(instance, config)
-
-    prices = np.empty(n)
-    pinned = np.empty(n)
-    for i in range(n):
-        problem = qmap_problem(instance, zero_set=frozenset({i}))
-        pinned[i] = qp.solve(problem, config,
-                             warm_start=alloc.weights).objective_value
-        others = alloc.objective_value - float(alloc.weights[i] * instance.c_vector[i])
-        prices[i] = pinned[i] - others
+    prices, pinned = _vcg_prices(qmap_problem(instance), alloc,
+                                 instance.c_vector, config)
 
     per_ad_call = np.full(n, np.nan)
     counts = apportion(alloc.weights, instance.m)

@@ -8,19 +8,20 @@ subproblem:
                w_i = 0 for pinned coordinates,
                w_i <= u_i where per-coordinate caps are given.
 
-The solver is accelerated projected gradient with adaptive restart, using
-the exact sort-based Euclidean projection onto the simplex, plus an
-active-face polish step: once the iterate settles on a face, the
-equality-constrained KKT system on that face is solved exactly, which
-drives the residual to machine precision in one linear solve.  The
-objective is concave (Q PSD, q >= 0), so any KKT point is a global
-maximizer.
+The solver is a primal active-set method for convex QP (Nocedal & Wright,
+Numerical Optimization, section 16.5).  A working set fixes coordinates at
+zero or at their cap; on the remaining face the bordered KKT system is
+solved exactly, a ratio test adds the lowest-index blocking bound, and at
+the face optimum the lowest-index bound with a wrong-signed multiplier is
+released.  The objective is concave (Q PSD, q >= 0), so the KKT point it
+stops at is a global maximizer; a projected-gradient certificate on the
+result confirms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class InfeasibleProblemError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """Iteration budget exhausted above the KKT tolerance."""
+    """More than max_iterations working-set changes, or the result misses
+    the KKT tolerance."""
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,12 @@ class SolverConfig:
 
     kkt_tol is relative: a point is accepted once the KKT residual (see
     ``check_kkt``) drops below kkt_tol, where the stationarity part of the
-    residual is already scaled by the problem's gradient magnitude.
+    residual is already scaled by the problem's gradient magnitude (at
+    least 1).  The active-set method releases a bound while its multiplier
+    is wrong by more than kkt_tol times that magnitude without the floor,
+    so when it stops does not depend on the currency unit.  max_iterations
+    caps the number of working-set changes (``QpSolution.iterations``); a
+    solve that needs more raises SolverConvergenceError.
     lex_eps sizes the lexicographic perturbation that breaks ties
     deterministically toward lower indices; it is keyed to the original
     coordinate index, so the pinned subproblems of one market all share
@@ -57,7 +64,6 @@ class SolverConfig:
     max_iterations: int = 100_000
     lex_eps: float = 1e-12
     degenerate_tol: float = 1e-9
-    polish_period: int = 20
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -103,7 +109,12 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """A feasible point together with its optimality certificate."""
+    """A feasible point together with its optimality certificate.
+
+    ``iterations`` counts the active-set method's working-set changes; it
+    is 0 when the start was already optimal and on the exact linear and
+    single-coordinate paths.
+    """
 
     weights: np.ndarray
     objective_value: float
@@ -121,11 +132,9 @@ class KktReport:
 
     ``stationarity`` is the projected-gradient mapping norm, which is zero
     exactly at KKT points and needs no active-set classification.
-    ``multiplier`` and ``dual_violation`` report the estimated equality
-    multiplier and the worst complementarity breach at active bounds (these
-    are informational).  ``residual`` is the maximum of the feasibility
-    errors and the gradient-scaled stationarity; the candidate is an
-    approximate KKT point iff ``residual <= tolerance``.
+    ``residual`` is the maximum of the feasibility errors and the
+    gradient-scaled stationarity; the candidate is an approximate KKT point
+    iff ``residual <= tolerance``.
     """
 
     mass_error: float
@@ -133,8 +142,6 @@ class KktReport:
     pin_error: float
     cap_excess: float
     stationarity: float
-    dual_violation: float
-    multiplier: float
     residual: float
     tolerance: float
     passed: bool
@@ -258,13 +265,13 @@ def _validate_problem(problem: QpProblem) -> None:
         raise QpValidationError("affine_linear must match the problem dimension")
 
 
-def _gradient_scale(problem: QpProblem) -> float:
+def _gradient_scale(problem: QpProblem, floor: float = 1.0) -> float:
     q, Q, c = problem.risk, problem.quadratic, problem.linear
     scale = float(np.max(np.abs(c), initial=0.0))
     scale += 2.0 * q * float(np.max(np.abs(Q), initial=0.0)) * problem.mass
     if problem.affine_linear is not None:
         scale += q * float(np.max(np.abs(problem.affine_linear), initial=0.0))
-    return max(1.0, scale)
+    return max(floor, scale)
 
 
 def _free_mask(problem: QpProblem) -> np.ndarray:
@@ -293,8 +300,6 @@ def _kkt_eta(problem: QpProblem) -> float:
 
 
 def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float) -> KktReport:
-    n = problem.dimension
-    g = gradient(problem, w)
     scale = _gradient_scale(problem)
 
     mass_error = abs(float(w.sum()) - problem.mass)
@@ -308,26 +313,6 @@ def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float) -> KktReport:
 
     stationarity = _mapping_residual(problem, w, _kkt_eta(problem))
 
-    # multiplier diagnostics; informational, residual relies on the mapping
-    act_tol = 1e-8 * problem.mass / max(n, 1)
-    mask = _free_mask(problem)
-    at_cap = np.zeros(n, dtype=bool)
-    if problem.caps is not None:
-        at_cap = mask & (w >= problem.caps - act_tol)
-    interior = mask & (w > act_tol) & ~at_cap
-    if np.any(interior):
-        lam = float(np.mean(g[interior]))
-    elif np.any(at_cap):
-        lam = float(np.min(g[at_cap]))
-    else:
-        lam = float(np.max(g[mask], initial=0.0))
-    dual = 0.0
-    at_zero = mask & (w <= act_tol)
-    if np.any(at_zero):
-        dual = max(dual, float(np.max(g[at_zero] - lam, initial=0.0)))
-    if np.any(at_cap):
-        dual = max(dual, float(np.max(lam - g[at_cap], initial=0.0)))
-
     residual = max(mass_error, negativity, pin_error, cap_excess,
                    stationarity / scale)
     return KktReport(
@@ -336,8 +321,6 @@ def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float) -> KktReport:
         pin_error=pin_error,
         cap_excess=cap_excess,
         stationarity=stationarity,
-        dual_violation=dual,
-        multiplier=lam,
         residual=residual,
         tolerance=tol,
         passed=residual <= tol,
@@ -384,67 +367,6 @@ def _greedy_linear(l: np.ndarray, mass: float,
     return w
 
 
-def _face_polish(H: np.ndarray, l: np.ndarray, mass: float,
-                 caps: Optional[np.ndarray], support: np.ndarray,
-                 at_cap: np.ndarray) -> Optional[np.ndarray]:
-    """Solve the KKT system exactly on a candidate face.
-
-    H is the reduced 2qQ matrix and l the effective linear term.  Cap-active
-    coordinates are fixed at their caps; the bordered equality system is
-    solved on the remaining support.  Coordinates that come out negative are
-    dropped (and over-cap ones clamped) for at most 2n passes.  Global
-    optimality is NOT checked here; the caller verifies the result.
-    """
-    n = l.shape[0]
-    sup = support.copy()
-    cap_set = at_cap.copy()
-    for _ in range(2 * n + 2):
-        free_idx = np.flatnonzero(sup & ~cap_set)
-        cap_idx = np.flatnonzero(sup & cap_set)
-        fixed_mass = float(caps[cap_idx].sum()) if cap_idx.size else 0.0
-        k = free_idx.size
-        if k == 0:
-            if abs(fixed_mass - mass) > 1e-9 * max(mass, 1.0):
-                return None
-            w = np.zeros(n)
-            if cap_idx.size:
-                w[cap_idx] = caps[cap_idx]
-            return w
-        A = np.zeros((k + 1, k + 1))
-        A[:k, :k] = H[np.ix_(free_idx, free_idx)]
-        A[:k, k] = 1.0
-        A[k, :k] = 1.0
-        rhs = np.empty(k + 1)
-        rhs[:k] = l[free_idx]
-        if cap_idx.size:
-            rhs[:k] -= H[np.ix_(free_idx, cap_idx)] @ caps[cap_idx]
-        rhs[k] = mass - fixed_mass
-        try:
-            sol = np.linalg.solve(A, rhs)
-            if not np.all(np.isfinite(sol)):
-                raise np.linalg.LinAlgError("non-finite solution")
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-            if not np.all(np.isfinite(sol)):
-                return None
-        w_free = sol[:k]
-        neg_tol = 1e-11 * max(mass, 1.0)
-        if float(np.min(w_free, initial=0.0)) < -neg_tol:
-            sup[free_idx[int(np.argmin(w_free))]] = False
-            continue
-        if caps is not None:
-            over = w_free - caps[free_idx]
-            if float(np.max(over, initial=0.0)) > neg_tol:
-                cap_set[free_idx[int(np.argmax(over))]] = True
-                continue
-        w = np.zeros(n)
-        w[free_idx] = np.maximum(w_free, 0.0)
-        if cap_idx.size:
-            w[cap_idx] = caps[cap_idx]
-        return w
-    return None
-
-
 def _detect_degenerate(problem: QpProblem, w: np.ndarray,
                        config: SolverConfig) -> bool:
     """True when the maximizer is non-unique within tolerance.
@@ -489,8 +411,10 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     Deterministic for fixed input; exact ties in the linear term are broken
     toward the lower index.  Raises InfeasibleProblemError when pins or
     caps empty the feasible set, QpValidationError for malformed data, and
-    SolverConvergenceError if the iteration budget is exhausted above the
-    KKT tolerance (not observed for PSD inputs).
+    SolverConvergenceError if the active set needs more than
+    ``config.max_iterations`` working-set changes or the result misses the
+    KKT tolerance.  A warm start (the full optimum, for pinned solves) only
+    picks the starting face; it does not change the optimum.
     """
     _validate_problem(problem)
     n = problem.dimension
@@ -517,11 +441,6 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     Q = problem.quadratic[np.ix_(free, free)]
     quad_active = q > 0.0 and float(np.max(np.abs(Q), initial=0.0)) > 0.0
 
-    def embed(w_red: np.ndarray) -> np.ndarray:
-        w = np.zeros(n)
-        w[free] = w_red
-        return w
-
     if n_free == 1:
         if caps_free is not None and float(caps_free[0]) < mass * (1.0 - 1e-12):
             raise InfeasibleProblemError(
@@ -531,18 +450,15 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     elif not quad_active:
         w_red, iterations = _greedy_linear(l, mass, caps_free), 0
     else:
-        eta = _kkt_eta(problem)
-
-        def accepts(w_red: np.ndarray) -> bool:
-            return _mapping_residual(problem, embed(w_red), eta) / \
-                _gradient_scale(problem) <= config.kkt_tol
-
-        w_red, iterations = _fista(
-            l, Q, q, mass, caps_free, config, accepts,
+        w_red, iterations = _active_set(
+            l, 2.0 * q * Q, mass, caps_free,
+            config.kkt_tol * _gradient_scale(problem, floor=0.0),
+            config.max_iterations,
             warm_start[free] if warm_start is not None else None,
         )
 
-    w = embed(w_red)
+    w = np.zeros(n)
+    w[free] = w_red
     report = _kkt_terms(problem, w, config.kkt_tol)
     if not report.passed:
         raise SolverConvergenceError(
@@ -558,67 +474,83 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     )
 
 
-def _fista(l: np.ndarray, Q: np.ndarray, q: float, mass: float,
-           caps: Optional[np.ndarray], config: SolverConfig,
-           accepts: Callable[[np.ndarray], bool],
-           warm: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Accelerated projected gradient with restart and face polish.
+def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
+                caps: Optional[np.ndarray], tol: float, max_iterations: int,
+                warm: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Maximize l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= caps}.
 
-    ``accepts`` is the caller's authoritative KKT test on the full problem;
-    it is consulted at every polish attempt so that the accepted point and
-    the reported residual agree.
+    Returns the maximizer and the number of working-set changes.  Each
+    pass solves the bordered KKT system for the step to the optimum of the
+    face left free by the working set.  A singular, inconsistent system
+    has no face optimum; its least-squares residual r = [d; s] satisfies
+    A r = 0, so d is a zero-curvature ascent direction (d'Hd = 0,
+    g'd = |r|^2), followed to the first blocking bound.  ``tol`` is the
+    multiplier error a face optimum may keep.
     """
     n = l.shape[0]
-    H = 2.0 * q * Q
-    lip = max(float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1]), 1e-30)
-    step = 1.0 / lip
-
-    def proj(v):
-        if caps is not None:
-            return _project_capped(v, mass, caps)
-        return project_to_simplex(v, mass)
-
-    def grad_min(v):  # gradient of the minimization form q w'Qw - l'w
-        return H @ v - l
-
-    if warm is not None and warm.shape == (n,):
-        w = proj(np.maximum(warm, 0.0))
+    upper = np.full(n, np.inf) if caps is None else caps
+    if warm is None:
+        w = _greedy_linear(l, mass, caps)
     else:
-        w = proj(np.full(n, mass / n))
-    if accepts(w):
-        return w, 0
-    y = w.copy()
-    t = 1.0
-    support_tol = 1e-12 * max(mass, 1.0)
+        # clip and hand the missing mass out by gradient: projecting instead
+        # would spread mass onto every zero coordinate and leave the warm face
+        w = np.minimum(np.maximum(warm, 0.0), upper)
+        if w.sum() > mass:
+            w *= mass / w.sum()
+        w += _greedy_linear(l - H @ w, max(mass - float(w.sum()), 0.0),
+                            None if caps is None else upper - w)
+    at_zero = w <= 0.0
+    at_cap = (w >= upper) & ~at_zero
+    if np.all(at_zero | at_cap):
+        at_cap[:] = False   # a vertex: let its positive coordinates move
 
-    def try_polish(point: np.ndarray) -> Optional[np.ndarray]:
-        support = point > support_tol
-        if not np.any(support):
-            return None
-        at_cap = np.zeros(n, dtype=bool)
-        if caps is not None:
-            at_cap = support & (point >= caps - 1e-10 * max(mass, 1.0))
-        polished = _face_polish(H, l, mass, caps, support, at_cap)
-        if polished is not None and accepts(polished):
-            return polished
-        return None
+    for changes in range(max_iterations + 1):
+        idx = np.flatnonzero(~(at_zero | at_cap))
+        k = idx.size
+        g = l - H @ w
+        A = np.zeros((k + 1, k + 1))
+        A[:k, :k] = H[np.ix_(idx, idx)]
+        A[:k, k] = A[k, :k] = 1.0
+        rhs = np.append(g[idx], mass - w.sum())
+        limit = 1.0
+        try:
+            sol = np.linalg.solve(A, rhs)
+            # on a numerically singular face LU can return a huge downhill step
+            usable = bool(np.all(np.isfinite(sol))) and \
+                float(g[idx] @ sol[:k]) >= -tol * float(np.abs(sol[:k]).sum())
+        except np.linalg.LinAlgError:
+            usable = False
+        if not usable:
+            sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            resid = rhs - A @ sol
+            if float(np.max(np.abs(resid[:k]))) > tol:
+                sol, limit = resid, np.inf
+        d = sol[:k]
 
-    for k in range(1, config.max_iterations + 1):
-        g = grad_min(y)
-        w_next = proj(y - step * g)
-        if float((y - w_next) @ (w_next - w)) > 0.0:
-            # adaptive restart: the accelerated step stopped descending
-            t = 1.0
-            y = w.copy()
-            w_next = proj(y - step * grad_min(y))
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = w_next + ((t - 1.0) / t_next) * (w_next - w)
-        w, t = w_next, t_next
+        if k > 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(d < 0.0, w[idx] / -d, (upper[idx] - w[idx]) / d)
+            room[d == 0.0] = np.inf
+            j = int(np.argmin(room))
+            if room[j] < limit:
+                w[idx] += room[j] * d
+                i = idx[j]
+                if d[j] < 0.0:
+                    w[i], at_zero[i] = 0.0, True
+                else:
+                    w[i], at_cap[i] = upper[i], True
+                np.clip(w, 0.0, upper, out=w)
+                continue
+        w[idx] += d
+        np.clip(w, 0.0, upper, out=w)
 
-        if k % config.polish_period == 0 or k == config.max_iterations:
-            polished = try_polish(w)
-            if polished is not None:
-                return polished, k
-            if accepts(w):
-                return w, k
-    return w, config.max_iterations
+        g = l - H @ w
+        lam = sol[k]
+        wrong = (at_zero & (g - lam > tol)) | (at_cap & (lam - g > tol))
+        if not np.any(wrong):
+            return w, changes
+        i = int(np.argmax(wrong))
+        at_zero[i] = at_cap[i] = False
+    raise SolverConvergenceError(
+        f"active set still changing after {max_iterations} working-set changes"
+    )

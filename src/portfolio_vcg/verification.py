@@ -86,6 +86,16 @@ class _ReportBuilder:
     def skip(self) -> None:
         self.skipped += 1
 
+    def merge(self, report: PropertyReport) -> None:
+        """Fold a sub-report's trials, violations and examples into this one."""
+        self.trials += report.trials
+        self.violations += report.violations
+        self.skipped += report.skipped
+        self.restriction_violations += report.restriction_violations
+        self.worst = min(self.worst, report.worst_margin)
+        self.examples.extend(
+            report.counterexamples[:MAX_RETAINED - len(self.examples)])
+
     def check_restriction(self, schedule: PriceSchedule) -> None:
         gaps = schedule.allocation.objective_value - schedule.restricted_objectives
         if float(np.min(gaps, initial=0.0)) < -RESTRICTION_TOL:
@@ -346,15 +356,9 @@ def run_truthfulness_suite(trials: int = 1000, seed: int = 42,
             if builder.trials >= trials:
                 break
             delta = float(rng.uniform(-market.mu[i], 5.0))
-            sub = check_truthfulness(market, i, [delta], schedule=schedule,
-                                     eps=eps, config=config)
-            builder.trials += sub.trials
-            builder.violations += sub.violations
-            builder.restriction_violations += sub.restriction_violations
-            builder.worst = min(builder.worst, sub.worst_margin)
-            for example in sub.counterexamples:
-                if len(builder.examples) < MAX_RETAINED:
-                    builder.examples.append(example)
+            builder.merge(check_truthfulness(market, i, [delta],
+                                             schedule=schedule, eps=eps,
+                                             config=config))
     return builder.build()
 
 
@@ -389,15 +393,7 @@ def run_second_price_suite(trials: int = 500, seed: int = 42,
     builder = _ReportBuilder("second_price_limit", eps, seed=seed)
     while builder.trials < trials:
         market = random_market(rng, q=0.0)
-        sub = check_second_price_limit(market, eps=eps, config=config)
-        builder.trials += sub.trials
-        builder.violations += sub.violations
-        builder.skipped += sub.skipped
-        builder.restriction_violations += sub.restriction_violations
-        builder.worst = min(builder.worst, sub.worst_margin)
-        for example in sub.counterexamples:
-            if len(builder.examples) < MAX_RETAINED:
-                builder.examples.append(example)
+        builder.merge(check_second_price_limit(market, eps=eps, config=config))
     return builder.build()
 
 

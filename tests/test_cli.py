@@ -79,6 +79,20 @@ class TestAllocateCommand:
         assert "asymmetric_covariance" in err
         assert "sigma[0][1]" in err or "sigma[1][0]" in err
 
+    def test_caps_infeasible_without_one_offer_exits_3(self, tmp_path,
+                                                       capsys):
+        # allocation alone is feasible, but pricing offer "a" pins it to
+        # zero and the remaining caps sum to 0.15 < 1
+        doc = dict(FIXTURE_DOC,
+                   offers=[{"id": "a", "bid": 1.0}, {"id": "b", "bid": 0.8},
+                           {"id": "c", "bid": 0.5}],
+                   covariance=np.eye(3).tolist(), caps=[0.9, 0.05, 0.1])
+        path = write_json(tmp_path / "capped.json", doc)
+        assert main(["allocate", "--input", path]) == 3
+        err = capsys.readouterr().err
+        assert "infeasible_without_offer" in err
+        assert "'a'" in err
+
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"offers": [')

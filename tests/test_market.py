@@ -114,6 +114,15 @@ class TestValidateMarket:
                         caps=[0.3, 0.3])
         assert any(code == "infeasible_caps" for code, _ in err.value.diagnostics)
 
+    def test_caps_infeasible_without_one_offer_name_it(self):
+        # feasible as a whole, but pricing "b" pins it and leaves 0.95 < 1
+        with pytest.raises(MarketValidationError) as err:
+            make_market([Offer("a", 1.0), Offer("b", 2.0), Offer("c", 0.5)],
+                        np.eye(3), 0.5, 100, caps=[0.05, 0.9, 0.1])
+        assert [code for code, _ in err.value.diagnostics] == \
+            ["infeasible_without_offer"]
+        assert "'b'" in err.value.diagnostics[0][1]
+
     def test_duplicate_offer_ids_rejected(self):
         with pytest.raises(MarketValidationError) as err:
             make_market([Offer("a", 1.0), Offer("a", 2.0)], np.eye(2), 0.5, 100)

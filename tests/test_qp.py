@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from portfolio_vcg import (
     QpProblem,
     QpValidationError,
     SolverConfig,
+    SolverConvergenceError,
     check_kkt,
     project_to_simplex,
     solve,
@@ -16,13 +19,33 @@ from portfolio_vcg.qp import _project_capped
 def grid_maximum(problem: QpProblem, step: float) -> float:
     """Exhaustive 2-D oracle: evaluate the objective on the simplex lattice."""
     assert problem.dimension == 2
-    w1 = np.arange(0.0, 1.0 + step / 2, step)
+    lo, hi = 0.0, 1.0
+    if problem.caps is not None:   # the lattice spans the capped segment
+        lo, hi = max(lo, 1.0 - problem.caps[1]), min(hi, problem.caps[0])
+    w1 = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
     W = np.stack([w1, 1.0 - w1], axis=1)
     vals = W @ problem.linear - problem.risk * np.einsum(
         "ij,jk,ik->i", W, problem.quadratic, W)
     if problem.affine_linear is not None:
         vals -= problem.risk * (W @ problem.affine_linear)
     return float(vals.max())
+
+
+# random kernel inputs: full-rank covariance, a rank-deficient one (whose
+# faces can be singular), and full rank under caps of at least 0.55
+RANDOM_KINDS = ("full", "rank_deficient", "capped")
+
+
+def random_quadratic(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    if kind == "rank_deficient":
+        g = rng.standard_normal((int(rng.integers(1, n)), n))
+        return g.T @ g
+    g = rng.standard_normal((n, n))
+    return g.T @ g + 1e-6 * np.eye(n)
+
+
+def random_caps(rng: np.random.Generator, n: int, kind: str):
+    return rng.uniform(0.55, 1.0, n) if kind == "capped" else None
 
 
 class TestSolve:
@@ -134,38 +157,34 @@ class TestSolve:
     def test_restriction_monotonicity(self):
         # pinning more coordinates can only lower the optimum
         rng = np.random.default_rng(11)
-        for _ in range(60):
-            n = int(rng.integers(3, 6))
-            g = rng.standard_normal((n, n))
+        for kind in np.repeat(RANDOM_KINDS, 60):
+            capped = kind == "capped"
+            n = int(rng.integers(3 + capped, 6 + capped))
             problem = QpProblem(
                 linear=rng.uniform(0, 5, n),
-                quadratic=g.T @ g + 1e-6 * np.eye(n),
+                quadratic=random_quadratic(rng, n, kind),
                 risk=float(np.exp(rng.uniform(np.log(1e-3), np.log(10)))),
                 mass=1.0,
+                caps=random_caps(rng, n, kind),
             )
-            small = frozenset(rng.choice(n, size=1, replace=False).tolist())
-            big = small | frozenset(
-                rng.choice(n, size=n - 2, replace=False).tolist())
-            if len(big) >= n:
-                big = frozenset(list(big)[:n - 1])
-            obj_small = solve(QpProblem(
-                linear=problem.linear, quadratic=problem.quadratic,
-                risk=problem.risk, mass=1.0, zero_set=small)).objective_value
-            obj_big = solve(QpProblem(
-                linear=problem.linear, quadratic=problem.quadratic,
-                risk=problem.risk, mass=1.0, zero_set=big)).objective_value
+            order = rng.permutation(n)
+            small = frozenset(order[:1].tolist())
+            # uncapped: one coordinate stays free; capped: two, since no cap
+            # reaches 1 (n >= 4 keeps big a strict superset of small)
+            big = frozenset(order[:n - 1 - capped].tolist())
+            obj_small = solve(replace(problem, zero_set=small)).objective_value
+            obj_big = solve(replace(problem, zero_set=big)).objective_value
             assert obj_small >= obj_big - 1e-9
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            g = rng.standard_normal((2, 2))
-            sigma = g.T @ g + 1e-6 * np.eye(2)
+        for kind in np.repeat(RANDOM_KINDS, 25):
+            sigma = random_quadratic(rng, 2, kind)
             sigma /= np.linalg.eigvalsh(sigma)[-1]
             problem = QpProblem(
                 linear=rng.uniform(0, 5, 2), quadratic=sigma,
                 risk=float(np.exp(rng.uniform(np.log(1e-3), np.log(10)))),
-                mass=1.0,
+                mass=1.0, caps=random_caps(rng, 2, kind),
             )
             sol = solve(problem)
             assert sol.objective_value >= grid_maximum(problem, 1e-3) - 1e-9
@@ -181,6 +200,17 @@ class TestSolve:
         sol = solve(problem, config)
         assert sol.iterations <= config.max_iterations
         assert sol.kkt_residual <= config.kkt_tol
+
+    def test_too_small_iteration_budget_raises(self):
+        # the greedy start fills the best caps; the interior optimum lies
+        # some working-set changes away
+        problem = QpProblem(linear=np.array([2.0, 1.0, 0.5]),
+                            quadratic=np.eye(3), risk=1.0, mass=1.0,
+                            caps=np.array([0.6, 0.6, 1.0]))
+        needed = solve(problem).iterations
+        assert needed >= 1
+        with pytest.raises(SolverConvergenceError):
+            solve(problem, SolverConfig(max_iterations=needed - 1))
 
 
 class TestProjection:
