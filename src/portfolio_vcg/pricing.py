@@ -19,7 +19,7 @@ schedule is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from .allocation import (
     market_problem,
     qmap_allocate,
     qmap_problem,
-    validate_qmap,
 )
 from .market import PER_RESPONSE, MarketInstance
 from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig
@@ -73,21 +72,29 @@ class PriceSchedule:
             object.__setattr__(self, name, arr)
 
 
-def _pinned_optimum(problem: QpProblem, i: int, config: SolverConfig,
-                    warm_start: Optional[np.ndarray]) -> float:
-    pinned = replace(problem, zero_set=frozenset({int(i)}))
-    return qp.solve(pinned, config, warm_start=warm_start).objective_value
+def _pinned_optimum(problem: QpProblem, alloc: Allocation, i: int,
+                    config: SolverConfig) -> float:
+    """Offer i's pinned optimum, solved only when the answer is not known.
+
+    If w*_i = 0 the full optimum stays feasible with offer i pinned, and
+    pinning can only lower the optimum, so the two are equal and offer i
+    pays exactly 0.
+    """
+    if alloc.weights[i] == 0.0:
+        return alloc.objective_value
+    return qp.solve(problem.pinned(i), config, warm_start=alloc.weights).objective_value
 
 
 def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
                 config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every offer's VCG charge and pinned optimum, one pinned solve each.
+    """Every offer's VCG charge and pinned optimum.
 
     ``values`` holds each offer's own per-unit value (mu, or c for the
     call-count program), so offer i's share of the chosen objective is
-    w_i * values[i] and the others' value is the rest.
+    w_i * values[i] and the others' value is the rest.  The pinned copies
+    of ``problem`` share its validation and eigendecomposition.
     """
-    pinned = np.array([_pinned_optimum(problem, i, config, alloc.weights)
+    pinned = np.array([_pinned_optimum(problem, alloc, i, config)
                        for i in range(problem.dimension)])
     others = alloc.objective_value - alloc.weights * values
     return pinned - others, pinned
@@ -101,7 +108,8 @@ def restricted_objective(market: MarketInstance, i: int,
     This is the pivot term in every offer's price; it depends only on the
     other participants' valuations.
     """
-    return _pinned_optimum(market_problem(market), i, config, warm_start)
+    pinned = market_problem(market).pinned(i)
+    return qp.solve(pinned, config, warm_start=warm_start).objective_value
 
 
 def price_offer(market: MarketInstance, alloc: Allocation, i: int,
@@ -114,7 +122,7 @@ def price_offer(market: MarketInstance, alloc: Allocation, i: int,
     i = int(i)
     if not 0 <= i < market.n:
         raise IndexError(f"offer index {i} out of range for {market.n} offers")
-    pinned = restricted_objective(market, i, config, warm_start=alloc.weights)
+    pinned = _pinned_optimum(market_problem(market), alloc, i, config)
     others_at_optimum = alloc.objective_value - float(alloc.weights[i] * market.mu[i])
     return pinned - others_at_optimum
 
@@ -124,16 +132,11 @@ def price_risk_participant(market: MarketInstance, alloc: Allocation,
     """Expected revenue the publisher forgoes due to risk aversion.
 
     Removing the risk participant makes the objective linear, so the
-    risk-neutral optimum is the best vertex (or the capped greedy fill);
+    risk-neutral optimum is the greedy fill, exact with or without caps;
     the charge is that optimum minus the expected revenue of the actual
-    allocation.  Always nonnegative.
+    allocation.  Always nonnegative.  ``config`` is unused.
     """
-    if market.caps is None:
-        risk_neutral = float(np.max(market.mu))
-    else:
-        linear = qp.QpProblem(linear=market.mu, quadratic=np.zeros_like(market.sigma),
-                              risk=0.0, mass=1.0, caps=market.caps)
-        risk_neutral = qp.solve(linear, config).objective_value
+    risk_neutral = float(market.mu @ qp._greedy_linear(market.mu, 1.0, market.caps))
     return risk_neutral - float(alloc.weights @ market.mu)
 
 
@@ -176,14 +179,13 @@ def qmap_prices(instance: QmapInstance,
     counts themselves; response rates are unknown here, so the
     per-response column is entirely NaN.
     """
-    validate_qmap(instance)
+    alloc = qmap_allocate(instance, config)   # validates the instance
     n = instance.n
     if n < 2:
         raise QmapPricingError(
             f"pricing requires at least 2 offers, got {n}: removing the "
             "only offer empties the market"
         )
-    alloc = qmap_allocate(instance, config)
     prices, pinned = _vcg_prices(qmap_problem(instance), alloc,
                                  instance.c_vector, config)
 

@@ -20,7 +20,7 @@ result confirms it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -92,6 +92,10 @@ class QpProblem:
     zero_set: frozenset = frozenset()
     caps: Optional[np.ndarray] = None
     affine_linear: Optional[np.ndarray] = None
+    # (lambda_min, lambda_max) of ``quadratic``, set once the data has been
+    # validated; ``pinned`` copies inherit it, so they skip both
+    _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", _readonly(self.linear))
@@ -105,6 +109,18 @@ class QpProblem:
     @property
     def dimension(self) -> int:
         return self.linear.shape[0]
+
+    def pinned(self, i: int) -> "QpProblem":
+        """This problem with coordinate i (alone) pinned to zero.
+
+        The copy keeps the quadratic term, so it shares this problem's
+        validation and spectrum: a family of pinned solves makes one
+        eigendecomposition in all.
+        """
+        _validate_problem(self)
+        copy = replace(self, zero_set=frozenset({int(i)}))
+        object.__setattr__(copy, "_spectrum", self._spectrum)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -163,11 +179,6 @@ def gradient(problem: QpProblem, w) -> np.ndarray:
     if problem.affine_linear is not None:
         g = g - problem.risk * problem.affine_linear
     return g
-
-
-def max_eigenvalue(matrix: np.ndarray) -> float:
-    sym = 0.5 * (matrix + matrix.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:
@@ -230,39 +241,47 @@ def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
     return w
 
 
-def _validate_problem(problem: QpProblem) -> None:
+def _validate_problem(problem: QpProblem) -> tuple[float, float]:
+    """Check the data; return (lambda_min, lambda_max) of the quadratic term.
+
+    A pinned copy carries the spectrum of its already checked parent and
+    differs from it only in the pins, so only those are checked again.
+    """
     c, Q = problem.linear, problem.quadratic
     n = c.shape[0]
-    if c.ndim != 1 or n == 0:
-        raise QpValidationError("linear term must be a nonempty vector")
-    if Q.shape != (n, n):
-        raise QpValidationError(
-            f"quadratic term shape {Q.shape} does not match dimension {n}"
-        )
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(Q))):
-        raise QpValidationError("problem data must be finite")
-    if problem.risk < 0 or not np.isfinite(problem.risk):
-        raise QpValidationError(f"risk weight must be >= 0, got {problem.risk}")
-    if problem.mass <= 0 or not np.isfinite(problem.mass):
-        raise QpValidationError(f"mass must be positive, got {problem.mass}")
-    if np.max(np.abs(Q - Q.T), initial=0.0) > SYM_TOL:
-        raise QpValidationError("quadratic term must be symmetric")
-    lo = min_eigenvalue(Q)
-    if lo < -psd_slack(Q):
-        raise QpValidationError(
-            f"quadratic term is not positive semidefinite "
-            f"(min eigenvalue {lo:.3e})"
-        )
+    if problem._spectrum is None:
+        if c.ndim != 1 or n == 0:
+            raise QpValidationError("linear term must be a nonempty vector")
+        if Q.shape != (n, n):
+            raise QpValidationError(
+                f"quadratic term shape {Q.shape} does not match dimension {n}"
+            )
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(Q))):
+            raise QpValidationError("problem data must be finite")
+        if problem.risk < 0 or not np.isfinite(problem.risk):
+            raise QpValidationError(f"risk weight must be >= 0, got {problem.risk}")
+        if problem.mass <= 0 or not np.isfinite(problem.mass):
+            raise QpValidationError(f"mass must be positive, got {problem.mass}")
+        if np.max(np.abs(Q - Q.T), initial=0.0) > SYM_TOL:
+            raise QpValidationError("quadratic term must be symmetric")
+        eig = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+        if eig[0] < -psd_slack(Q):
+            raise QpValidationError(
+                f"quadratic term is not positive semidefinite "
+                f"(min eigenvalue {eig[0]:.3e})"
+            )
+        if problem.caps is not None:
+            u = problem.caps
+            if u.shape != (n,):
+                raise QpValidationError("caps must match the problem dimension")
+            if np.any(u < 0) or not np.all(np.isfinite(u)):
+                raise QpValidationError("caps must be finite and nonnegative")
+        if problem.affine_linear is not None and problem.affine_linear.shape != (n,):
+            raise QpValidationError("affine_linear must match the problem dimension")
+        object.__setattr__(problem, "_spectrum", (float(eig[0]), float(eig[-1])))
     if any(i < 0 or i >= n for i in problem.zero_set):
         raise QpValidationError("zero_set index out of range")
-    if problem.caps is not None:
-        u = problem.caps
-        if u.shape != (n,):
-            raise QpValidationError("caps must match the problem dimension")
-        if np.any(u < 0) or not np.all(np.isfinite(u)):
-            raise QpValidationError("caps must be finite and nonnegative")
-    if problem.affine_linear is not None and problem.affine_linear.shape != (n,):
-        raise QpValidationError("affine_linear must match the problem dimension")
+    return problem._spectrum
 
 
 def _gradient_scale(problem: QpProblem, floor: float = 1.0) -> float:
@@ -294,12 +313,10 @@ def _mapping_residual(problem: QpProblem, w: np.ndarray, eta: float) -> float:
     return float(np.max(np.abs(w - mapped))) / eta
 
 
-def _kkt_eta(problem: QpProblem) -> float:
-    lip = 2.0 * problem.risk * max(max_eigenvalue(problem.quadratic), 0.0)
-    return 1.0 / max(lip, 1.0)
-
-
-def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float) -> KktReport:
+def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float,
+               lam_max: float) -> KktReport:
+    """``lam_max`` is the largest eigenvalue of the quadratic term; the
+    mapping step is the reciprocal of the gradient's Lipschitz constant."""
     scale = _gradient_scale(problem)
 
     mass_error = abs(float(w.sum()) - problem.mass)
@@ -311,7 +328,8 @@ def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float) -> KktReport:
     else:
         cap_excess = 0.0
 
-    stationarity = _mapping_residual(problem, w, _kkt_eta(problem))
+    eta = 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0), 1.0)
+    stationarity = _mapping_residual(problem, w, eta)
 
     residual = max(mass_error, negativity, pin_error, cap_excess,
                    stationarity / scale)
@@ -335,14 +353,14 @@ def check_kkt(problem: QpProblem, candidate,
     KKT point at tolerance ``tol`` (hence, by concavity, an approximate
     global maximizer).
     """
-    _validate_problem(problem)
+    lam_max = _validate_problem(problem)[1]
     w = np.asarray(candidate, dtype=float)
     if w.shape != (problem.dimension,):
         raise QpValidationError(
             f"candidate shape {w.shape} does not match dimension "
             f"{problem.dimension}"
         )
-    return _kkt_terms(problem, w, tol)
+    return _kkt_terms(problem, w, tol, lam_max)
 
 
 def _lex_perturbation(n: int, scale: float, eps: float) -> np.ndarray:
@@ -416,7 +434,7 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     KKT tolerance.  A warm start (the full optimum, for pinned solves) only
     picks the starting face; it does not change the optimum.
     """
-    _validate_problem(problem)
+    lam_max = _validate_problem(problem)[1]
     n = problem.dimension
     mass = problem.mass
     free = _free_mask(problem)
@@ -459,7 +477,7 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
 
     w = np.zeros(n)
     w[free] = w_red
-    report = _kkt_terms(problem, w, config.kkt_tol)
+    report = _kkt_terms(problem, w, config.kkt_tol, lam_max)
     if not report.passed:
         raise SolverConvergenceError(
             f"KKT residual {report.residual:.3e} above tolerance "

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from portfolio_vcg import (
     Offer,
     QmapInstance,
     QmapPricingError,
+    QmapValidationError,
     allocate,
     make_market,
     market_from_mu,
@@ -12,8 +15,10 @@ from portfolio_vcg import (
     price_risk_participant,
     price_schedule,
     qmap_prices,
+    solve,
     utility,
 )
+from portfolio_vcg.allocation import market_problem, qmap_problem
 from portfolio_vcg.verification import brute_force_allocate, random_market
 
 FIXTURE = dict(mu=[1.0, 0.8], sigma=np.eye(2), q=0.5, pool=1000)
@@ -234,6 +239,12 @@ class TestQmapPrices:
         with pytest.raises(QmapPricingError, match="2 offers"):
             qmap_prices(inst)
 
+    def test_invalid_instance_reported_before_its_size(self):
+        inst = QmapInstance(a_matrix=np.eye(1), b_vector=np.zeros(1),
+                            c_vector=np.array([1.0]), q=-0.5, m=1)
+        with pytest.raises(QmapValidationError, match="negative_risk_parameter"):
+            qmap_prices(inst)
+
     def test_per_call_prices_divide_by_counts(self):
         inst = QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
                             c_vector=np.array([1.0, 0.8]), q=0.5, m=1000)
@@ -243,3 +254,110 @@ class TestQmapPrices:
             assert schedule.per_ad_call[i] == pytest.approx(
                 schedule.offer_prices[i] / weights[i], abs=1e-12)
         assert np.all(np.isnan(schedule.per_response))
+
+
+def _shortcut_markets(rng, kind):
+    """Seeded markets in which several offers get zero weight."""
+    if kind == "degenerate":
+        # rank-1 Sigma = 11': the risk term is constant on the simplex, so
+        # the three tied offers form a flat optimal face
+        yield market_from_mu([1.0, 1.0, 1.0, 0.2], np.ones((4, 4)), 0.5, 1000)
+        return
+    for _ in range(15):
+        n = int(rng.integers(4, 12))
+        mu = rng.uniform(0.0, 5.0, n)
+        rank = int(rng.integers(1, n)) if kind == "rank_deficient" else n
+        g = rng.standard_normal((rank, n))
+        sigma = g.T @ g + (1e-6 * np.eye(n) if kind != "rank_deficient" else 0.0)
+        q = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
+        # n >= 4 caps of at least 0.35: any three of them cover the pool
+        caps = rng.uniform(0.35, 0.8, n) if kind == "capped" else None
+        yield market_from_mu(mu, sigma, q, 1000, caps=caps)
+
+
+def _qmap_instances(rng):
+    for _ in range(10):
+        n, m = int(rng.integers(4, 12)), int(rng.integers(10, 200))
+        g = rng.standard_normal((n, n))
+        yield QmapInstance(a_matrix=g.T @ g, b_vector=rng.uniform(0.0, 1.0, n),
+                           c_vector=rng.uniform(0.0, 5.0, n),
+                           q=float(rng.uniform(0.01, 1.0)) / m, m=m)
+
+
+MARKET_KINDS = ("uncapped", "capped", "rank_deficient", "degenerate")
+
+
+class TestZeroWeightShortcut:
+    # w*_i = 0 keeps the full optimum feasible with offer i pinned, and
+    # pinning can only lower the optimum: the pinned optimum is the full one
+
+    @staticmethod
+    def assert_exact(schedule):
+        alloc = schedule.allocation
+        zero = np.flatnonzero(alloc.weights == 0.0)
+        for i in zero:
+            assert schedule.offer_prices[i] == 0.0
+            assert schedule.restricted_objectives[i] == alloc.objective_value
+        return zero.size
+
+    @pytest.mark.parametrize("kind", MARKET_KINDS)
+    def test_price_schedule_is_exact(self, kind):
+        rng = np.random.default_rng(53)
+        unpriced = 0
+        for market in _shortcut_markets(rng, kind):
+            schedule = price_schedule(market)
+            if kind == "degenerate":
+                assert schedule.allocation.degenerate
+            unpriced += self.assert_exact(schedule)
+            for i in np.flatnonzero(schedule.allocation.weights == 0.0):
+                assert price_offer(market, schedule.allocation, i) == 0.0
+        assert unpriced > 0
+
+    def test_qmap_prices_are_exact(self):
+        rng = np.random.default_rng(59)
+        assert sum(self.assert_exact(qmap_prices(inst))
+                   for inst in _qmap_instances(rng)) > 0
+
+    @pytest.mark.parametrize("kind", MARKET_KINDS + ("qmap",))
+    def test_shortcut_matches_a_forced_pinned_solve(self, kind):
+        rng = np.random.default_rng(61)
+        if kind == "qmap":
+            cases = [(qmap_prices(inst), qmap_problem(inst), inst.c_vector, inst.m)
+                     for inst in _qmap_instances(rng)]
+        else:
+            cases = [(price_schedule(market), market_problem(market), market.mu, 1.0)
+                     for market in _shortcut_markets(rng, kind)]
+        checked = 0
+        for schedule, problem, values, mass in cases:
+            tol = 1e-12 * float(np.max(np.abs(values))) * mass
+            for i in np.flatnonzero(schedule.allocation.weights == 0.0):
+                forced = solve(replace(problem, zero_set=frozenset({int(i)})))
+                assert abs(forced.objective_value
+                           - schedule.restricted_objectives[i]) <= tol
+                checked += 1
+        assert checked > 0
+
+    def test_one_eigendecomposition_per_problem_family(self, monkeypatch):
+        # full-size eigvalsh calls in one schedule: the allocation's solve
+        # and the pinned family's shared spectrum, whatever n and however
+        # many offers carry weight
+        real_eigvalsh = np.linalg.eigvalsh
+        rng = np.random.default_rng(67)
+        counts = []
+        for n in (8, 30, 90):
+            market = market_from_mu(rng.uniform(1.0, 1.5, n),
+                                    np.diag(rng.uniform(0.5, 1.5, n)), 5.0, 1000)
+            calls = []
+
+            def counting(a, *args, **kwargs):
+                if np.shape(a) == (n, n):
+                    calls.append(n)
+                return real_eigvalsh(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            schedule = price_schedule(market)
+            monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
+            assert np.count_nonzero(schedule.allocation.weights) >= n // 2
+            counts.append(len(calls))
+        assert max(counts) <= 3
+        assert len(set(counts)) == 1

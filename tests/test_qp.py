@@ -139,6 +139,25 @@ class TestSolve:
                             risk=0.5, mass=1.0)
         assert not solve(problem).degenerate
 
+    def test_pinned_copy_matches_an_explicit_pin(self):
+        problem = QpProblem(linear=np.array([1.0, 0.8, 0.3]),
+                            quadratic=np.diag([1.0, 2.0, 0.5]),
+                            risk=0.7, mass=1.0, caps=np.array([0.9, 0.9, 0.9]))
+        explicit = replace(problem, zero_set=frozenset({1}))
+        a, b = solve(problem.pinned(1)), solve(explicit)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.objective_value == b.objective_value
+        assert a.kkt_residual == b.kkt_residual
+        with pytest.raises(QpValidationError, match="zero_set"):
+            solve(problem.pinned(3))
+
+    def test_pinned_copy_of_an_indefinite_problem_rejected(self):
+        problem = QpProblem(linear=np.array([1.0, 0.8]),
+                            quadratic=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                            risk=0.5, mass=1.0)
+        with pytest.raises(QpValidationError, match="semidefinite"):
+            problem.pinned(0)
+
     def test_caps_are_respected(self):
         problem = QpProblem(linear=np.array([2.0, 1.0, 0.5]),
                             quadratic=np.eye(3), risk=0.2, mass=1.0,
