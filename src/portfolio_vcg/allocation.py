@@ -172,7 +172,10 @@ def market_problem(market: MarketInstance,
     )
 
 
-def _solution_allocation(solution: qp.QpSolution, total: int) -> Allocation:
+def solve_allocation(problem: QpProblem, total: int,
+                     config: SolverConfig = DEFAULT_CONFIG) -> Allocation:
+    """Solve a kernel problem and apportion ``total`` calls to its optimum."""
+    solution = qp.solve(problem, config)
     return Allocation(
         weights=solution.weights,
         call_counts=apportion(solution.weights, total),
@@ -192,8 +195,7 @@ def allocate(market: MarketInstance,
     """
     if market.mu is None:
         raise ValueError("market must be validated before allocation")
-    solution = qp.solve(market_problem(market), config)
-    return _solution_allocation(solution, market.pool_size)
+    return solve_allocation(market_problem(market), market.pool_size, config)
 
 
 def qmap_problem(instance: QmapInstance,
@@ -213,8 +215,7 @@ def qmap_allocate(instance: QmapInstance,
                   config: SolverConfig = DEFAULT_CONFIG) -> Allocation:
     """Maximize c'k - q (k'Ak + b'k) over {k >= 0, sum(k) = m}."""
     validate_qmap(instance)
-    solution = qp.solve(qmap_problem(instance), config)
-    return _solution_allocation(solution, instance.m)
+    return solve_allocation(qmap_problem(instance), instance.m, config)
 
 
 def min_form_to_max_form(min_form: QmapInstance) -> QmapInstance:

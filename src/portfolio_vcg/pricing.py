@@ -25,14 +25,15 @@ from typing import Optional
 import numpy as np
 
 from . import qp
-from .allocation import (
+from .allocation import (  # noqa: F401  (allocate is re-exported)
     Allocation,
     QmapInstance,
     allocate,
     apportion,
     market_problem,
-    qmap_allocate,
     qmap_problem,
+    solve_allocation,
+    validate_qmap,
 )
 from .market import PER_RESPONSE, MarketInstance
 from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig
@@ -142,12 +143,17 @@ def price_risk_participant(market: MarketInstance, alloc: Allocation,
 
 def price_schedule(market: MarketInstance,
                    config: SolverConfig = DEFAULT_CONFIG) -> PriceSchedule:
-    """Allocate once, run the n pinned solves, and assemble all charges."""
+    """Allocate once, run the n pinned solves, and assemble all charges.
+
+    The allocation and every pinned solve share one kernel problem, hence
+    one validation and one eigendecomposition.
+    """
     if market.mu is None:
         raise ValueError("market must be validated before pricing")
-    alloc = allocate(market, config)
+    problem = market_problem(market)
+    alloc = solve_allocation(problem, market.pool_size, config)
     n = market.n
-    prices, pinned = _vcg_prices(market_problem(market), alloc, market.mu, config)
+    prices, pinned = _vcg_prices(problem, alloc, market.mu, config)
 
     per_ad_call = np.full(n, np.nan)
     per_response = np.full(n, np.nan)
@@ -179,15 +185,16 @@ def qmap_prices(instance: QmapInstance,
     counts themselves; response rates are unknown here, so the
     per-response column is entirely NaN.
     """
-    alloc = qmap_allocate(instance, config)   # validates the instance
+    validate_qmap(instance)
     n = instance.n
     if n < 2:
         raise QmapPricingError(
             f"pricing requires at least 2 offers, got {n}: removing the "
             "only offer empties the market"
         )
-    prices, pinned = _vcg_prices(qmap_problem(instance), alloc,
-                                 instance.c_vector, config)
+    problem = qmap_problem(instance)
+    alloc = solve_allocation(problem, instance.m, config)
+    prices, pinned = _vcg_prices(problem, alloc, instance.c_vector, config)
 
     per_ad_call = np.full(n, np.nan)
     counts = apportion(alloc.weights, instance.m)

@@ -20,7 +20,9 @@ result confirms it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -92,10 +94,12 @@ class QpProblem:
     zero_set: frozenset = frozenset()
     caps: Optional[np.ndarray] = None
     affine_linear: Optional[np.ndarray] = None
-    # (lambda_min, lambda_max) of ``quadratic``, set once the data has been
-    # validated; ``pinned`` copies inherit it, so they skip both
+    # (lambda_min, lambda_max) of ``quadratic`` and the gradient magnitude,
+    # set once the data has been validated; ``pinned`` copies inherit both
     _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
                                        compare=False)
+    _scale: Optional[float] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", _readonly(self.linear))
@@ -113,14 +117,14 @@ class QpProblem:
     def pinned(self, i: int) -> "QpProblem":
         """This problem with coordinate i (alone) pinned to zero.
 
-        The copy keeps the quadratic term, so it shares this problem's
-        validation and spectrum: a family of pinned solves makes one
+        The copy shares this problem's arrays, validation, spectrum and
+        gradient scale: a family of pinned solves makes one
         eigendecomposition in all.
         """
         _validate_problem(self)
-        copy = replace(self, zero_set=frozenset({int(i)}))
-        object.__setattr__(copy, "_spectrum", self._spectrum)
-        return copy
+        pinned = copy.copy(self)
+        object.__setattr__(pinned, "zero_set", frozenset({int(i)}))
+        return pinned
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,25 @@ class QpSolution:
 
     ``iterations`` counts the active-set method's working-set changes; it
     is 0 when the start was already optimal and on the exact linear and
-    single-coordinate paths.
+    single-coordinate paths.  ``problem`` and ``config`` are the solve's
+    inputs; ``degenerate`` is computed from them on first read, so a solve
+    whose caller only wants the optimum does not pay for it.
     """
 
     weights: np.ndarray
     objective_value: float
     kkt_residual: float
     iterations: int
-    degenerate: bool = False
+    problem: QpProblem = field(repr=False, compare=False)
+    config: SolverConfig = field(repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
+
+    @cached_property
+    def degenerate(self) -> bool:
+        """True when the maximizer is not unique (see ``_detect_degenerate``)."""
+        return _detect_degenerate(self.problem, self.weights, self.config)
 
 
 @dataclass(frozen=True)
@@ -279,18 +291,21 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
         if problem.affine_linear is not None and problem.affine_linear.shape != (n,):
             raise QpValidationError("affine_linear must match the problem dimension")
         object.__setattr__(problem, "_spectrum", (float(eig[0]), float(eig[-1])))
+        scale = float(np.max(np.abs(c), initial=0.0))
+        scale += 2.0 * problem.risk * float(np.max(np.abs(Q), initial=0.0)) * problem.mass
+        if problem.affine_linear is not None:
+            scale += problem.risk * float(np.max(np.abs(problem.affine_linear),
+                                                 initial=0.0))
+        object.__setattr__(problem, "_scale", scale)
     if any(i < 0 or i >= n for i in problem.zero_set):
         raise QpValidationError("zero_set index out of range")
     return problem._spectrum
 
 
 def _gradient_scale(problem: QpProblem, floor: float = 1.0) -> float:
-    q, Q, c = problem.risk, problem.quadratic, problem.linear
-    scale = float(np.max(np.abs(c), initial=0.0))
-    scale += 2.0 * q * float(np.max(np.abs(Q), initial=0.0)) * problem.mass
-    if problem.affine_linear is not None:
-        scale += q * float(np.max(np.abs(problem.affine_linear), initial=0.0))
-    return max(floor, scale)
+    """Bound on the gradient's magnitude over the feasible set, at least
+    ``floor``; computed with the spectrum by ``_validate_problem``."""
+    return max(floor, problem._scale)
 
 
 def _free_mask(problem: QpProblem) -> np.ndarray:
@@ -385,6 +400,18 @@ def _greedy_linear(l: np.ndarray, mass: float,
     return w
 
 
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k x k-1) of the sum-zero directions in R^k.
+
+    The Householder reflector I - v v'/v_0 with v = 1/sqrt(k) + e_0 maps
+    the unit ones vector to -e_0, so its other k - 1 columns are
+    orthonormal and orthogonal to the ones vector.
+    """
+    v = np.full(k, 1.0 / np.sqrt(k))
+    v[0] += 1.0
+    return np.eye(k)[:, 1:] - np.outer(v, v[1:] / v[0])
+
+
 def _detect_degenerate(problem: QpProblem, w: np.ndarray,
                        config: SolverConfig) -> bool:
     """True when the maximizer is non-unique within tolerance.
@@ -415,8 +442,7 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray,
     if problem.risk == 0.0:
         return True
     H = 2.0 * problem.risk * problem.quadratic[np.ix_(idx, idx)]
-    ones = np.ones((idx.size, 1))
-    basis = np.linalg.qr(ones, mode="complete")[0][:, 1:]
+    basis = _sum_zero_basis(idx.size)
     reduced = basis.T @ H @ basis
     lo = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
     return lo <= config.degenerate_tol * max(1.0, float(np.max(np.abs(H), initial=0.0)))
@@ -488,7 +514,8 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
         objective_value=objective_value(problem, w),
         kkt_residual=report.residual,
         iterations=iterations,
-        degenerate=_detect_degenerate(problem, w, config),
+        problem=problem,
+        config=config,
     )
 
 
@@ -510,13 +537,30 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     if warm is None:
         w = _greedy_linear(l, mass, caps)
     else:
-        # clip and hand the missing mass out by gradient: projecting instead
-        # would spread mass onto every zero coordinate and leave the warm face
+        # keep the warm working set: clip, then spread the missing mass over
+        # the warm face (coordinates strictly inside their bounds), by room
+        # to the cap or evenly when uncapped, so the start stays inside it;
+        # only mass the face cannot take is handed out greedily by gradient
         w = np.minimum(np.maximum(warm, 0.0), upper)
         if w.sum() > mass:
             w *= mass / w.sum()
-        w += _greedy_linear(l - H @ w, max(mass - float(w.sum()), 0.0),
-                            None if caps is None else upper - w)
+        missing = mass - float(w.sum())
+        face = (w > 0.0) & (w < upper)
+        if missing > 0.0 and np.any(face):
+            room = upper[face] - w[face]
+            total = float(room.sum())
+            if caps is None:
+                w[face] += missing / room.size
+                missing = 0.0
+            elif total >= missing:
+                w[face] += room * (missing / total)
+                missing = 0.0
+            else:
+                w[face] = upper[face]
+                missing -= total
+        if missing > 0.0:
+            w += _greedy_linear(l - H @ w, missing,
+                                None if caps is None else upper - w)
     at_zero = w <= 0.0
     at_cap = (w >= upper) & ~at_zero
     if np.all(at_zero | at_cap):

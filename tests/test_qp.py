@@ -13,7 +13,13 @@ from portfolio_vcg import (
     project_to_simplex,
     solve,
 )
-from portfolio_vcg.qp import _project_capped
+from portfolio_vcg import qp
+from portfolio_vcg.qp import (
+    DEFAULT_CONFIG,
+    _detect_degenerate,
+    _project_capped,
+    _sum_zero_basis,
+)
 
 
 def grid_maximum(problem: QpProblem, step: float) -> float:
@@ -230,6 +236,149 @@ class TestSolve:
         assert needed >= 1
         with pytest.raises(SolverConvergenceError):
             solve(problem, SolverConfig(max_iterations=needed - 1))
+
+
+def assert_matches_cold(problem: QpProblem, warm_start: np.ndarray):
+    """The warm solve is certified and reaches the cold solve's optimum."""
+    warm, cold = solve(problem, warm_start=warm_start), solve(problem)
+    assert warm.kkt_residual <= DEFAULT_CONFIG.kkt_tol
+    scale = float(np.max(np.abs(problem.linear))) * problem.mass
+    assert abs(warm.objective_value - cold.objective_value) <= 1e-12 * scale
+    return warm
+
+
+class TestPinnedWarmStart:
+    # a pinned solve starts from the full optimum with the pinned coordinate
+    # cleared; its missing mass goes to the warm face (the coordinates
+    # strictly inside their bounds) first, greedily only beyond that
+
+    @staticmethod
+    def interior(problem: QpProblem, w: np.ndarray) -> np.ndarray:
+        upper = np.inf if problem.caps is None else problem.caps
+        return np.flatnonzero((w > 0.0) & (w < upper))
+
+    def test_pin_empties_an_uncapped_face(self):
+        # the full optimum is the vertex e_0, its only interior coordinate
+        problem = QpProblem(linear=np.array([5.0, 1.0, 1.2]),
+                            quadratic=np.eye(3), risk=0.1, mass=1.0)
+        full = solve(problem)
+        assert self.interior(problem, full.weights).tolist() == [0]
+        sol = assert_matches_cold(problem.pinned(0), full.weights)
+        assert sol.weights[0] == 0.0
+
+    def test_pin_empties_a_capped_face(self):
+        # full optimum [0.3, 0.3, 0.3, 0.1, 0]: offer 3 is the only one
+        # strictly inside its bounds
+        problem = QpProblem(linear=np.array([5.0, 4.0, 3.0, 2.0, 1.0]),
+                            quadratic=np.eye(5), risk=0.01, mass=1.0,
+                            caps=np.full(5, 0.3))
+        full = solve(problem)
+        assert self.interior(problem, full.weights).tolist() == [3]
+        sol = assert_matches_cold(problem.pinned(3), full.weights)
+        np.testing.assert_allclose(sol.weights, [0.3, 0.3, 0.3, 0.0, 0.1],
+                                   atol=1e-12)
+
+    def test_face_with_less_room_than_the_missing_mass(self):
+        # full optimum [0.3, 0.3, 0.25, 0.15, 0] (multiplier 1): pinning
+        # offer 0 frees 0.3, but offers 2 and 3 have only 0.2 of room
+        problem = QpProblem(linear=np.array([3.0, 2.5, 1.5, 1.3, 0.5]),
+                            quadratic=np.eye(5), risk=1.0, mass=1.0,
+                            caps=np.full(5, 0.3))
+        full = solve(problem)
+        np.testing.assert_allclose(full.weights, [0.3, 0.3, 0.25, 0.15, 0.0],
+                                   atol=1e-12)
+        face = self.interior(problem, full.weights)
+        assert face.tolist() == [2, 3]
+        assert float(np.sum(problem.caps[face] - full.weights[face])) \
+            < full.weights[0]
+        sol = assert_matches_cold(problem.pinned(0), full.weights)
+        assert sol.weights[0] == 0.0
+
+
+class TestDegenerateFlag:
+    def test_computed_on_first_read(self, monkeypatch):
+        problem = QpProblem(linear=np.array([1.0, 1.0]),
+                            quadratic=np.ones((2, 2)), risk=1.0, mass=1.0)
+        calls = []
+        real = qp._detect_degenerate
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qp, "_detect_degenerate", counting)
+        sol = solve(problem)
+        assert calls == []
+        assert sol.degenerate and sol.degenerate
+        assert len(calls) == 1
+
+    def test_equals_an_eager_check(self):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for kind in np.repeat(RANDOM_KINDS, 30):
+            n = int(rng.integers(3, 8))
+            problem = QpProblem(
+                linear=np.round(rng.uniform(0, 3, n)),   # ties are common
+                quadratic=random_quadratic(rng, n, kind),
+                risk=float(np.exp(rng.uniform(np.log(1e-3), np.log(10)))),
+                mass=1.0, caps=random_caps(rng, n, kind),
+            )
+            for p in (problem, problem.pinned(int(rng.integers(n)))):
+                sol = solve(p)
+                eager = _detect_degenerate(p, sol.weights, DEFAULT_CONFIG)
+                assert sol.degenerate == eager
+                seen.add(eager)
+        assert seen == {True, False}
+
+
+def qr_sum_zero_basis(k: int) -> np.ndarray:
+    return np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
+
+
+class TestSumZeroBasis:
+    def test_orthonormal_and_sum_zero(self):
+        for k in range(2, 40):
+            basis = _sum_zero_basis(k)
+            assert basis.shape == (k, k - 1)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(k - 1),
+                                       atol=1e-14)
+            assert float(np.max(np.abs(basis.sum(axis=0)))) <= 1e-14
+
+    def test_reduced_min_eigenvalue_matches_qr(self):
+        # faces of full-rank and rank-deficient quadratic terms
+        rng = np.random.default_rng(23)
+        for kind in np.repeat(("full", "rank_deficient"), 50):
+            n = int(rng.integers(2, 20))
+            Q = random_quadratic(rng, n, kind)
+            idx = np.sort(rng.choice(n, int(rng.integers(2, n + 1)),
+                                     replace=False))
+            H = Q[np.ix_(idx, idx)]
+            lows = [float(np.linalg.eigvalsh(b.T @ H @ b)[0])
+                    for b in (_sum_zero_basis(idx.size),
+                              qr_sum_zero_basis(idx.size))]
+            assert abs(lows[0] - lows[1]) <= 1e-12 * float(np.max(np.abs(H)))
+
+    def test_degenerate_flag_matches_qr(self, monkeypatch):
+        # optimal faces of random problems, cap-bound and rank-deficient;
+        # tied linear terms make flat faces common
+        rng = np.random.default_rng(29)
+        cases = []
+        for kind in np.repeat(RANDOM_KINDS, 40):
+            n = int(rng.integers(3, 10))
+            problem = QpProblem(
+                linear=np.round(rng.uniform(0, 3, n)),
+                quadratic=random_quadratic(rng, n, kind),
+                risk=float(np.exp(rng.uniform(np.log(1e-3), np.log(10)))),
+                mass=1.0, caps=random_caps(rng, n, kind),
+            )
+            cases.append((problem, solve(problem).weights))
+        flags = [_detect_degenerate(p, w, DEFAULT_CONFIG) for p, w in cases]
+        monkeypatch.setattr(qp, "_sum_zero_basis", qr_sum_zero_basis)
+        assert flags == [_detect_degenerate(p, w, DEFAULT_CONFIG)
+                         for p, w in cases]
+        assert set(flags) == {True, False}
+        assert any(p.caps is not None and np.any(w == p.caps)
+                   for p, w in cases)
 
 
 class TestProjection:
