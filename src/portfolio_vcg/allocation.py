@@ -12,14 +12,14 @@ units) is left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qp
 from .market import MarketInstance
-from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig, min_eigenvalue, psd_slack
+from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig, extreme_eigenvalues, psd_slack
 
 
 class QmapValidationError(ValueError):
@@ -42,15 +42,19 @@ class Allocation:
     ``weights`` live on the scaled simplex (fractions for portfolio
     markets, call counts for the count formulation); ``call_counts`` is
     the deterministic integer apportionment of the pool.  Solver
-    diagnostics ride along for audit output.
+    diagnostics ride along for audit output.  ``solution`` is the kernel
+    solve behind the allocation, if any; ``degenerate`` is read from it on
+    first use, so an allocation whose flag nobody reads does not pay for
+    it.
     """
 
     weights: np.ndarray
     call_counts: np.ndarray
     objective_value: float
-    degenerate: bool = False
     kkt_residual: float = float("nan")
     iterations: int = 0
+    solution: Optional[qp.QpSolution] = field(default=None, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float, copy=True)
@@ -59,6 +63,11 @@ class Allocation:
         k = np.array(self.call_counts, dtype=int, copy=True)
         k.setflags(write=False)
         object.__setattr__(self, "call_counts", k)
+
+    @property
+    def degenerate(self) -> bool:
+        """True when the solve's maximizer is not unique (False without one)."""
+        return self.solution is not None and self.solution.degenerate
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,7 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
     elif np.max(np.abs(instance.a_matrix - instance.a_matrix.T), initial=0.0) > qp.SYM_TOL:
         problems.append(("asymmetric_matrix", "A must be symmetric"))
     else:
-        lo = min_eigenvalue(instance.a_matrix)
+        lo = extreme_eigenvalues(instance.a_matrix)[0]
         if lo < -psd_slack(instance.a_matrix):
             problems.append(("not_positive_semidefinite",
                              f"A has min eigenvalue {lo:.6g}"))
@@ -161,8 +170,12 @@ def qmap_objective(instance: QmapInstance, k, min_form: bool = False) -> float:
 
 def market_problem(market: MarketInstance,
                    zero_set: frozenset = frozenset()) -> QpProblem:
-    """The portfolio program of a market as a kernel problem."""
-    return QpProblem(
+    """The portfolio program of a market as a kernel problem.
+
+    The problem takes the spectrum of Sigma that ``validate_market`` found,
+    so a validated market is decomposed once, not once per problem.
+    """
+    problem = QpProblem(
         linear=market.mu,
         quadratic=market.sigma,
         risk=market.q,
@@ -170,6 +183,8 @@ def market_problem(market: MarketInstance,
         zero_set=zero_set,
         caps=market.caps,
     )
+    object.__setattr__(problem, "_spectrum", market._spectrum)
+    return problem
 
 
 def solve_allocation(problem: QpProblem, total: int,
@@ -180,9 +195,9 @@ def solve_allocation(problem: QpProblem, total: int,
         weights=solution.weights,
         call_counts=apportion(solution.weights, total),
         objective_value=solution.objective_value,
-        degenerate=solution.degenerate,
         kkt_residual=solution.kkt_residual,
         iterations=solution.iterations,
+        solution=solution,
     )
 
 

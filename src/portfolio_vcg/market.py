@@ -14,12 +14,13 @@ concurrent tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .qp import SYM_TOL, min_eigenvalue, psd_slack
+from .qp import SYM_TOL, extreme_eigenvalues, psd_slack
 
 PER_AD_CALL = "per_ad_call"
 PER_RESPONSE = "per_response"
@@ -67,6 +68,10 @@ class MarketInstance:
     pool_size: int
     caps: Optional[np.ndarray] = None
     mu: Optional[np.ndarray] = None
+    # (lambda_min, lambda_max) of sigma, found by validate_market's PSD
+    # check and handed to the kernel problem; ``replace`` drops it
+    _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "offers", tuple(self.offers))
@@ -172,10 +177,10 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
                              f"sigma[{i}][{j}]={float(sigma[i, j])!r} vs "
                              f"sigma[{j}][{i}]={float(sigma[j, i])!r} "
                              f"(gap {gap[worst]:.3e} > {SYM_TOL:.0e})"))
-        lo = min_eigenvalue(sigma)
-        if lo < -psd_slack(sigma):
+        spectrum = extreme_eigenvalues(sigma)
+        if spectrum[0] < -psd_slack(sigma):
             problems.append(("not_positive_semidefinite",
-                             f"covariance has min eigenvalue {lo:.6g}; "
+                             f"covariance has min eigenvalue {spectrum[0]:.6g}; "
                              "input is rejected, not repaired"))
 
     if not np.isfinite(raw.q) or raw.q < 0:
@@ -208,7 +213,29 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
 
     if problems:
         raise MarketValidationError(problems)
-    return replace(raw, mu=mu)
+    market = replace(raw, mu=mu)
+    object.__setattr__(market, "_spectrum", spectrum)
+    return market
+
+
+def replace_offer(market: MarketInstance, i: int, offer: Offer) -> MarketInstance:
+    """The validated market with offer i replaced by ``offer``.
+
+    Only the new offer is validated (its own fields and the uniqueness of
+    its id): Sigma, q, the pool and the caps stay as validated, and the
+    market keeps the spectrum of Sigma.
+    """
+    if any(other.id == offer.id for j, other in enumerate(market.offers) if j != i):
+        raise MarketValidationError([("duplicate_offer_id",
+                                      f"offer id {offer.id!r} appears more than once")])
+    offers = list(market.offers)
+    offers[i] = offer
+    mu = market.mu.copy()
+    mu[i] = expected_value(offer)
+    changed = copy.copy(market)
+    object.__setattr__(changed, "offers", tuple(offers))
+    object.__setattr__(changed, "mu", _as_array(mu))
+    return changed
 
 
 def make_market(offers: Sequence[Offer], sigma, q: float, pool_size: int,

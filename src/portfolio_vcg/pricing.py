@@ -12,9 +12,11 @@ Offer prices can be negative: an offer whose covariance strongly reduces
 portfolio variance is rewarded, never so much that any participant's
 payoff turns negative.
 
-All of the pinned subproblems are independent pure computations; they are
-evaluated with identical solver configuration and tie-breaking, so the
-schedule is deterministic regardless of evaluation order.
+The pinned subproblems are independent pure computations with identical
+solver configuration and tie-breaking.  A schedule prices zero-weight
+offers at 0 without a solve and solves the weighted offers' pinned
+problems together as one family (``qp.solve_pinned_family``), whose rows
+reach the optima that separate solves would.
 """
 
 from __future__ import annotations
@@ -92,11 +94,15 @@ def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
 
     ``values`` holds each offer's own per-unit value (mu, or c for the
     call-count program), so offer i's share of the chosen objective is
-    w_i * values[i] and the others' value is the rest.  The pinned copies
-    of ``problem`` share its validation and eigendecomposition.
+    w_i * values[i] and the others' value is the rest.  Zero-weight offers
+    take the shortcut of ``_pinned_optimum``; the weighted offers' pinned
+    problems are solved together, warm-started at the allocation, by
+    ``qp.solve_pinned_family``, and share ``problem``'s validation and
+    eigendecomposition.
     """
-    pinned = np.array([_pinned_optimum(problem, alloc, i, config)
-                       for i in range(problem.dimension)])
+    pinned = np.full(problem.dimension, alloc.objective_value)
+    weighted = np.flatnonzero(alloc.weights)
+    pinned[weighted] = qp.solve_pinned_family(problem, weighted, alloc.weights, config)
     others = alloc.objective_value - alloc.weights * values
     return pinned - others, pinned
 

@@ -16,6 +16,13 @@ the face optimum the lowest-index bound with a wrong-signed multiplier is
 released.  The objective is concave (Q PSD, q >= 0), so the KKT point it
 stops at is a global maximizer; a projected-gradient certificate on the
 result confirms it.
+
+``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
+on a family of copies of one problem that differ only in the coordinate
+pinned to zero (the n pricing subproblems of a market): the rows advance
+together, and each pass solves all of their face systems in one batched
+LU.  Each row takes the steps ``solve`` would take on its own, and every
+row is certified by the same test.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ import numpy as np
 
 SYM_TOL = 1e-10   # absolute symmetry tolerance for Q
 PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
+# entries one batched face solve may hold: bounds a family's memory at
+# O(n^2) however many rows and however large their faces
+STACK_ENTRIES = 2 ** 20
+# a family of fewer rows is solved one row at a time: on markets of 2 to 6
+# offers a stacked pass costs two to three single-row passes, so one or
+# two rows take longer stacked than alone, three or more take less
+STACK_MIN_ROWS = 3
 
 
 class QpValidationError(ValueError):
@@ -95,7 +109,9 @@ class QpProblem:
     caps: Optional[np.ndarray] = None
     affine_linear: Optional[np.ndarray] = None
     # (lambda_min, lambda_max) of ``quadratic`` and the gradient magnitude,
-    # set once the data has been validated; ``pinned`` copies inherit both
+    # set once the data has been validated; ``pinned`` copies inherit both,
+    # and a caller that has already decomposed ``quadratic`` (a validated
+    # market) may seed the spectrum
     _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
                                        compare=False)
     _scale: Optional[float] = field(default=None, init=False, repr=False,
@@ -193,9 +209,10 @@ def gradient(problem: QpProblem, w) -> np.ndarray:
     return g
 
 
-def min_eigenvalue(matrix: np.ndarray) -> float:
-    sym = 0.5 * (matrix + matrix.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the symmetric part, from one eigvalsh."""
+    eig = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    return float(eig[0]), float(eig[-1])
 
 
 def psd_slack(matrix: np.ndarray) -> float:
@@ -226,42 +243,57 @@ def project_to_simplex(point, mass: float = 1.0) -> np.ndarray:
 
 
 def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {0 <= w <= caps, sum(w) = mass}.
+    """Euclidean projection of each row of v onto {0 <= w <= caps, sum(w) = mass}.
 
-    w_i(tau) = clip(v_i - tau, 0, u_i) makes the total a piecewise-linear
-    nonincreasing function of tau; scan its breakpoints for the segment
-    where the total crosses ``mass`` and interpolate exactly.
+    w_i(tau) = clip(v_i - tau, 0, u_i) makes a row's total a piecewise-
+    linear nonincreasing function of tau, with a breakpoint where each
+    coordinate starts to carry weight (v_i) and where it reaches its cap
+    (v_i - u_i).  Sort each row's breakpoints in descending order, sweep
+    the total across them with a cumulative sum, and interpolate on the
+    segment where it reaches ``mass``: O(n log n) time and O(n) memory per
+    row.  Caps above the mass cannot bind, so they are lowered to it, which
+    keeps every breakpoint finite.  Rows whose caps sum to at most the mass
+    go to their caps.  ``v`` is one vector or a stack of rows; ``caps``
+    broadcasts against it.
     """
-    breaks = np.unique(np.concatenate([v, v - caps]))
-    totals = np.clip(v[None, :] - breaks[:, None], 0.0, caps[None, :]).sum(axis=1)
-    idx = int(np.searchsorted(-totals, -mass, side="left"))
-    if idx == 0:
-        tau = breaks[0]
-    else:
-        idx = min(idx, breaks.size - 1)
-        s_lo, s_hi = totals[idx - 1], totals[idx]
-        if s_lo == s_hi:
-            tau = breaks[idx - 1]
-        else:
-            tau = breaks[idx - 1] + (s_lo - mass) * (breaks[idx] - breaks[idx - 1]) / (s_lo - s_hi)
-    w = np.clip(v - tau, 0.0, caps)
+    rows = np.atleast_2d(v)
+    caps = np.minimum(np.broadcast_to(caps, rows.shape), mass)
+    r, n = rows.shape
+    breaks = np.concatenate([rows, rows - caps], axis=1)
+    order = np.argsort(-breaks, axis=1, kind="stable")
+    breaks = np.take_along_axis(breaks, order, axis=1)
+    # coordinates strictly inside their bounds just below each breakpoint
+    slope = np.cumsum(np.where(order < n, 1.0, -1.0), axis=1)
+    totals = np.zeros((r, 2 * n))
+    np.cumsum(slope[:, :-1] * (breaks[:, :-1] - breaks[:, 1:]), axis=1,
+              out=totals[:, 1:])
+    m = np.argmax(totals >= mass, axis=1)   # 0 where the total stays short
+    at = np.arange(r)
+    prev = np.maximum(m - 1, 0)   # the first breakpoint opens a coordinate
+    tau = np.where(m > 0, breaks[at, prev]
+                   - (mass - totals[at, prev]) / slope[at, prev],
+                   breaks[:, -1])
+    w = np.clip(rows - tau[:, None], 0.0, caps)
     # one correction step on the active segment guards against roundoff
-    slope = float(np.count_nonzero((w > 0.0) & (w < caps)))
-    gap = float(w.sum()) - mass
-    if slope > 0.0 and gap != 0.0:
-        w = np.clip(v - (tau + gap / slope), 0.0, caps)
-    return w
+    count = np.count_nonzero((w > 0.0) & (w < caps), axis=1)
+    gap = w.sum(axis=1) - mass
+    fix = (count > 0) & (gap != 0.0)
+    if np.any(fix):
+        tau[fix] += gap[fix] / count[fix]
+        w[fix] = np.clip(rows[fix] - tau[fix, None], 0.0, caps[fix])
+    return w.reshape(np.shape(v))
 
 
 def _validate_problem(problem: QpProblem) -> tuple[float, float]:
     """Check the data; return (lambda_min, lambda_max) of the quadratic term.
 
-    A pinned copy carries the spectrum of its already checked parent and
-    differs from it only in the pins, so only those are checked again.
+    A pinned copy carries the spectrum and scale of its already checked
+    parent and differs from it only in the pins, so only those are checked
+    again.  A seeded spectrum skips the eigendecomposition alone.
     """
     c, Q = problem.linear, problem.quadratic
     n = c.shape[0]
-    if problem._spectrum is None:
+    if problem._scale is None:
         if c.ndim != 1 or n == 0:
             raise QpValidationError("linear term must be a nonempty vector")
         if Q.shape != (n, n):
@@ -276,12 +308,14 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
             raise QpValidationError(f"mass must be positive, got {problem.mass}")
         if np.max(np.abs(Q - Q.T), initial=0.0) > SYM_TOL:
             raise QpValidationError("quadratic term must be symmetric")
-        eig = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-        if eig[0] < -psd_slack(Q):
-            raise QpValidationError(
-                f"quadratic term is not positive semidefinite "
-                f"(min eigenvalue {eig[0]:.3e})"
-            )
+        if problem._spectrum is None:
+            spectrum = extreme_eigenvalues(Q)
+            if spectrum[0] < -psd_slack(Q):
+                raise QpValidationError(
+                    f"quadratic term is not positive semidefinite "
+                    f"(min eigenvalue {spectrum[0]:.3e})"
+                )
+            object.__setattr__(problem, "_spectrum", spectrum)
         if problem.caps is not None:
             u = problem.caps
             if u.shape != (n,):
@@ -290,7 +324,6 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
                 raise QpValidationError("caps must be finite and nonnegative")
         if problem.affine_linear is not None and problem.affine_linear.shape != (n,):
             raise QpValidationError("affine_linear must match the problem dimension")
-        object.__setattr__(problem, "_spectrum", (float(eig[0]), float(eig[-1])))
         scale = float(np.max(np.abs(c), initial=0.0))
         scale += 2.0 * problem.risk * float(np.max(np.abs(Q), initial=0.0)) * problem.mass
         if problem.affine_linear is not None:
@@ -328,10 +361,14 @@ def _mapping_residual(problem: QpProblem, w: np.ndarray, eta: float) -> float:
     return float(np.max(np.abs(w - mapped))) / eta
 
 
+def _mapping_step(problem: QpProblem, lam_max: float) -> float:
+    """The reciprocal of the gradient's Lipschitz constant; ``lam_max`` is
+    the largest eigenvalue of the quadratic term."""
+    return 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0), 1.0)
+
+
 def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float,
                lam_max: float) -> KktReport:
-    """``lam_max`` is the largest eigenvalue of the quadratic term; the
-    mapping step is the reciprocal of the gradient's Lipschitz constant."""
     scale = _gradient_scale(problem)
 
     mass_error = abs(float(w.sum()) - problem.mass)
@@ -343,8 +380,7 @@ def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float,
     else:
         cap_excess = 0.0
 
-    eta = 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0), 1.0)
-    stationarity = _mapping_residual(problem, w, eta)
+    stationarity = _mapping_residual(problem, w, _mapping_step(problem, lam_max))
 
     residual = max(mass_error, negativity, pin_error, cap_excess,
                    stationarity / scale)
@@ -358,6 +394,27 @@ def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float,
         tolerance=tol,
         passed=residual <= tol,
     )
+
+
+def _kkt_residuals(problem: QpProblem, W: np.ndarray, pinned: np.ndarray,
+                   lam_max: float) -> np.ndarray:
+    """``_kkt_terms``'s residual at each row of W, where row r has the
+    coordinates ``pinned[r]`` pinned to zero; one projection call maps
+    every row."""
+    mass = problem.mass
+    eta = _mapping_step(problem, lam_max)
+    G = problem.linear - 2.0 * problem.risk * (W @ problem.quadratic.T)
+    if problem.affine_linear is not None:
+        G -= problem.risk * problem.affine_linear
+    upper = np.where(pinned, 0.0, mass if problem.caps is None else problem.caps)
+    mapped = _project_capped(W + eta * G, mass, upper)
+    terms = [np.abs(W.sum(axis=1) - mass),
+             -np.min(W, axis=1, initial=0.0),
+             np.max(np.abs(np.where(pinned, W, 0.0)), axis=1),
+             np.max(np.abs(W - mapped), axis=1) / (eta * _gradient_scale(problem))]
+    if problem.caps is not None:
+        terms.append(np.max(W - problem.caps, axis=1, initial=0.0))
+    return np.maximum.reduce(terms)
 
 
 def check_kkt(problem: QpProblem, candidate,
@@ -448,6 +505,16 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray,
     return lo <= config.degenerate_tol * max(1.0, float(np.max(np.abs(H), initial=0.0)))
 
 
+def _shifted_linear(problem: QpProblem, config: SolverConfig) -> np.ndarray:
+    """The linear term the active set works with: c plus the lexicographic
+    tie-break, minus q b."""
+    c_scale = max(1.0, float(np.max(np.abs(problem.linear), initial=0.0)))
+    l = problem.linear + _lex_perturbation(problem.dimension, c_scale, config.lex_eps)
+    if problem.affine_linear is not None:
+        l = l - problem.risk * problem.affine_linear
+    return l
+
+
 def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
           warm_start: Optional[np.ndarray] = None) -> QpSolution:
     """Maximize the concave objective over the constrained simplex.
@@ -477,11 +544,7 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
         )
 
     q = problem.risk
-    c_scale = max(1.0, float(np.max(np.abs(problem.linear), initial=0.0)))
-    l_full = problem.linear + _lex_perturbation(n, c_scale, config.lex_eps)
-    if problem.affine_linear is not None:
-        l_full = l_full - q * problem.affine_linear
-    l = l_full[free]
+    l = _shifted_linear(problem, config)[free]
     Q = problem.quadratic[np.ix_(free, free)]
     quad_active = q > 0.0 and float(np.max(np.abs(Q), initial=0.0)) > 0.0
 
@@ -526,41 +589,16 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
 
     Returns the maximizer and the number of working-set changes.  Each
     pass solves the bordered KKT system for the step to the optimum of the
-    face left free by the working set.  A singular, inconsistent system
-    has no face optimum; its least-squares residual r = [d; s] satisfies
-    A r = 0, so d is a zero-curvature ascent direction (d'Hd = 0,
-    g'd = |r|^2), followed to the first blocking bound.  ``tol`` is the
-    multiplier error a face optimum may keep.
+    face left free by the working set; a singular face takes
+    ``_lstsq_step``.  ``tol`` is the multiplier error a face optimum may
+    keep.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
     if warm is None:
         w = _greedy_linear(l, mass, caps)
     else:
-        # keep the warm working set: clip, then spread the missing mass over
-        # the warm face (coordinates strictly inside their bounds), by room
-        # to the cap or evenly when uncapped, so the start stays inside it;
-        # only mass the face cannot take is handed out greedily by gradient
-        w = np.minimum(np.maximum(warm, 0.0), upper)
-        if w.sum() > mass:
-            w *= mass / w.sum()
-        missing = mass - float(w.sum())
-        face = (w > 0.0) & (w < upper)
-        if missing > 0.0 and np.any(face):
-            room = upper[face] - w[face]
-            total = float(room.sum())
-            if caps is None:
-                w[face] += missing / room.size
-                missing = 0.0
-            elif total >= missing:
-                w[face] += room * (missing / total)
-                missing = 0.0
-            else:
-                w[face] = upper[face]
-                missing -= total
-        if missing > 0.0:
-            w += _greedy_linear(l - H @ w, missing,
-                                None if caps is None else upper - w)
+        w = _warm_start(l, H, mass, upper, warm)
     at_zero = w <= 0.0
     at_cap = (w >= upper) & ~at_zero
     if np.all(at_zero | at_cap):
@@ -583,10 +621,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         except np.linalg.LinAlgError:
             usable = False
         if not usable:
-            sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-            resid = rhs - A @ sol
-            if float(np.max(np.abs(resid[:k]))) > tol:
-                sol, limit = resid, np.inf
+            sol, limit = _lstsq_step(A, rhs, k, tol)
         d = sol[:k]
 
         if k > 1:
@@ -616,3 +651,246 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     raise SolverConvergenceError(
         f"active set still changing after {max_iterations} working-set changes"
     )
+
+
+def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
+                warm: np.ndarray) -> np.ndarray:
+    """The active set's start from ``warm`` under the bounds ``upper`` (inf
+    where uncapped, 0 where pinned).
+
+    The start keeps the warm working set: clip, then spread the missing
+    mass over the warm face (coordinates strictly inside their bounds), by
+    room to the cap or evenly when uncapped, so the start stays inside it;
+    only mass the face cannot take is handed out greedily by gradient.
+    """
+    w = np.minimum(np.maximum(warm, 0.0), upper)
+    if w.sum() > mass:
+        w *= mass / w.sum()
+    missing = mass - float(w.sum())
+    face = (w > 0.0) & (w < upper)
+    if missing > 0.0 and np.any(face):
+        room = upper[face] - w[face]
+        total = float(room.sum())
+        if np.isinf(total):
+            w[face] += missing / room.size
+            missing = 0.0
+        elif total >= missing:
+            w[face] += room * (missing / total)
+            missing = 0.0
+        else:
+            w[face] = upper[face]
+            missing -= total
+    if missing > 0.0:
+        w += _greedy_linear(l - H @ w, missing, upper - w)
+    return w
+
+
+def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int,
+                tol: float) -> tuple[np.ndarray, float]:
+    """Step and step limit for a face system that LU cannot use.
+
+    A consistent singular system gives its least-squares solution (limit
+    1).  An inconsistent one has no face optimum; its least-squares
+    residual r = [d; s] satisfies A r = 0, so d is a zero-curvature ascent
+    direction (d'Hd = 0, g'd = |r|^2), followed to the first blocking bound
+    (limit inf).
+    """
+    sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    resid = rhs - A @ sol
+    if float(np.max(np.abs(resid[:k]))) > tol:
+        return resid, np.inf
+    return sol, 1.0
+
+
+def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
+                        config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Optimum of ``problem.pinned(i)`` for every i in ``pins``, solved together.
+
+    Entry r is ``solve(problem.pinned(pins[r]), config, warm_start)``'s
+    objective value up to rounding, and the family raises the errors those
+    solves would.  A family of fewer than ``STACK_MIN_ROWS`` rows, or of
+    rows with at most one free coordinate (n <= 2), is solved one row at a
+    time by ``solve``.  Otherwise a row without curvature takes ``solve``'s
+    greedy fill, and the other rows take the same active-set start, ratio
+    test and release and meet the same KKT certificate: they advance one
+    working-set change per pass, and each pass solves the face systems of
+    all unfinished rows in batched LU solves of at most ``STACK_ENTRIES``
+    entries each.  The pins of ``problem`` itself are ignored, as by
+    ``pinned``.
+    """
+    lam_max = _validate_problem(problem)[1]
+    n, mass, q = problem.dimension, problem.mass, problem.risk
+    pins = np.asarray(pins, dtype=int).reshape(-1)
+    if np.any((pins < 0) | (pins >= n)):
+        raise QpValidationError("zero_set index out of range")
+    if pins.size < STACK_MIN_ROWS or n <= 2:
+        return np.array([solve(problem.pinned(i), config, warm_start).objective_value
+                         for i in pins])
+    pinned = np.zeros((pins.size, n), dtype=bool)
+    pinned[np.arange(pins.size), pins] = True
+    upper = np.where(pinned, 0.0, np.inf if problem.caps is None else problem.caps)
+    if problem.caps is not None:
+        room = upper.sum(axis=1)
+        short = np.flatnonzero(room < mass * (1.0 - 1e-12))
+        if short.size:
+            raise InfeasibleProblemError(
+                f"caps over free coordinates sum to {float(room[short[0]]):.6g}, "
+                f"below the required mass {mass:.6g}"
+            )
+
+    l = _shifted_linear(problem, config)
+    W = np.zeros((pins.size, n))
+    # a row whose free face has no curvature is linear: the greedy fill
+    nonzero = problem.quadratic != 0.0
+    outside = (np.count_nonzero(nonzero) - nonzero[pins].sum(axis=1)
+               - nonzero[:, pins].sum(axis=0) + nonzero[pins, pins])
+    curved = (q > 0.0) & (outside > 0)
+    for r in np.flatnonzero(~curved):
+        W[r] = _greedy_linear(l, mass, upper[r])
+    W[curved] = _active_set_rows(
+        l, 2.0 * q * problem.quadratic, mass, upper[curved], pinned[curved],
+        config.kkt_tol * _gradient_scale(problem, floor=0.0),
+        config.max_iterations, warm_start,
+    )
+
+    residual = _kkt_residuals(problem, W, pinned, lam_max)
+    failed = np.flatnonzero(residual > config.kkt_tol)
+    if failed.size:
+        raise SolverConvergenceError(
+            f"KKT residual {residual[failed[0]]:.3e} above tolerance "
+            f"{config.kkt_tol:.1e} with coordinate {pins[failed[0]]} pinned"
+        )
+    values = W @ problem.linear - q * np.einsum("ij,ij->i", W @ problem.quadratic, W)
+    if problem.affine_linear is not None:
+        values -= q * (W @ problem.affine_linear)
+    return values
+
+
+def _active_set_rows(l: np.ndarray, H: np.ndarray, mass: float,
+                     upper: np.ndarray, pinned: np.ndarray, tol: float,
+                     max_iterations: int, warm: np.ndarray) -> np.ndarray:
+    """``_active_set`` from a warm start, on a stack of rows.
+
+    Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}
+    with the coordinates ``pinned[r]`` (upper bound 0) never released.
+    Every pass makes one working-set change in each unfinished row, by the
+    same lowest-index ratio test and release as ``_active_set``; a row
+    leaves the stack at its face optimum.
+    """
+    W = np.array([_warm_start(l, H, mass, u, warm) for u in upper]).reshape(upper.shape)
+    n = l.shape[0]
+    Hb = np.zeros((n + 2, n + 2))
+    Hb[:n, :n] = H
+    Hb[:n, n + 1] = Hb[n + 1, :n] = 1.0
+    # a pinned coordinate's gradient is -inf, so its bound is never released
+    L = np.where(pinned, -np.inf, l)
+    at_zero = W <= 0.0
+    at_cap = (W >= upper) & ~at_zero
+    at_cap[np.all(at_zero | at_cap, axis=1)] = False   # vertices: let them move
+    out = np.empty_like(W)
+    ids = np.arange(W.shape[0])
+    for _ in range(max_iterations + 1):
+        if ids.size == 0:
+            break
+        rows = np.arange(ids.size)
+        face = ~(at_zero | at_cap)
+        D, lam, limit = _face_steps(Hb, W, L - W @ H.T, face, mass, tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(D < 0.0, W / -D, (upper - W) / D)
+        room[D == 0.0] = np.inf
+        j = np.argmin(room, axis=1)
+        step = room[rows, j]
+        blocked = (step < limit) & (face.sum(axis=1) > 1)
+        W += np.where(blocked, step, 1.0)[:, None] * D
+        b, jb = rows[blocked], j[blocked]
+        down = D[b, jb] < 0.0
+        W[b, jb] = np.where(down, 0.0, upper[b, jb])
+        at_zero[b, jb], at_cap[b, jb] = down, ~down
+        np.clip(W, 0.0, upper, out=W)
+
+        g, lam = L - W @ H.T, lam[:, None]
+        wrong = (at_zero & (g - lam > tol)) | (at_cap & (lam - g > tol))
+        wrong[blocked] = False
+        release = wrong.any(axis=1)
+        r, i = rows[release], np.argmax(wrong[release], axis=1)
+        at_zero[r, i] = at_cap[r, i] = False
+        keep = blocked | release
+        out[ids[~keep]] = W[~keep]
+        if not np.all(keep):
+            W, at_zero, at_cap, upper, L, ids = (
+                a[keep] for a in (W, at_zero, at_cap, upper, L, ids))
+    if ids.size:
+        raise SolverConvergenceError(
+            f"active set still changing after {max_iterations} working-set changes"
+        )
+    return out
+
+
+def _face_steps(Hb: np.ndarray, W: np.ndarray, G: np.ndarray, face: np.ndarray,
+                mass: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's step to the optimum of its free face, the face's
+    multiplier and the step limit (1, or inf along a zero-curvature ray).
+
+    ``Hb`` is H bordered by a zero row and column (index n, the padding)
+    and a ones row and column (index n + 1, the mass constraint), so one
+    gather builds every row's bordered KKT system, padded to the largest
+    face by an identity block that leaves its solution unchanged.  The
+    systems are solved in stacks of at most ``STACK_ENTRIES`` entries.  A
+    row whose LU fails or returns a downhill step (a numerically singular
+    face) takes ``_lstsq_step`` on its own system.
+    """
+    R, n = W.shape
+    k = face.sum(axis=1)
+    kmax = int(k.max())
+    size = kmax + 1
+    row_of, cols = np.nonzero(face)
+    slots = np.arange(cols.size) - (np.cumsum(k) - k)[row_of]
+    S = np.full((R, size), n)
+    S[:, kmax] = n + 1
+    S[row_of, slots] = cols
+    pad = S[:, :kmax] == n
+    Gb = np.zeros((R, n + 2))
+    Gb[:, :n] = G
+    Gb[:, n + 1] = mass - W.sum(axis=1)
+    rhs = Gb[np.arange(R)[:, None], S]
+    diag = np.arange(kmax)
+    sol, limit = np.empty((R, size)), np.ones(R)
+    chunk = max(1, STACK_ENTRIES // size ** 2)
+    for c in range(0, R, chunk):
+        rows = slice(c, c + chunk)
+        A = Hb[S[rows, :, None], S[rows, None, :]]
+        A[:, diag, diag] += pad[rows]
+        sol[rows], limit[rows] = _stack_solve(A, rhs[rows], k[rows], tol)
+    D = np.zeros((R, n))
+    D[row_of, cols] = sol[row_of, slots]
+    return D, sol[:, kmax], limit
+
+
+def _stack_solve(A: np.ndarray, rhs: np.ndarray, k: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of padded face systems (face slots first, border last)."""
+    kmax = A.shape[1] - 1
+    usable = np.ones(A.shape[0], dtype=bool)
+    try:
+        sol = np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one exactly singular face fails the whole stack: solve row by row
+        sol = np.zeros_like(rhs)
+        for t in range(A.shape[0]):
+            try:
+                sol[t] = np.linalg.solve(A[t], rhs[t])
+            except np.linalg.LinAlgError:
+                usable[t] = False
+    d = sol[:, :kmax]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # on a numerically singular face LU can return a huge downhill step
+        usable &= np.all(np.isfinite(sol), axis=1) & (
+            np.einsum("ij,ij->i", rhs[:, :kmax], d) >= -tol * np.abs(d).sum(axis=1))
+    limit = np.ones(A.shape[0])
+    for t in np.flatnonzero(~usable):
+        system = np.append(np.arange(k[t]), kmax)
+        step, limit[t] = _lstsq_step(A[t][np.ix_(system, system)], rhs[t][system],
+                                     int(k[t]), tol)
+        sol[t] = 0.0
+        sol[t, system] = step
+    return sol, limit

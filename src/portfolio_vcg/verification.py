@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import Allocation, allocate, apportion
-from .market import MarketInstance, Offer, PER_RESPONSE, market_from_mu, make_market
+from .market import MarketInstance, Offer, PER_RESPONSE, market_from_mu, replace_offer
 from .pricing import PriceSchedule, price_offer, price_schedule
 from .qp import DEFAULT_CONFIG, SolverConfig
 
@@ -138,13 +138,13 @@ def _market_summary(market: MarketInstance) -> dict:
 
 def _with_reported_value(market: MarketInstance, i: int,
                          reported: float) -> MarketInstance:
-    """Rebuild the market with offer i's bid adjusted to report ``reported``."""
+    """The market with offer i's bid adjusted to report ``reported``; the
+    rest of the validated market is kept (``replace_offer``)."""
     if reported < 0:
         raise ValueError(
             f"reported expected value must be >= 0, got {reported}"
         )
-    offers = list(market.offers)
-    offer = offers[i]
+    offer = market.offers[i]
     if offer.basis == PER_RESPONSE:
         if offer.response_rate == 0.0:
             if reported != 0.0:
@@ -155,11 +155,10 @@ def _with_reported_value(market: MarketInstance, i: int,
             new_bid = offer.bid
         else:
             new_bid = reported / offer.response_rate
-        offers[i] = Offer(offer.id, new_bid, offer.basis, offer.response_rate)
+        changed = Offer(offer.id, new_bid, offer.basis, offer.response_rate)
     else:
-        offers[i] = Offer(offer.id, reported, offer.basis)
-    return make_market(offers, market.sigma, market.q, market.pool_size,
-                       caps=market.caps)
+        changed = Offer(offer.id, reported, offer.basis)
+    return replace_offer(market, i, changed)
 
 
 def check_truthfulness(market: MarketInstance, i: int,
@@ -173,7 +172,9 @@ def check_truthfulness(market: MarketInstance, i: int,
     mu_i + delta while everyone else stays truthful; the bidder's payoff
     under the deviated outcome is evaluated at the TRUE mu_i.  A violation
     is a deviation that beats truth-telling by more than eps.  Every delta
-    must keep the reported value nonnegative.
+    must keep the reported value nonnegative.  A deviated market keeps the
+    market's validated Sigma and its spectrum, so pricing it decomposes
+    nothing again.
     """
     i = int(i)
     if schedule is None:
@@ -310,7 +311,6 @@ def brute_force_allocate(market: MarketInstance, step: float) -> Allocation:
         weights=w,
         call_counts=apportion(w, market.pool_size),
         objective_value=float(values[best]),
-        degenerate=False,
         kkt_residual=float("nan"),
         iterations=0,
     )

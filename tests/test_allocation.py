@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from portfolio_vcg import (
+    Allocation,
     QmapInstance,
     QmapValidationError,
     TransformUndefinedError,
@@ -15,6 +16,7 @@ from portfolio_vcg import (
     qmap_transform,
     validate_qmap,
 )
+from portfolio_vcg import qp
 from portfolio_vcg.qp import check_kkt
 from portfolio_vcg.allocation import qmap_problem
 
@@ -51,6 +53,23 @@ class TestAllocate:
         alloc = allocate(market)
         np.testing.assert_allclose(alloc.weights, [1.0, 0.0, 0.0], atol=0)
         assert alloc.degenerate
+
+    def test_degenerate_flag_computed_on_first_read(self, monkeypatch):
+        calls = []
+        real = qp._detect_degenerate
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qp, "_detect_degenerate", counting)
+        alloc = allocate(market_from_mu([2.0, 2.0, 1.0], np.eye(3), 0.0, 1000))
+        assert calls == []
+        assert alloc.degenerate and alloc.degenerate
+        assert len(calls) == 1
+        unsolved = Allocation(weights=alloc.weights, call_counts=alloc.call_counts,
+                              objective_value=alloc.objective_value)
+        assert not unsolved.degenerate
 
     def test_objective_nonincreasing_in_risk_aversion(self):
         rng = np.random.default_rng(19)

@@ -10,6 +10,7 @@ from portfolio_vcg import (
     market_from_mu,
     validate_market,
 )
+from portfolio_vcg.market import replace_offer
 
 
 class TestExpectedValue:
@@ -155,3 +156,28 @@ class TestValidateMarket:
         with pytest.raises(ValueError):
             market.mu[0] = 5.0
         assert isinstance(market.offers, tuple)
+
+
+class TestReplaceOffer:
+    def test_matches_a_rebuilt_market(self):
+        offers = [Offer("a", 1.0), Offer("b", 10.0, "per_response", 0.1),
+                  Offer("c", 0.5)]
+        market = make_market(offers, np.eye(3), 0.5, 100, caps=[0.6, 0.6, 0.6])
+        new = Offer("b", 20.0, "per_response", 0.1)
+        changed = replace_offer(market, 1, new)
+        rebuilt = make_market([offers[0], new, offers[2]], np.eye(3), 0.5, 100,
+                              caps=[0.6, 0.6, 0.6])
+        assert changed.offers == rebuilt.offers
+        np.testing.assert_array_equal(changed.mu, rebuilt.mu)
+        np.testing.assert_array_equal(changed.mu, [1.0, 2.0, 0.5])
+        assert changed._spectrum == market._spectrum == rebuilt._spectrum
+        np.testing.assert_array_equal(market.mu, [1.0, 1.0, 0.5])
+
+    def test_only_the_new_offer_is_validated(self):
+        market = market_from_mu([1.0, 0.8], np.eye(2), 0.5, 100)
+        with pytest.raises(MarketValidationError) as err:
+            replace_offer(market, 0, Offer("offer_0", -1.0))
+        assert [code for code, _ in err.value.diagnostics] == ["negative_bid"]
+        with pytest.raises(MarketValidationError) as err:
+            replace_offer(market, 0, Offer("offer_1", 1.0))
+        assert [code for code, _ in err.value.diagnostics] == ["duplicate_offer_id"]

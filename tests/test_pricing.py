@@ -355,15 +355,16 @@ class TestZeroWeightShortcut:
         assert gaps and max(gaps) <= 1e-12
 
     def test_one_eigendecomposition_per_problem_family(self, monkeypatch):
-        # full-size eigvalsh calls in one schedule: the allocation and the
-        # pinned family share one problem and its spectrum, whatever n and
-        # however many offers carry weight
+        # full-size eigvalsh calls in building and pricing one market: the
+        # PSD check of validation decomposes Sigma, and the allocation and
+        # the pinned family share one problem that reuses its spectrum,
+        # whatever n and however many offers carry weight
         real_eigvalsh = np.linalg.eigvalsh
         rng = np.random.default_rng(67)
         counts = []
         for n in (8, 30, 90):
-            market = market_from_mu(rng.uniform(1.0, 1.5, n),
-                                    np.diag(rng.uniform(0.5, 1.5, n)), 5.0, 1000)
+            mu = rng.uniform(1.0, 1.5, n)
+            sigma = np.diag(rng.uniform(0.5, 1.5, n))
             calls = []
 
             def counting(a, *args, **kwargs):
@@ -372,7 +373,7 @@ class TestZeroWeightShortcut:
                 return real_eigvalsh(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-            schedule = price_schedule(market)
+            schedule = price_schedule(market_from_mu(mu, sigma, 5.0, 1000))
             monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
             assert np.count_nonzero(schedule.allocation.weights) >= n // 2
             counts.append(len(calls))

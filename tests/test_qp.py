@@ -19,6 +19,7 @@ from portfolio_vcg.qp import (
     _detect_degenerate,
     _project_capped,
     _sum_zero_basis,
+    solve_pinned_family,
 )
 
 
@@ -329,6 +330,207 @@ class TestDegenerateFlag:
                 assert sol.degenerate == eager
                 seen.add(eager)
         assert seen == {True, False}
+
+
+def family_problems(rng: np.random.Generator, kind: str):
+    """Seeded problems for comparing the stacked pinned family with
+    single pinned solves."""
+    if kind == "degenerate":
+        # Sigma = 11': the risk term is constant on the simplex
+        yield QpProblem(linear=np.array([1.0, 1.0, 1.0, 0.2]),
+                        quadratic=np.ones((4, 4)), risk=0.5, mass=1.0)
+        yield QpProblem(linear=np.array([1.0, 0.9, 1.0, 0.2, 0.95]),
+                        quadratic=np.ones((5, 5)), risk=0.5, mass=1.0,
+                        caps=np.full(5, 0.4))
+        return
+    if kind == "small":
+        # n = 2 (one free coordinate per row, solved by solve) and q = 0
+        # (the greedy fill);
+        # caps below 0.45 spread a q = 0 optimum over at least three offers
+        for _ in range(10):
+            yield QpProblem(linear=rng.uniform(0, 5, 2),
+                            quadratic=random_quadratic(rng, 2, "full"),
+                            risk=float(rng.uniform(0.1, 5.0)), mass=1.0)
+            n = int(rng.integers(6, 10))
+            yield QpProblem(linear=np.round(rng.uniform(0, 3, n)),
+                            quadratic=random_quadratic(rng, n, "full"), risk=0.0,
+                            mass=1.0, caps=rng.uniform(0.25, 0.45, n))
+        return
+    if kind == "capped":
+        # the face left by one pin has 0.2 of room for 0.3 of missing mass
+        yield QpProblem(linear=np.array([3.0, 2.5, 1.5, 1.3, 0.5]),
+                        quadratic=np.eye(5), risk=1.0, mass=1.0,
+                        caps=np.full(5, 0.3))
+    for _ in range(12):
+        n = int(rng.integers(4, 40))
+        if kind == "qmap":
+            g = rng.standard_normal((n, n))
+            yield QpProblem(linear=rng.uniform(0, 5, n), quadratic=g.T @ g,
+                            risk=float(rng.uniform(0.01, 1.0)) / 5000, mass=5000.0,
+                            affine_linear=rng.uniform(0, 1, n))
+        elif kind == "capped":
+            # close values and strong risk aversion: most offers carry
+            # weight and many sit at their cap
+            yield QpProblem(linear=rng.uniform(4, 5, n),
+                            quadratic=random_quadratic(rng, n, "full") / n,
+                            risk=float(rng.uniform(1.0, 50.0)), mass=1.0,
+                            caps=rng.uniform(1.2, 2.5, n) / (n - 1))
+        else:
+            g = rng.standard_normal((int(rng.integers(1, 4)), n)) \
+                if kind == "rank_deficient" else None
+            yield QpProblem(
+                linear=np.round(rng.uniform(0, 3, n)) if g is not None
+                else rng.uniform(0, 5, n),
+                quadratic=g.T @ g if g is not None else random_quadratic(rng, n, "full"),
+                risk=float(np.exp(rng.uniform(np.log(1e-2), np.log(10)))), mass=1.0)
+
+
+class TestSolvePinnedFamily:
+    # the stacked family against one solve(problem.pinned(i)) per row, from
+    # the same warm start (the full optimum), on every weighted coordinate
+
+    @staticmethod
+    def family_gaps(problem: QpProblem):
+        warm = solve(problem).weights
+        pins = np.flatnonzero(warm)
+        family = solve_pinned_family(problem, pins, warm)
+        single = [solve(problem.pinned(i), warm_start=warm).objective_value
+                  for i in pins]
+        scale = float(np.max(np.abs(problem.linear))) * problem.mass
+        return np.abs(family - single) / scale
+
+    @pytest.mark.parametrize("kind", ("uncapped", "capped", "rank_deficient",
+                                      "degenerate", "qmap", "small"))
+    def test_matches_single_pinned_solves(self, kind, monkeypatch):
+        steps = []
+        real = qp._lstsq_step
+
+        def recording(*args):
+            steps.append(real(*args)[1])
+            return real(*args)
+
+        monkeypatch.setattr(qp, "_lstsq_step", recording)
+        rng = np.random.default_rng(83)
+        short_faces = 0
+        for problem in family_problems(rng, kind):
+            assert float(np.max(self.family_gaps(problem))) <= 1e-12
+            if problem.caps is not None:
+                # a pin whose weight exceeds the room left on the warm face
+                warm = solve(problem).weights
+                room = np.where((warm > 0.0) & (warm < problem.caps),
+                                problem.caps - warm, 0.0)
+                short_faces += int(np.any(room.sum() - room < warm))
+        if kind == "capped":
+            assert short_faces > 0
+        if kind == "rank_deficient":
+            # singular faces: some row followed a zero-curvature ray
+            assert np.inf in steps
+
+    def test_stacks_stay_within_their_entry_bound(self, monkeypatch):
+        # a small bound splits every pass into several stacks; each row's
+        # system is the same, so the rows come out bit for bit the same
+        problem = QpProblem(linear=np.linspace(4.0, 5.0, 30),
+                            quadratic=random_quadratic(np.random.default_rng(107),
+                                                       30, "full") / 30,
+                            risk=20.0, mass=1.0, caps=np.full(30, 0.06))
+        warm = solve(problem).weights
+        pins = np.flatnonzero(warm)
+        stacks = []
+        real = np.linalg.solve
+
+        def recording(a, b):
+            if np.ndim(a) == 3:
+                stacks.append(np.size(a))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        whole = solve_pinned_family(problem, pins, warm)
+        passes, stacks[:] = len(stacks), []
+        monkeypatch.setattr(qp, "STACK_ENTRIES", 2000)
+        chunked = solve_pinned_family(problem, pins, warm)
+        assert pins.size >= 20 and len(stacks) > passes
+        assert max(stacks) <= 2000
+        np.testing.assert_array_equal(chunked, whole)
+
+    def test_too_small_iteration_budget_raises(self):
+        # the family needs as many passes as its slowest row needs changes
+        cases = []
+        for problem in family_problems(np.random.default_rng(89), "capped"):
+            warm = solve(problem).weights
+            pins = np.flatnonzero(warm)
+            needed = max(solve(problem.pinned(i), warm_start=warm).iterations
+                         for i in pins)
+            cases.append((needed, problem.dimension, problem, warm, pins))
+        needed, _, problem, warm, pins = max(cases, key=lambda c: c[:2])
+        assert needed >= 2 and pins.size >= qp.STACK_MIN_ROWS
+        solve_pinned_family(problem, pins, warm, SolverConfig(max_iterations=needed))
+        with pytest.raises(SolverConvergenceError):
+            solve_pinned_family(problem, pins, warm,
+                                SolverConfig(max_iterations=needed - 1))
+
+    def test_infeasible_and_out_of_range_pins(self):
+        # without offer 0 the other caps sum to 0.9
+        problem = QpProblem(linear=np.ones(4), quadratic=np.eye(4), risk=1.0,
+                            mass=1.0, caps=np.array([0.6, 0.3, 0.3, 0.3]))
+        warm = solve(problem).weights
+        for pins in ([1, 2, 0], [0]):   # stacked, and one row alone
+            with pytest.raises(InfeasibleProblemError, match="caps"):
+                solve_pinned_family(problem, pins, warm)
+        for pins in ([1, 2, 4], [-1]):
+            with pytest.raises(QpValidationError, match="zero_set"):
+                solve_pinned_family(problem, pins, warm)
+        # one coordinate: every row pins it
+        single = QpProblem(linear=np.ones(1), quadratic=np.eye(1), risk=1.0, mass=1.0)
+        for pins in ([0, 0, 0], [0]):
+            with pytest.raises(InfeasibleProblemError, match="every coordinate"):
+                solve_pinned_family(single, pins, np.ones(1))
+
+
+
+def bisection_projection(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
+    """Reference: bisect on tau for sum(clip(v - tau, 0, caps)) = mass."""
+    lo, hi = float(np.min(v - np.minimum(caps, mass))) - 1.0, float(np.max(v)) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, caps).sum() > mass:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - hi, 0.0, caps)
+
+
+class TestRowProjection:
+    def test_rows_match_bisection(self):
+        rng = np.random.default_rng(97)
+        for _ in range(60):
+            r, n = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            mass = float(rng.choice([1.0, 3.0, 5000.0]))
+            V = np.round(rng.normal(0, 2, (r, n)), 1) * mass   # ties are common
+            caps = rng.uniform(0.0, 0.8, (r, n)) * mass
+            caps[rng.uniform(size=(r, n)) < 0.2] = 0.0
+            caps[rng.uniform(size=(r, n)) < 0.2] = np.inf
+            caps[:, 0] = np.maximum(caps[:, 0], mass)          # feasible rows
+            W = _project_capped(V, mass, caps)
+            for row in range(r):
+                ref = bisection_projection(V[row], mass, caps[row])
+                scale = mass + float(np.max(np.abs(V[row])))
+                np.testing.assert_allclose(W[row], ref, rtol=0, atol=1e-12 * scale)
+                assert np.all(W[row][caps[row] == 0.0] == 0.0)
+                np.testing.assert_array_equal(
+                    W[row], _project_capped(V[row], mass, caps[row]))
+
+    def test_caps_that_sum_to_the_mass(self):
+        rng = np.random.default_rng(101)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            caps = rng.integers(0, 5, n) / 4.0
+            caps[0] += 0.25
+            mass = float(caps.sum())   # exact: quarters add without rounding
+            v = np.round(rng.normal(0, 2, n), 1)
+            w = _project_capped(v, mass, caps)
+            np.testing.assert_allclose(w, caps, rtol=0, atol=1e-12 * mass)
+            np.testing.assert_allclose(w, bisection_projection(v, mass, caps),
+                                       rtol=0, atol=1e-12 * mass)
 
 
 def qr_sum_zero_basis(k: int) -> np.ndarray:

@@ -3,12 +3,14 @@ import pytest
 
 from portfolio_vcg import (
     Offer,
+    allocate,
     brute_force_allocate,
     check_individual_rationality,
     check_second_price_limit,
     check_truthfulness,
     make_market,
     market_from_mu,
+    price_offer,
     price_schedule,
     random_market,
     run_ir_suite,
@@ -99,6 +101,39 @@ class TestTruthfulness:
         assert report.trials == 25
         assert report.violations == 0
         assert report.worst_margin >= -1e-9
+
+    def test_at_most_one_eigendecomposition_per_deviation(self, monkeypatch):
+        # a deviation changes one offer's value: the market keeps its
+        # validated Sigma and spectrum, so neither the deviated allocation
+        # nor the pinned solve decomposes Sigma again
+        rng = np.random.default_rng(103)
+        market = random_market(rng, n=6, q=1.0)
+        schedule = price_schedule(market)
+        deltas = [-0.5 * float(market.mu[2]), 0.3, 2.0]
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (6, 6):
+                calls.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = check_truthfulness(market, 2, deltas, schedule=schedule)
+        monkeypatch.setattr(np.linalg, "eigvalsh", real)
+        assert len(calls) <= len(deltas)
+        # the margins are those of rebuilding and re-pricing each deviation
+        margins = []
+        for delta in deltas:
+            offers = list(market.offers)
+            offers[2] = Offer(offers[2].id, float(market.mu[2]) + delta)
+            deviated = make_market(offers, market.sigma, market.q,
+                                   market.pool_size)
+            alloc = allocate(deviated)
+            u_dev = float(alloc.weights[2] * market.mu[2]) \
+                - price_offer(deviated, alloc, 2)
+            margins.append(utility(market, schedule, 2) - u_dev)
+        assert report.worst_margin == pytest.approx(min(margins), abs=1e-12)
 
 
 class TestIndividualRationality:
