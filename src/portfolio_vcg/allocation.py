@@ -84,6 +84,10 @@ class QmapInstance:
     c_vector: np.ndarray
     q: float
     m: int
+    # (lambda_min, lambda_max) of A, found by validate_qmap's PSD check and
+    # handed to the kernel problem; ``replace`` drops it
+    _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         for name in ("a_matrix", "b_vector", "c_vector"):
@@ -97,8 +101,13 @@ class QmapInstance:
 
 
 def validate_qmap(instance: QmapInstance) -> QmapInstance:
-    """Check dimensions, PSD of A, q >= 0 and m > 0."""
+    """Check dimensions, PSD of A, q >= 0 and m > 0.
+
+    The instance keeps the extreme eigenvalues of A found here, so the
+    kernel problem built from it does not decompose A again.
+    """
     problems = []
+    spectrum = instance._spectrum
     n = instance.n
     if n == 0:
         problems.append(("empty_instance", "c_vector must be nonempty"))
@@ -109,10 +118,10 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
     elif np.max(np.abs(instance.a_matrix - instance.a_matrix.T), initial=0.0) > qp.SYM_TOL:
         problems.append(("asymmetric_matrix", "A must be symmetric"))
     else:
-        lo = extreme_eigenvalues(instance.a_matrix)[0]
-        if lo < -psd_slack(instance.a_matrix):
+        spectrum = spectrum or extreme_eigenvalues(instance.a_matrix)
+        if spectrum[0] < -psd_slack(instance.a_matrix):
             problems.append(("not_positive_semidefinite",
-                             f"A has min eigenvalue {lo:.6g}"))
+                             f"A has min eigenvalue {spectrum[0]:.6g}"))
     if instance.b_vector.shape != (n,):
         problems.append(("dimension_mismatch",
                          f"b shape {instance.b_vector.shape} does not match "
@@ -125,6 +134,7 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
                          f"m must be a positive integer, got {instance.m!r}"))
     if problems:
         raise QmapValidationError(problems)
+    object.__setattr__(instance, "_spectrum", spectrum)
     return instance
 
 
@@ -215,8 +225,12 @@ def allocate(market: MarketInstance,
 
 def qmap_problem(instance: QmapInstance,
                  zero_set: frozenset = frozenset()) -> QpProblem:
-    """The max-form call-count program as a kernel problem."""
-    return QpProblem(
+    """The max-form call-count program as a kernel problem.
+
+    The problem takes the spectrum of A that ``validate_qmap`` found, as
+    ``market_problem`` does for Sigma.
+    """
+    problem = QpProblem(
         linear=instance.c_vector,
         quadratic=instance.a_matrix,
         risk=instance.q,
@@ -224,6 +238,8 @@ def qmap_problem(instance: QmapInstance,
         zero_set=zero_set,
         affine_linear=instance.b_vector,
     )
+    object.__setattr__(problem, "_spectrum", instance._spectrum)
+    return problem
 
 
 def qmap_allocate(instance: QmapInstance,
@@ -247,7 +263,9 @@ def min_form_to_max_form(min_form: QmapInstance) -> QmapInstance:
             "the min-form substitution divides by q, which is 0; "
             "state the problem in max form directly"
         )
-    return replace(min_form, q=1.0 / min_form.q)
+    max_form = replace(min_form, q=1.0 / min_form.q)
+    object.__setattr__(max_form, "_spectrum", min_form._spectrum)   # same A
+    return max_form
 
 
 def qmap_transform(min_form: QmapInstance) -> QpProblem:

@@ -14,9 +14,16 @@ payoff turns negative.
 
 The pinned subproblems are independent pure computations with identical
 solver configuration and tie-breaking.  A schedule prices zero-weight
-offers at 0 without a solve and solves the weighted offers' pinned
-problems together as one family (``qp.solve_pinned_family``), whose rows
-reach the optima that separate solves would.
+offers at 0 without a solve and prices the weighted offers from one
+factorization of the full optimum's face (``qp.solve_pinned_family``).
+Pinning an offer i on that face borders its KKT matrix K once more, so
+the pinned optimum is often closed form, f* - w_i^2 / (2 P_ii) with P
+the top-left block of K^-1: an offer that hedges the others' risk is
+costly to remove, has a small P_ii and pays less.  Rows that need more
+working-set changes solve small Schur complements of K, and a row the
+factorization cannot serve, or a family of one or two rows, is solved
+alone; every row reaches the optimum a separate solve would and meets
+the same certificate.
 """
 
 from __future__ import annotations
@@ -96,7 +103,8 @@ def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
     call-count program), so offer i's share of the chosen objective is
     w_i * values[i] and the others' value is the rest.  Zero-weight offers
     take the shortcut of ``_pinned_optimum``; the weighted offers' pinned
-    problems are solved together, warm-started at the allocation, by
+    problems are priced together from one factorization of the
+    allocation's face, warm-started at the allocation, by
     ``qp.solve_pinned_family``, and share ``problem``'s validation and
     eigendecomposition.
     """

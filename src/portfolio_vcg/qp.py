@@ -19,10 +19,18 @@ result confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
-pinned to zero (the n pricing subproblems of a market): the rows advance
-together, and each pass solves all of their face systems in one batched
-LU.  Each row takes the steps ``solve`` would take on its own, and every
-row is certified by the same test.
+pinned to zero (the n pricing subproblems of a market), warm-started at
+the full optimum.  It factors the bordered KKT matrix K of the full
+optimum's free face once; pinning a coordinate of that face is one more
+border of K, so each row's first step is closed form (the optimum falls
+by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
+working-set change borders K again, solved through the row's small Schur
+complement.  The rows advance together and take the steps ``solve``
+would take on its own; each is certified by the same test, and a row the
+factorization cannot serve (a singular system or a downhill step) is
+solved by ``solve`` from the same warm start.  Both run the method on the
+problem divided by its gradient scale, so their steps do not depend on
+the currency unit.
 """
 
 from __future__ import annotations
@@ -36,13 +44,10 @@ import numpy as np
 
 SYM_TOL = 1e-10   # absolute symmetry tolerance for Q
 PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
-# entries one batched face solve may hold: bounds a family's memory at
-# O(n^2) however many rows and however large their faces
-STACK_ENTRIES = 2 ** 20
 # a family of fewer rows is solved one row at a time: on markets of 2 to 6
-# offers a stacked pass costs two to three single-row passes, so one or
-# two rows take longer stacked than alone, three or more take less
-STACK_MIN_ROWS = 3
+# offers one or two single solves take less time than one factorization
+# and its passes, three or more take longer
+FAMILY_MIN_ROWS = 3
 
 
 class QpValidationError(ValueError):
@@ -65,15 +70,16 @@ class SolverConfig:
     kkt_tol is relative: a point is accepted once the KKT residual (see
     ``check_kkt``) drops below kkt_tol, where the stationarity part of the
     residual is already scaled by the problem's gradient magnitude (at
-    least 1).  The active-set method releases a bound while its multiplier
-    is wrong by more than kkt_tol times that magnitude without the floor,
-    so when it stops does not depend on the currency unit.  max_iterations
-    caps the number of working-set changes (``QpSolution.iterations``); a
-    solve that needs more raises SolverConvergenceError.
+    least 1).  The active-set method works on the problem divided by that
+    magnitude without the floor and releases a bound while its multiplier
+    is wrong by more than kkt_tol, so the path it takes and where it stops
+    do not depend on the currency unit.  max_iterations caps the number of
+    working-set changes (``QpSolution.iterations``, counted per row in a
+    pinned family); a solve that needs more raises SolverConvergenceError.
     lex_eps sizes the lexicographic perturbation that breaks ties
-    deterministically toward lower indices; it is keyed to the original
-    coordinate index, so the pinned subproblems of one market all share
-    the same tie-break.
+    deterministically toward lower indices, relative to the largest
+    linear coefficient; it is keyed to the original coordinate index, so
+    the pinned subproblems of one market all share the same tie-break.
     """
 
     kkt_tol: float = 1e-9
@@ -260,7 +266,8 @@ def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
     caps = np.minimum(np.broadcast_to(caps, rows.shape), mass)
     r, n = rows.shape
     breaks = np.concatenate([rows, rows - caps], axis=1)
-    order = np.argsort(-breaks, axis=1, kind="stable")
+    # tied breakpoints add nothing to the total, so their order does not matter
+    order = np.argsort(-breaks, axis=1)
     breaks = np.take_along_axis(breaks, order, axis=1)
     # coordinates strictly inside their bounds just below each breakpoint
     slope = np.cumsum(np.where(order < n, 1.0, -1.0), axis=1)
@@ -335,10 +342,10 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
     return problem._spectrum
 
 
-def _gradient_scale(problem: QpProblem, floor: float = 1.0) -> float:
-    """Bound on the gradient's magnitude over the feasible set, at least
-    ``floor``; computed with the spectrum by ``_validate_problem``."""
-    return max(floor, problem._scale)
+def _gradient_scale(problem: QpProblem) -> float:
+    """Bound on the gradient's magnitude over the feasible set, at least 1;
+    computed with the spectrum by ``_validate_problem``."""
+    return max(1.0, problem._scale)
 
 
 def _free_mask(problem: QpProblem) -> np.ndarray:
@@ -508,7 +515,7 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray,
 def _shifted_linear(problem: QpProblem, config: SolverConfig) -> np.ndarray:
     """The linear term the active set works with: c plus the lexicographic
     tie-break, minus q b."""
-    c_scale = max(1.0, float(np.max(np.abs(problem.linear), initial=0.0)))
+    c_scale = float(np.max(np.abs(problem.linear), initial=0.0))
     l = problem.linear + _lex_perturbation(problem.dimension, c_scale, config.lex_eps)
     if problem.affine_linear is not None:
         l = l - problem.risk * problem.affine_linear
@@ -557,9 +564,10 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     elif not quad_active:
         w_red, iterations = _greedy_linear(l, mass, caps_free), 0
     else:
+        # at unit gradient scale, whatever the currency unit
+        s = problem._scale
         w_red, iterations = _active_set(
-            l, 2.0 * q * Q, mass, caps_free,
-            config.kkt_tol * _gradient_scale(problem, floor=0.0),
+            l / s, (2.0 * q / s) * Q, mass, caps_free, config.kkt_tol,
             config.max_iterations,
             warm_start[free] if warm_start is not None else None,
         )
@@ -656,33 +664,31 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
 def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
                 warm: np.ndarray) -> np.ndarray:
     """The active set's start from ``warm`` under the bounds ``upper`` (inf
-    where uncapped, 0 where pinned).
+    where uncapped, 0 where pinned); a stack of bound rows gives one start
+    per row.
 
     The start keeps the warm working set: clip, then spread the missing
     mass over the warm face (coordinates strictly inside their bounds), by
     room to the cap or evenly when uncapped, so the start stays inside it;
     only mass the face cannot take is handed out greedily by gradient.
     """
-    w = np.minimum(np.maximum(warm, 0.0), upper)
-    if w.sum() > mass:
-        w *= mass / w.sum()
-    missing = mass - float(w.sum())
-    face = (w > 0.0) & (w < upper)
-    if missing > 0.0 and np.any(face):
-        room = upper[face] - w[face]
-        total = float(room.sum())
-        if np.isinf(total):
-            w[face] += missing / room.size
-            missing = 0.0
-        elif total >= missing:
-            w[face] += room * (missing / total)
-            missing = 0.0
-        else:
-            w[face] = upper[face]
-            missing -= total
-    if missing > 0.0:
-        w += _greedy_linear(l - H @ w, missing, upper - w)
-    return w
+    W = np.minimum(np.maximum(warm, 0.0), upper)
+    W *= mass / np.maximum(W.sum(axis=-1, keepdims=True), mass)
+    missing = np.maximum(mass - W.sum(axis=-1, keepdims=True), 0.0)
+    face = (W > 0.0) & (W < upper)
+    room = np.where(face, upper - W, 0.0)
+    spread = room.sum(axis=-1, keepdims=True)
+    if np.isinf(spread).any():
+        # uncapped: each face coordinate could take the whole mass, equal shares
+        room = face * mass
+        spread = room.sum(axis=-1, keepdims=True)
+    take = np.minimum(missing, spread)
+    W += room * (take / np.maximum(spread, np.finfo(float).tiny))
+    rows, short = W.reshape(-1, l.size), (missing - take).reshape(-1)
+    for r in np.flatnonzero(short > 0.0):
+        rows[r] += _greedy_linear(l - H @ rows[r], float(short[r]),
+                                  np.broadcast_to(upper, rows.shape)[r] - rows[r])
+    return W
 
 
 def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int,
@@ -704,31 +710,33 @@ def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int,
 
 def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
                         config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Optimum of ``problem.pinned(i)`` for every i in ``pins``, solved together.
+    """Optimum of ``problem.pinned(i)`` for every i in ``pins``, from one
+    factorization.
 
     Entry r is ``solve(problem.pinned(pins[r]), config, warm_start)``'s
     objective value up to rounding, and the family raises the errors those
-    solves would.  A family of fewer than ``STACK_MIN_ROWS`` rows, or of
-    rows with at most one free coordinate (n <= 2), is solved one row at a
-    time by ``solve``.  Otherwise a row without curvature takes ``solve``'s
-    greedy fill, and the other rows take the same active-set start, ratio
-    test and release and meet the same KKT certificate: they advance one
-    working-set change per pass, and each pass solves the face systems of
-    all unfinished rows in batched LU solves of at most ``STACK_ENTRIES``
-    entries each.  The pins of ``problem`` itself are ignored, as by
-    ``pinned``.
+    solves would.  A family of fewer than ``FAMILY_MIN_ROWS`` rows is
+    solved one row at a time by ``solve``.  Otherwise the rows with
+    curvature run ``_face_family``: they start, step, block and release as
+    ``solve`` would, but every face system is solved from one factorization
+    of the warm start's face, and each row that finishes there meets the
+    same KKT certificate.  Every other row (no curvature, a singular
+    system, a downhill step, the budget spent or the certificate missed) is
+    solved by ``solve`` itself, from the same warm start.  The pins of
+    ``problem`` itself are ignored, as by ``pinned``.
     """
     lam_max = _validate_problem(problem)[1]
     n, mass, q = problem.dimension, problem.mass, problem.risk
     pins = np.asarray(pins, dtype=int).reshape(-1)
-    if np.any((pins < 0) | (pins >= n)):
-        raise QpValidationError("zero_set index out of range")
-    if pins.size < STACK_MIN_ROWS or n <= 2:
+    if pins.size < FAMILY_MIN_ROWS:
         return np.array([solve(problem.pinned(i), config, warm_start).objective_value
                          for i in pins])
+    if np.any((pins < 0) | (pins >= n)):
+        raise QpValidationError("zero_set index out of range")
     pinned = np.zeros((pins.size, n), dtype=bool)
     pinned[np.arange(pins.size), pins] = True
-    upper = np.where(pinned, 0.0, np.inf if problem.caps is None else problem.caps)
+    caps = np.full(n, np.inf) if problem.caps is None else problem.caps
+    upper = np.where(pinned, 0.0, caps)
     if problem.caps is not None:
         room = upper.sum(axis=1)
         short = np.flatnonzero(room < mass * (1.0 - 1e-12))
@@ -738,159 +746,143 @@ def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
                 f"below the required mass {mass:.6g}"
             )
 
-    l = _shifted_linear(problem, config)
     W = np.zeros((pins.size, n))
-    # a row whose free face has no curvature is linear: the greedy fill
+    done = np.zeros(pins.size, dtype=bool)
+    # a row whose free face has no curvature is linear: ``solve``'s greedy fill
     nonzero = problem.quadratic != 0.0
     outside = (np.count_nonzero(nonzero) - nonzero[pins].sum(axis=1)
                - nonzero[:, pins].sum(axis=0) + nonzero[pins, pins])
     curved = (q > 0.0) & (outside > 0)
-    for r in np.flatnonzero(~curved):
-        W[r] = _greedy_linear(l, mass, upper[r])
-    W[curved] = _active_set_rows(
-        l, 2.0 * q * problem.quadratic, mass, upper[curved], pinned[curved],
-        config.kkt_tol * _gradient_scale(problem, floor=0.0),
-        config.max_iterations, warm_start,
-    )
-
-    residual = _kkt_residuals(problem, W, pinned, lam_max)
-    failed = np.flatnonzero(residual > config.kkt_tol)
-    if failed.size:
-        raise SolverConvergenceError(
-            f"KKT residual {residual[failed[0]]:.3e} above tolerance "
-            f"{config.kkt_tol:.1e} with coordinate {pins[failed[0]]} pinned"
-        )
+    if np.any(curved):
+        s = problem._scale
+        W[curved], done[curved] = _face_family(
+            _shifted_linear(problem, config) / s, (2.0 * q / s) * problem.quadratic,
+            mass, caps, upper[curved], pinned[curved], config.kkt_tol,
+            config.max_iterations, np.asarray(warm_start, dtype=float))
+        done &= _kkt_residuals(problem, W, pinned, lam_max) <= config.kkt_tol
+    for r in np.flatnonzero(~done):
+        W[r] = solve(problem.pinned(pins[r]), config, warm_start).weights
     values = W @ problem.linear - q * np.einsum("ij,ij->i", W @ problem.quadratic, W)
     if problem.affine_linear is not None:
         values -= q * (W @ problem.affine_linear)
     return values
 
 
-def _active_set_rows(l: np.ndarray, H: np.ndarray, mass: float,
-                     upper: np.ndarray, pinned: np.ndarray, tol: float,
-                     max_iterations: int, warm: np.ndarray) -> np.ndarray:
-    """``_active_set`` from a warm start, on a stack of rows.
+def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
+                 upper: np.ndarray, pinned: np.ndarray, tol: float,
+                 max_iterations: int, warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_active_set`` from ``warm`` on a stack of rows, every face system
+    solved from one factorization.
 
     Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}
-    with the coordinates ``pinned[r]`` (upper bound 0) never released.
-    Every pass makes one working-set change in each unfinished row, by the
-    same lowest-index ratio test and release as ``_active_set``; a row
-    leaves the stack at its face optimum.
+    with the coordinates ``pinned[r]`` never released; it starts, steps,
+    blocks and releases as ``_active_set`` would, one working-set change per
+    pass.  Let F be the coordinates strictly inside ``caps`` at ``warm``,
+    K = [[H_FF, 1], [1', 0]] its bordered KKT matrix, and B the column
+    [e_j; 0] for j in F and [H_Fj; 1] for j outside.  A row's face differs
+    from F in a few coordinates C (its pin and the bounds it added in F,
+    the coordinates it released outside F), so its bordered KKT system is
+    K bordered by B_C: one solve of K against B serves every row, and each
+    row solves only its Schur complement S = D_CC - B_C' K^-1 B_C, where D
+    is H on the coordinates outside F and zero elsewhere.  For a pin i in
+    F this is the closed form: the face optimum moves by
+    -K^-1 e_i w_i / P_ii, with P the top-left block of K^-1, and the
+    optimum falls by w_i^2 / (2 P_ii).  The systems of a pass are padded to
+    the largest C and solved in one batch.
+
+    Returns the rows and which of them finished: a singular K or Schur
+    complement, a downhill step or more than ``max_iterations`` changes
+    leaves a row unfinished.
     """
-    W = np.array([_warm_start(l, H, mass, u, warm) for u in upper]).reshape(upper.shape)
-    n = l.shape[0]
-    Hb = np.zeros((n + 2, n + 2))
-    Hb[:n, :n] = H
-    Hb[:n, n + 1] = Hb[n + 1, :n] = 1.0
-    # a pinned coordinate's gradient is -inf, so its bound is never released
-    L = np.where(pinned, -np.inf, l)
+    R, n = upper.shape
+    W = _warm_start(l, H, mass, upper, warm)
+    finished = np.zeros(R, dtype=bool)
+    base = (warm > 0.0) & (warm < caps)
+    F = np.flatnonzero(base)
+    k = F.size
+    # row j of Bt is B's column j; row n pads the change sets
+    Bt = np.zeros((n + 1, k + 1))
+    Bt[:n, :k], Bt[:n, k] = H[F].T, 1.0
+    K = np.append(Bt[F], [np.append(np.ones(k), 0.0)], axis=0)
+    Bt[F] = np.eye(k + 1)[:k]
+    try:
+        # K^-1 B, and K^-1's border column for each row's mass residual
+        Y = np.linalg.solve(K, np.column_stack([Bt[:n].T, np.eye(k + 1)[k]]))
+    except np.linalg.LinAlgError:
+        return W, finished
+    Yt = np.zeros((n + 1, k + 1))
+    Yt[:n], border = Y[:, :n].T, Y[:, n]
+    outside = np.append(~base, False)
+    # D: H on the coordinates outside F, zero elsewhere, with the padding
+    Dp = np.zeros((n + 1, n + 1))
+    Dp[:n, :n] = H
+    Dp[~outside] = Dp[:, ~outside] = 0.0
+
     at_zero = W <= 0.0
     at_cap = (W >= upper) & ~at_zero
     at_cap[np.all(at_zero | at_cap, axis=1)] = False   # vertices: let them move
-    out = np.empty_like(W)
-    ids = np.arange(W.shape[0])
+    free = ~(at_zero | at_cap)
+    # +1 at a zero bound, -1 at a cap, 0 when free or pinned: a bound is
+    # released while sign * (g - lambda) > tol
+    sign = (at_zero & ~pinned) - at_cap * 1.0
+    Z = np.zeros((n, k + 1))
+    Z[F] = Yt[F]   # K^-1 [g_F; 0] = g Z
+    G = l - W @ H.T
+    out, ids = W.copy(), np.arange(R)
     for _ in range(max_iterations + 1):
         if ids.size == 0:
             break
         rows = np.arange(ids.size)
-        face = ~(at_zero | at_cap)
-        D, lam, limit = _face_steps(Hb, W, L - W @ H.T, face, mass, tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(D < 0.0, W / -D, (upper - W) / D)
-        room[D == 0.0] = np.inf
+        changed = free != base
+        # each row's change set C, padded with n to the largest
+        C = np.sort(np.where(changed, np.arange(n), n), axis=1)[
+            :, :int(changed.sum(axis=1).max())]
+        Bc, Yc = Bt[C], Yt[C]
+        S = Dp[C[:, :, None], C[:, None, :]] - Bc @ Yc.transpose(0, 2, 1)
+        # an identity block on the padding: S's diagonals, flattened
+        S.reshape(ids.size, -1)[:, ::C.shape[1] + 1] += C == n
+        U = G @ Z + (mass - W.sum(axis=1))[:, None] * border
+        rhs = np.where(outside[C], G[rows[:, None], np.minimum(C, n - 1)], 0.0) \
+            - np.einsum("rck,rk->rc", Bc, U)
+        try:
+            x = np.linalg.solve(S, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # an exactly singular complement fails the batch: drop its row
+            x = np.full_like(rhs, np.nan)
+            ok = np.linalg.det(S) != 0.0
+            x[ok] = np.linalg.solve(S[ok], rhs[ok][..., None])[..., 0]
+        sol = U - np.einsum("rck,rc->rk", Yc, x)
+        step = np.zeros((ids.size, n + 1))
+        step[:, F] = sol[:, :k]
+        step[rows[:, None], C] = x
+        D = np.where(free, step[:, :n], 0.0)
+        # on a numerically singular face the step can be huge and downhill;
+        # a step of rounding noise (a face of one coordinate) is not
+        usable = np.einsum("ij,ij->i", G, D) >= -tol * (np.abs(D).sum(axis=1) + mass)
+        D[~usable] = 0.0
+
+        room = np.divide(np.where(D < 0.0, -W, upper - W), D,
+                         out=np.full_like(D, np.inf), where=D != 0.0)
         j = np.argmin(room, axis=1)
-        step = room[rows, j]
-        blocked = (step < limit) & (face.sum(axis=1) > 1)
-        W += np.where(blocked, step, 1.0)[:, None] * D
+        length = room[rows, j]
+        blocked = usable & (length < 1.0) & (free.sum(axis=1) > 1)
+        W += np.where(blocked, length, 1.0)[:, None] * D
         b, jb = rows[blocked], j[blocked]
         down = D[b, jb] < 0.0
         W[b, jb] = np.where(down, 0.0, upper[b, jb])
-        at_zero[b, jb], at_cap[b, jb] = down, ~down
+        free[b, jb], sign[b, jb] = False, np.where(down, 1.0, -1.0)
         np.clip(W, 0.0, upper, out=W)
 
-        g, lam = L - W @ H.T, lam[:, None]
-        wrong = (at_zero & (g - lam > tol)) | (at_cap & (lam - g > tol))
-        wrong[blocked] = False
-        release = wrong.any(axis=1)
+        G = l - W @ H.T
+        wrong = sign * (G - sol[:, k, None]) > tol
+        settled = usable & ~blocked
+        release = settled & wrong.any(axis=1)
         r, i = rows[release], np.argmax(wrong[release], axis=1)
-        at_zero[r, i] = at_cap[r, i] = False
+        free[r, i], sign[r, i] = True, 0.0
+        stop = settled & ~release
+        out[ids[stop]], finished[ids[stop]] = W[stop], True
         keep = blocked | release
-        out[ids[~keep]] = W[~keep]
         if not np.all(keep):
-            W, at_zero, at_cap, upper, L, ids = (
-                a[keep] for a in (W, at_zero, at_cap, upper, L, ids))
-    if ids.size:
-        raise SolverConvergenceError(
-            f"active set still changing after {max_iterations} working-set changes"
-        )
-    return out
-
-
-def _face_steps(Hb: np.ndarray, W: np.ndarray, G: np.ndarray, face: np.ndarray,
-                mass: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's step to the optimum of its free face, the face's
-    multiplier and the step limit (1, or inf along a zero-curvature ray).
-
-    ``Hb`` is H bordered by a zero row and column (index n, the padding)
-    and a ones row and column (index n + 1, the mass constraint), so one
-    gather builds every row's bordered KKT system, padded to the largest
-    face by an identity block that leaves its solution unchanged.  The
-    systems are solved in stacks of at most ``STACK_ENTRIES`` entries.  A
-    row whose LU fails or returns a downhill step (a numerically singular
-    face) takes ``_lstsq_step`` on its own system.
-    """
-    R, n = W.shape
-    k = face.sum(axis=1)
-    kmax = int(k.max())
-    size = kmax + 1
-    row_of, cols = np.nonzero(face)
-    slots = np.arange(cols.size) - (np.cumsum(k) - k)[row_of]
-    S = np.full((R, size), n)
-    S[:, kmax] = n + 1
-    S[row_of, slots] = cols
-    pad = S[:, :kmax] == n
-    Gb = np.zeros((R, n + 2))
-    Gb[:, :n] = G
-    Gb[:, n + 1] = mass - W.sum(axis=1)
-    rhs = Gb[np.arange(R)[:, None], S]
-    diag = np.arange(kmax)
-    sol, limit = np.empty((R, size)), np.ones(R)
-    chunk = max(1, STACK_ENTRIES // size ** 2)
-    for c in range(0, R, chunk):
-        rows = slice(c, c + chunk)
-        A = Hb[S[rows, :, None], S[rows, None, :]]
-        A[:, diag, diag] += pad[rows]
-        sol[rows], limit[rows] = _stack_solve(A, rhs[rows], k[rows], tol)
-    D = np.zeros((R, n))
-    D[row_of, cols] = sol[row_of, slots]
-    return D, sol[:, kmax], limit
-
-
-def _stack_solve(A: np.ndarray, rhs: np.ndarray, k: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of padded face systems (face slots first, border last)."""
-    kmax = A.shape[1] - 1
-    usable = np.ones(A.shape[0], dtype=bool)
-    try:
-        sol = np.linalg.solve(A, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # one exactly singular face fails the whole stack: solve row by row
-        sol = np.zeros_like(rhs)
-        for t in range(A.shape[0]):
-            try:
-                sol[t] = np.linalg.solve(A[t], rhs[t])
-            except np.linalg.LinAlgError:
-                usable[t] = False
-    d = sol[:, :kmax]
-    with np.errstate(invalid="ignore", over="ignore"):
-        # on a numerically singular face LU can return a huge downhill step
-        usable &= np.all(np.isfinite(sol), axis=1) & (
-            np.einsum("ij,ij->i", rhs[:, :kmax], d) >= -tol * np.abs(d).sum(axis=1))
-    limit = np.ones(A.shape[0])
-    for t in np.flatnonzero(~usable):
-        system = np.append(np.arange(k[t]), kmax)
-        step, limit[t] = _lstsq_step(A[t][np.ix_(system, system)], rhs[t][system],
-                                     int(k[t]), tol)
-        sol[t] = 0.0
-        sol[t, system] = step
-    return sol, limit
+            W, G, free, sign, upper, ids = (
+                a[keep] for a in (W, G, free, sign, upper, ids))
+    return out, finished

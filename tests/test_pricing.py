@@ -171,6 +171,42 @@ class TestRiskReducingOffersAreRewarded:
         assert schedule.offer_prices[1] == pytest.approx(oracle_price, abs=1e-3)
         assert oracle_price < 0
 
+    @staticmethod
+    def face_p(market, weights) -> np.ndarray:
+        """diag(P), P the top-left block of K^-1 for the bordered KKT
+        matrix K of the optimum's face (every offer carries weight here)."""
+        n = market.n
+        assert np.all(weights > 0.0)
+        K = np.zeros((n + 1, n + 1))
+        K[:n, :n] = 2.0 * market.q * market.sigma
+        K[:n, n] = K[n, :n] = 1.0
+        return np.diag(np.linalg.inv(K))[:n]
+
+    @pytest.mark.parametrize("third", (False, True))
+    def test_paid_offer_has_the_smallest_p_ii(self, third):
+        # pinning offer i lowers the optimum by w_i^2 / (2 P_ii), so
+        # p_i = w_i mu_i - w_i^2 / (2 P_ii): the hedge is costly to remove
+        # and pays least.  On the two-offer fixture both offers are paid
+        # and P_11 = P_22; a third offer, correlated with the first, leaves
+        # the hedge the only paid offer, with the strictly smallest P_ii.
+        mu, sigma = self.MU, self.SIGMA
+        if third:
+            mu = self.MU + [0.9]
+            sigma = np.array([[1.0, -0.9, 0.2], [-0.9, 1.0, 0.0], [0.2, 0.0, 1.0]])
+        market = market_from_mu(mu, sigma, self.Q, 1000)
+        schedule = price_schedule(market)
+        w = schedule.allocation.weights
+        P = self.face_p(market, w)
+        np.testing.assert_allclose(schedule.offer_prices,
+                                   w * market.mu - w ** 2 / (2.0 * P),
+                                   rtol=0, atol=1e-12)
+        paid = np.flatnonzero(schedule.offer_prices < 0)
+        assert 1 in paid
+        assert np.all(P[paid] <= P.min() * (1.0 + 1e-12))
+        if third:
+            assert paid.tolist() == [1]
+            assert P[1] < np.delete(P, 1).min()
+
 
 class TestCappedMarkets:
     def test_caps_change_allocation_and_keep_ir(self):
@@ -378,6 +414,58 @@ class TestZeroWeightShortcut:
             assert np.count_nonzero(schedule.allocation.weights) >= n // 2
             counts.append(len(calls))
         assert counts == [1, 1, 1]
+
+    def test_one_eigendecomposition_per_qmap_schedule(self, monkeypatch):
+        # validate_qmap's PSD check decomposes A, and the kernel problem
+        # reuses its spectrum
+        real_eigvalsh = np.linalg.eigvalsh
+        rng = np.random.default_rng(131)
+        counts = []
+        for n in (8, 30, 90):
+            g = rng.standard_normal((n, n))
+            instance = QmapInstance(a_matrix=g.T @ g / n, b_vector=rng.uniform(0.0, 1.0, n),
+                                    c_vector=rng.uniform(4.0, 5.0, n), q=0.1 / 5000,
+                                    m=5000)
+            calls = []
+
+            def counting(a, *args, **kwargs):
+                if np.shape(a) == (n, n):
+                    calls.append(n)
+                return real_eigvalsh(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            schedule = qmap_prices(instance)
+            monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
+            assert np.count_nonzero(schedule.allocation.weights) >= 2
+            counts.append(len(calls))
+        assert counts == [1, 1, 1]
+
+
+def _unit_markets(rng):
+    """20 markets of 30 offers, every second one capped at 1.5/n."""
+    n = 30
+    for k in range(20):
+        mu = rng.uniform(4.0, 5.0, n)
+        f = rng.standard_normal((n, 3)) * (2.0 / np.sqrt(n))
+        sigma = f @ f.T + np.diag(rng.uniform(0.5, 1.5, n))
+        sigma /= np.linalg.eigvalsh(sigma)[-1]
+        yield mu, sigma, (np.full(n, 1.5 / n) if k % 2 else None)
+
+
+class TestCurrencyUnit:
+    def test_prices_scale_with_the_unit(self):
+        # the same markets in a unit s: mu s, Sigma s^2, q / s; every
+        # objective and price scales by s
+        gaps = {}
+        for mu, sigma, caps in _unit_markets(np.random.default_rng(127)):
+            base = price_schedule(market_from_mu(mu, sigma, 100.0, 1000, caps=caps))
+            assert np.count_nonzero(base.allocation.weights) >= 10
+            for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                scaled = price_schedule(market_from_mu(mu * s, sigma * s * s, 100.0 / s,
+                                                       1000, caps=caps))
+                gap = np.max(np.abs(scaled.offer_prices / s - base.offer_prices))
+                gaps[s] = max(gaps.get(s, 0.0), float(gap) / float(np.max(mu)))
+        assert max(gaps.values()) <= 1e-10, gaps
 
 
 def _dense_capped_market(seed, n=60):

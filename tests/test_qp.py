@@ -333,8 +333,8 @@ class TestDegenerateFlag:
 
 
 def family_problems(rng: np.random.Generator, kind: str):
-    """Seeded problems for comparing the stacked pinned family with
-    single pinned solves."""
+    """Seeded problems for comparing the pinned family with single pinned
+    solves."""
     if kind == "degenerate":
         # Sigma = 11': the risk term is constant on the simplex
         yield QpProblem(linear=np.array([1.0, 1.0, 1.0, 0.2]),
@@ -385,8 +385,25 @@ def family_problems(rng: np.random.Generator, kind: str):
                 risk=float(np.exp(rng.uniform(np.log(1e-2), np.log(10)))), mass=1.0)
 
 
+def family_changes(problem: QpProblem, pins, warm) -> int:
+    """The most working-set changes any row of the family makes: the
+    smallest budget with which ``_face_family`` finishes every row."""
+    n = problem.dimension
+    pinned = np.zeros((len(pins), n), dtype=bool)
+    pinned[np.arange(len(pins)), pins] = True
+    caps = np.full(n, np.inf) if problem.caps is None else problem.caps
+    s = problem._scale
+    args = (qp._shifted_linear(problem, DEFAULT_CONFIG) / s,
+            (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
+            np.where(pinned, 0.0, caps), pinned, DEFAULT_CONFIG.kkt_tol)
+    budget = 0
+    while not np.all(qp._face_family(*args, budget, warm)[1]):
+        budget += 1
+    return budget
+
+
 class TestSolvePinnedFamily:
-    # the stacked family against one solve(problem.pinned(i)) per row, from
+    # the family against one solve(problem.pinned(i)) per row, from
     # the same warm start (the full optimum), on every weighted coordinate
 
     @staticmethod
@@ -426,34 +443,85 @@ class TestSolvePinnedFamily:
             # singular faces: some row followed a zero-curvature ray
             assert np.inf in steps
 
-    def test_stacks_stay_within_their_entry_bound(self, monkeypatch):
-        # a small bound splits every pass into several stacks; each row's
-        # system is the same, so the rows come out bit for bit the same
+    def test_one_factorization_of_the_face(self, monkeypatch):
+        # the face's bordered KKT matrix is factored once; each later pass
+        # solves only the rows' Schur complements, one border per change
+        # made so far, and no row falls back to a single solve
         problem = QpProblem(linear=np.linspace(4.0, 5.0, 30),
                             quadratic=random_quadratic(np.random.default_rng(107),
                                                        30, "full") / 30,
                             risk=20.0, mass=1.0, caps=np.full(30, 0.06))
         warm = solve(problem).weights
         pins = np.flatnonzero(warm)
-        stacks = []
+        k = int(np.count_nonzero((warm > 0.0) & (warm < problem.caps)))
+        shapes = []
         real = np.linalg.solve
 
         def recording(a, b):
-            if np.ndim(a) == 3:
-                stacks.append(np.size(a))
+            shapes.append(np.shape(a))
             return real(a, b)
 
+        def single(*args, **kwargs):
+            raise AssertionError("a row fell back to a single solve")
+
         monkeypatch.setattr(np.linalg, "solve", recording)
-        whole = solve_pinned_family(problem, pins, warm)
-        passes, stacks[:] = len(stacks), []
-        monkeypatch.setattr(qp, "STACK_ENTRIES", 2000)
-        chunked = solve_pinned_family(problem, pins, warm)
-        assert pins.size >= 20 and len(stacks) > passes
-        assert max(stacks) <= 2000
-        np.testing.assert_array_equal(chunked, whole)
+        monkeypatch.setattr(qp, "solve", single)
+        solve_pinned_family(problem, pins, warm)
+        assert pins.size >= 20 and k >= 10
+        assert shapes[0] == (k + 1, k + 1)
+        complements = shapes[1:]
+        assert len(complements) >= 5 and all(len(c) == 3 for c in complements)
+        assert complements[0] == (pins.size, 1, 1)   # the closed form
+        for passes, (rows, c, _) in enumerate(complements):
+            assert c <= passes + 1 < k
+            assert rows <= complements[max(passes - 1, 0)][0]
+
+    def test_closed_form_rows(self, monkeypatch):
+        # a row that finishes on its first step, from a start on the full
+        # optimum's face less its pin, is that face's optimum with the pin
+        # bordered onto K: its optimum is f* - w_i^2 / (2 P_ii)
+        first = []
+        real = qp._face_family
+
+        def first_step(*args):
+            W, finished = real(*args)
+            once = list(args)
+            once[7] = 0   # max_iterations: no working-set change
+            first.append(real(*once)[1] & finished)
+            return W, finished
+
+        monkeypatch.setattr(qp, "_face_family", first_step)
+        rng = np.random.default_rng(113)
+        for kind in ("uncapped", "capped", "qmap"):
+            gaps = []
+            for problem in family_problems(rng, kind):
+                warm = solve(problem).weights
+                pins = np.flatnonzero(warm)
+                if pins.size < qp.FAMILY_MIN_ROWS:
+                    continue   # solved row by row
+                values = solve_pinned_family(problem, pins, warm)
+                caps = np.inf if problem.caps is None else problem.caps
+                face = np.flatnonzero((warm > 0.0) & (warm < caps))
+                K = np.zeros((face.size + 1, face.size + 1))
+                K[:-1, :-1] = 2.0 * problem.risk * problem.quadratic[np.ix_(face, face)]
+                K[:-1, -1] = K[-1, :-1] = 1.0
+                P = dict(zip(face, np.diag(np.linalg.inv(K))))
+                room = caps - warm   # inf when uncapped
+                closed = first.pop()
+                assert closed.shape == pins.shape and not first
+                full = qp.objective_value(problem, warm)
+                scale = float(np.max(np.abs(problem.linear))) * problem.mass
+                for r in np.flatnonzero(closed):
+                    i = pins[r]
+                    # the rest of the face takes the pinned weight
+                    if i in P and np.sum(room[face[face != i]]) > warm[i]:
+                        gaps.append(abs(values[r] - (full - warm[i] ** 2 / (2.0 * P[i])))
+                                    / scale)
+            assert len(gaps) >= 10 and max(gaps) <= 1e-12, kind
 
     def test_too_small_iteration_budget_raises(self):
-        # the family needs as many passes as its slowest row needs changes
+        # the family needs as many passes as its slowest row needs changes,
+        # the count a single solve of that row makes
         cases = []
         for problem in family_problems(np.random.default_rng(89), "capped"):
             warm = solve(problem).weights
@@ -462,7 +530,8 @@ class TestSolvePinnedFamily:
                          for i in pins)
             cases.append((needed, problem.dimension, problem, warm, pins))
         needed, _, problem, warm, pins = max(cases, key=lambda c: c[:2])
-        assert needed >= 2 and pins.size >= qp.STACK_MIN_ROWS
+        assert needed >= 2 and pins.size >= 3
+        assert family_changes(problem, pins, warm) == needed
         solve_pinned_family(problem, pins, warm, SolverConfig(max_iterations=needed))
         with pytest.raises(SolverConvergenceError):
             solve_pinned_family(problem, pins, warm,
@@ -473,7 +542,7 @@ class TestSolvePinnedFamily:
         problem = QpProblem(linear=np.ones(4), quadratic=np.eye(4), risk=1.0,
                             mass=1.0, caps=np.array([0.6, 0.3, 0.3, 0.3]))
         warm = solve(problem).weights
-        for pins in ([1, 2, 0], [0]):   # stacked, and one row alone
+        for pins in ([1, 2, 0], [0]):   # several rows, and one row alone
             with pytest.raises(InfeasibleProblemError, match="caps"):
                 solve_pinned_family(problem, pins, warm)
         for pins in ([1, 2, 4], [-1]):
