@@ -9,13 +9,16 @@ subproblem:
                w_i <= u_i where per-coordinate caps are given.
 
 The solver is a primal active-set method for convex QP (Nocedal & Wright,
-Numerical Optimization, section 16.5).  A working set fixes coordinates at
-zero or at their cap; on the remaining face the bordered KKT system is
-solved exactly, a ratio test adds the lowest-index blocking bound, and at
-the face optimum the lowest-index bound with a wrong-signed multiplier is
-released.  The objective is concave (Q PSD, q >= 0), so the KKT point it
-stops at is a global maximizer; a projected-gradient certificate on the
-result confirms it.
+Numerical Optimization, section 16.5).  A cold solve starts one projected-
+gradient step from the greedy vertex (the maximizer of the linear term),
+which on a market where most offers carry weight lands near the optimum's
+face and on a sparse one stays next to the vertex.  A working set fixes
+coordinates at zero or at their cap; on the remaining face the bordered
+KKT system is solved exactly, a ratio test adds the lowest-index blocking
+bound, and at the face optimum the lowest-index bound with a wrong-signed
+multiplier is released.  The objective is concave (Q PSD, q >= 0), so the
+KKT point it stops at is a global maximizer; a projected-gradient
+certificate on the result confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
@@ -69,11 +72,11 @@ class SolverConfig:
 
     kkt_tol is relative: a point is accepted once the KKT residual (see
     ``check_kkt``) drops below kkt_tol, where the stationarity part of the
-    residual is already scaled by the problem's gradient magnitude (at
-    least 1).  The active-set method works on the problem divided by that
-    magnitude without the floor and releases a bound while its multiplier
-    is wrong by more than kkt_tol, so the path it takes and where it stops
-    do not depend on the currency unit.  max_iterations caps the number of
+    residual is already scaled by the problem's gradient magnitude.  The
+    active-set method works on the problem divided by that magnitude and
+    releases a bound while its multiplier is wrong by more than kkt_tol,
+    so the path it takes, where it stops and the certificate it meets do
+    not depend on the currency unit.  max_iterations caps the number of
     working-set changes (``QpSolution.iterations``, counted per row in a
     pinned family); a solve that needs more raises SolverConvergenceError.
     lex_eps sizes the lexicographic perturbation that breaks ties
@@ -153,11 +156,13 @@ class QpProblem:
 class QpSolution:
     """A feasible point together with its optimality certificate.
 
-    ``iterations`` counts the active-set method's working-set changes; it
-    is 0 when the start was already optimal and on the exact linear and
-    single-coordinate paths.  ``problem`` and ``config`` are the solve's
-    inputs; ``degenerate`` is computed from them on first read, so a solve
-    whose caller only wants the optimum does not pay for it.
+    ``iterations`` counts the active-set method's working-set changes from
+    its start (one projected-gradient step from the greedy vertex, or the
+    warm start); it is 0 when the start's face already holds the optimum
+    and on the exact linear and single-coordinate paths.  ``problem`` and
+    ``config`` are the solve's inputs; ``degenerate`` is computed from them
+    on first read, so a solve whose caller only wants the optimum does not
+    pay for it.
     """
 
     weights: np.ndarray
@@ -343,9 +348,10 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
 
 
 def _gradient_scale(problem: QpProblem) -> float:
-    """Bound on the gradient's magnitude over the feasible set, at least 1;
-    computed with the spectrum by ``_validate_problem``."""
-    return max(1.0, problem._scale)
+    """Bound on the gradient's magnitude over the feasible set, computed
+    with the spectrum by ``_validate_problem``; 1 for all-zero data, whose
+    gradient is zero."""
+    return problem._scale or 1.0
 
 
 def _free_mask(problem: QpProblem) -> np.ndarray:
@@ -369,9 +375,13 @@ def _mapping_residual(problem: QpProblem, w: np.ndarray, eta: float) -> float:
 
 
 def _mapping_step(problem: QpProblem, lam_max: float) -> float:
-    """The reciprocal of the gradient's Lipschitz constant; ``lam_max`` is
-    the largest eigenvalue of the quadratic term."""
-    return 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0), 1.0)
+    """The reciprocal of the gradient's Lipschitz constant, but at most
+    mass / gradient scale, a step that moves no coordinate by more than the
+    mass; ``lam_max`` is the largest eigenvalue of the quadratic term.  Both
+    bounds shrink as the currency unit grows, so the certificate's residual
+    does not depend on it."""
+    return 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0),
+                     _gradient_scale(problem) / problem.mass)
 
 
 def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float,
@@ -531,8 +541,10 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     caps empty the feasible set, QpValidationError for malformed data, and
     SolverConvergenceError if the active set needs more than
     ``config.max_iterations`` working-set changes or the result misses the
-    KKT tolerance.  A warm start (the full optimum, for pinned solves) only
-    picks the starting face; it does not change the optimum.
+    KKT tolerance.  Without a warm start the active set starts one
+    projected-gradient step from the greedy vertex; a warm start (the full
+    optimum, for pinned solves) starts it on that point's face instead.
+    The start picks only the path, not the optimum.
     """
     lam_max = _validate_problem(problem)[1]
     n = problem.dimension
@@ -570,6 +582,7 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
             l / s, (2.0 * q / s) * Q, mass, caps_free, config.kkt_tol,
             config.max_iterations,
             warm_start[free] if warm_start is not None else None,
+            2.0 * q * lam_max / s,
         )
 
     w = np.zeros(n)
@@ -592,19 +605,25 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
 
 def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
                 caps: Optional[np.ndarray], tol: float, max_iterations: int,
-                warm: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
+                warm: Optional[np.ndarray],
+                lipschitz: float) -> tuple[np.ndarray, int]:
     """Maximize l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= caps}.
 
-    Returns the maximizer and the number of working-set changes.  Each
-    pass solves the bordered KKT system for the step to the optimum of the
-    face left free by the working set; a singular face takes
-    ``_lstsq_step``.  ``tol`` is the multiplier error a face optimum may
-    keep.
+    Returns the maximizer and the number of working-set changes.  Without
+    ``warm`` it starts from the greedy vertex moved by one projected-
+    gradient step of length 1 / ``lipschitz``, an upper bound on H's largest
+    eigenvalue.  Each pass solves the bordered KKT system for the step to
+    the optimum of the face left free by the working set; a singular face
+    takes ``_lstsq_step``.  ``tol`` is the multiplier error a face optimum
+    may keep.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
     if warm is None:
         w = _greedy_linear(l, mass, caps)
+        w += (l - H @ w) / lipschitz
+        w = (project_to_simplex(w, mass) if caps is None
+             else _project_capped(w, mass, caps))
     else:
         w = _warm_start(l, H, mass, upper, warm)
     at_zero = w <= 0.0

@@ -495,6 +495,13 @@ class TestPinnedFamily:
                     for i in weighted)
         assert total < 117
 
+    def test_cold_start_is_one_step_from_the_optimum(self):
+        # the same market's allocation: one projected-gradient step off the
+        # greedy vertex leaves it 1 working-set change from the optimum; the
+        # greedy vertex itself, 39 offers at their cap, took 45
+        problem = market_problem(_dense_capped_market(73))
+        assert solve(problem).iterations < 45
+
     def test_pricing_the_family_makes_no_spectral_call(self, monkeypatch):
         # the allocation validated the shared problem, and pricing reads no
         # pinned solve's degenerate flag: no eigvalsh or qr of any size

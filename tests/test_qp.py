@@ -227,14 +227,38 @@ class TestSolve:
         assert sol.iterations <= config.max_iterations
         assert sol.kkt_residual <= config.kkt_tol
 
+    def test_call_count_problems_in_any_unit(self):
+        # mass 5000 and a risk weight of qmap's order: in a unit s the data
+        # is c s, Q s^2, b s^2 and q / s, and the optimum scales by s.  The
+        # certificate's step must shrink with the unit, or at s = 1e-6 its
+        # rounding noise, about 5000 * eps, exceeds the tolerance
+        rng = np.random.default_rng(137)
+        for _ in range(10):
+            n = int(rng.integers(5, 30))
+            g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            sigma = g.T @ g / np.linalg.eigvalsh(g.T @ g)[-1]
+            c, b = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 1.0, n)
+            q = float(np.exp(rng.uniform(np.log(1e-5), np.log(1e-1))))
+            values = [solve(QpProblem(linear=c * s, quadratic=sigma * s * s,
+                                      risk=q / s, mass=5000.0,
+                                      affine_linear=b * s * s)).objective_value / s
+                      for s in (1e-6, 1.0, 1e6)]
+            assert np.ptp(values) <= 1e-12 * 5.0 * 5000.0
+
     def test_too_small_iteration_budget_raises(self):
-        # the greedy start fills the best caps; the interior optimum lies
-        # some working-set changes away
-        problem = QpProblem(linear=np.array([2.0, 1.0, 0.5]),
-                            quadratic=np.eye(3), risk=1.0, mass=1.0,
-                            caps=np.array([0.6, 0.6, 1.0]))
+        # 60 capped offers of close value under a rank-3 factor covariance:
+        # the projected-gradient step off the greedy vertex lands near the
+        # optimum's face, which still lies some working-set changes away
+        rng = np.random.default_rng(131)
+        n = 60
+        f = rng.standard_normal((n, 3)) * (2.0 / np.sqrt(n))
+        sigma = f @ f.T + np.diag(rng.uniform(0.5, 1.5, n))
+        problem = QpProblem(linear=rng.uniform(4.0, 5.0, n),
+                            quadratic=sigma / np.linalg.eigvalsh(sigma)[-1],
+                            risk=100.0, mass=1.0, caps=np.full(n, 1.5 / n))
         needed = solve(problem).iterations
-        assert needed >= 1
+        assert needed >= 2
+        assert solve(problem, SolverConfig(max_iterations=needed)).iterations == needed
         with pytest.raises(SolverConvergenceError):
             solve(problem, SolverConfig(max_iterations=needed - 1))
 
@@ -711,6 +735,24 @@ class TestProjection:
 
 
 class TestCheckKkt:
+    def test_residual_does_not_depend_on_the_unit(self):
+        # at the greedy vertex w = e_0 of c = [1, 0.5], Q = I, q = 0.25 + 1e-5
+        # the gradient favours offer 1 by 2e-5, so the optimum lies inside;
+        # in a unit s the data is c s, Q s^2, q / s and the gradient scales
+        # by s.  A scale floored at 1 made the vertex's residual at s = 1e-6
+        # about 1e-11, and it passed
+        residuals = []
+        for s in (1.0, 1e-6):
+            problem = QpProblem(linear=np.array([1.0, 0.5]) * s,
+                                quadratic=np.eye(2) * s * s,
+                                risk=(0.25 + 1e-5) / s, mass=1.0)
+            vertex = check_kkt(problem, np.array([1.0, 0.0]))
+            optimum = check_kkt(problem, solve(problem).weights)
+            assert not vertex.passed and optimum.passed
+            residuals.append(vertex.residual)
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-6)
+        assert residuals[0] > 1e-6
+
     def test_optimum_has_tiny_residual(self):
         problem = QpProblem(linear=np.array([1.0, 0.8]), quadratic=np.eye(2),
                             risk=0.5, mass=1.0)
