@@ -12,14 +12,16 @@ units) is left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qp
 from .market import MarketInstance
-from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig, extreme_eigenvalues, psd_slack
+from .qp import DEFAULT_CONFIG, SYM_TOL, QpProblem, SolverConfig, psd_slack, quadratic_scan
 
 
 class QmapValidationError(ValueError):
@@ -84,10 +86,10 @@ class QmapInstance:
     c_vector: np.ndarray
     q: float
     m: int
-    # (lambda_min, lambda_max) of A, found by validate_qmap's PSD check and
-    # handed to the kernel problem; ``replace`` drops it
-    _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # (max|A|, (lambda_min, lambda_max)), found by validate_qmap's checks
+    # and handed to the kernel problem; ``replace`` drops it
+    _scan: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         for name in ("a_matrix", "b_vector", "c_vector"):
@@ -101,31 +103,40 @@ class QmapInstance:
 
 
 def validate_qmap(instance: QmapInstance) -> QmapInstance:
-    """Check dimensions, PSD of A, q >= 0 and m > 0.
+    """Check finite data, dimensions, symmetry and PSD of A, q >= 0, m > 0.
 
-    The instance keeps the extreme eigenvalues of A found here, so the
-    kernel problem built from it does not decompose A again.
+    These are the only checks of the instance's data, made once: the
+    instance keeps the extreme eigenvalues and max|A| found here, so the
+    kernel problem built from it checks and decomposes nothing again, and
+    validating it a second time returns it as it is.
     """
+    if instance._scan is not None:
+        return instance
     problems = []
-    spectrum = instance._spectrum
+    spectrum = peak = None
     n = instance.n
+    A, b, c = instance.a_matrix, instance.b_vector, instance.c_vector
     if n == 0:
         problems.append(("empty_instance", "c_vector must be nonempty"))
-    if instance.a_matrix.shape != (n, n):
+    elif not np.all(np.isfinite(c)):
+        problems.append(("non_finite_data", "c_vector entries must be finite"))
+    if A.shape != (n, n):
         problems.append(("dimension_mismatch",
-                         f"A shape {instance.a_matrix.shape} does not match "
-                         f"{n} offers"))
-    elif np.max(np.abs(instance.a_matrix - instance.a_matrix.T), initial=0.0) > qp.SYM_TOL:
-        problems.append(("asymmetric_matrix", "A must be symmetric"))
+                         f"A shape {A.shape} does not match {n} offers"))
     else:
-        spectrum = spectrum or extreme_eigenvalues(instance.a_matrix)
-        if spectrum[0] < -psd_slack(instance.a_matrix):
+        peak, gap, spectrum = quadratic_scan(A)
+        if spectrum is None:
+            problems.append(("non_finite_data", "A entries must be finite"))
+        elif gap > SYM_TOL * peak:
+            problems.append(("asymmetric_matrix", "A must be symmetric"))
+        elif spectrum[0] < -psd_slack(A):
             problems.append(("not_positive_semidefinite",
                              f"A has min eigenvalue {spectrum[0]:.6g}"))
-    if instance.b_vector.shape != (n,):
+    if b.shape != (n,):
         problems.append(("dimension_mismatch",
-                         f"b shape {instance.b_vector.shape} does not match "
-                         f"{n} offers"))
+                         f"b shape {b.shape} does not match {n} offers"))
+    elif not np.all(np.isfinite(b)):
+        problems.append(("non_finite_data", "b_vector entries must be finite"))
     if not np.isfinite(instance.q) or instance.q < 0:
         problems.append(("negative_risk_parameter",
                          f"q must be >= 0, got {instance.q}"))
@@ -134,7 +145,7 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
                          f"m must be a positive integer, got {instance.m!r}"))
     if problems:
         raise QmapValidationError(problems)
-    object.__setattr__(instance, "_spectrum", spectrum)
+    object.__setattr__(instance, "_scan", (peak, spectrum))
     return instance
 
 
@@ -178,23 +189,29 @@ def qmap_objective(instance: QmapInstance, k, min_form: bool = False) -> float:
     return float(instance.c_vector @ k) - instance.q * quad
 
 
+def _instance_problem(instance, **data) -> QpProblem:
+    """The kernel problem over an instance's data: validated with it when
+    the instance is, else validated in full on first use."""
+    if instance._scan is None:
+        return QpProblem(**data)
+    return qp.shared_problem(instance._scan, **data)
+
+
 def market_problem(market: MarketInstance,
                    zero_set: frozenset = frozenset()) -> QpProblem:
     """The portfolio program of a market as a kernel problem.
 
-    The problem takes the spectrum of Sigma that ``validate_market`` found,
-    so a validated market is decomposed once, not once per problem.
+    The market owns the checks of its data: a problem built from a market
+    that ``validate_market`` returned shares the market's read-only mu,
+    Sigma and caps without copying them, and arrives validated, with the
+    spectrum and max|Sigma| that validation found.  So a market is scanned
+    and decomposed once, however many problems are built from it, and
+    only the pins of each are checked.  A market that did not come from
+    ``validate_market`` gives a problem that is validated in full.
     """
-    problem = QpProblem(
-        linear=market.mu,
-        quadratic=market.sigma,
-        risk=market.q,
-        mass=1.0,
-        zero_set=zero_set,
-        caps=market.caps,
-    )
-    object.__setattr__(problem, "_spectrum", market._spectrum)
-    return problem
+    return _instance_problem(market, linear=market.mu, quadratic=market.sigma,
+                             risk=market.q, mass=1.0, zero_set=zero_set,
+                             caps=market.caps)
 
 
 def solve_allocation(problem: QpProblem, total: int,
@@ -227,19 +244,13 @@ def qmap_problem(instance: QmapInstance,
                  zero_set: frozenset = frozenset()) -> QpProblem:
     """The max-form call-count program as a kernel problem.
 
-    The problem takes the spectrum of A that ``validate_qmap`` found, as
-    ``market_problem`` does for Sigma.
+    As ``market_problem`` does for a market, the problem of an instance
+    that ``validate_qmap`` passed shares its arrays and its validation.
     """
-    problem = QpProblem(
-        linear=instance.c_vector,
-        quadratic=instance.a_matrix,
-        risk=instance.q,
-        mass=float(instance.m),
-        zero_set=zero_set,
-        affine_linear=instance.b_vector,
-    )
-    object.__setattr__(problem, "_spectrum", instance._spectrum)
-    return problem
+    return _instance_problem(instance, linear=instance.c_vector,
+                             quadratic=instance.a_matrix, risk=instance.q,
+                             mass=float(instance.m), zero_set=zero_set,
+                             affine_linear=instance.b_vector)
 
 
 def qmap_allocate(instance: QmapInstance,
@@ -263,8 +274,13 @@ def min_form_to_max_form(min_form: QmapInstance) -> QmapInstance:
             "the min-form substitution divides by q, which is 0; "
             "state the problem in max form directly"
         )
-    max_form = replace(min_form, q=1.0 / min_form.q)
-    object.__setattr__(max_form, "_spectrum", min_form._spectrum)   # same A
+    if not math.isfinite(1.0 / min_form.q):
+        raise TransformUndefinedError(
+            f"the min-form substitution divides by q, and 1/q overflows "
+            f"for q = {min_form.q!r}"
+        )
+    max_form = copy.copy(min_form)   # the same A, b and c, checked once
+    object.__setattr__(max_form, "q", 1.0 / min_form.q)
     return max_form
 
 

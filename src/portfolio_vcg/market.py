@@ -15,12 +15,13 @@ concurrent tasks.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .qp import SYM_TOL, extreme_eigenvalues, psd_slack
+from .qp import SYM_TOL, psd_slack, quadratic_scan
 
 PER_AD_CALL = "per_ad_call"
 PER_RESPONSE = "per_response"
@@ -68,10 +69,10 @@ class MarketInstance:
     pool_size: int
     caps: Optional[np.ndarray] = None
     mu: Optional[np.ndarray] = None
-    # (lambda_min, lambda_max) of sigma, found by validate_market's PSD
-    # check and handed to the kernel problem; ``replace`` drops it
-    _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # (max|sigma|, (lambda_min, lambda_max)), found by validate_market's
+    # checks and handed to the kernel problem; ``replace`` drops it
+    _scan: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "offers", tuple(self.offers))
@@ -95,27 +96,35 @@ def _as_array(values) -> np.ndarray:
 def offer_problems(offer: Offer) -> list:
     """Diagnostics for a single offer; empty when the offer is valid."""
     problems = []
-    prefix = f"offer {offer.id!r}"
-    if offer.basis not in (PER_AD_CALL, PER_RESPONSE):
+    basis, bid, rate = offer.basis, offer.bid, offer.response_rate
+    if basis not in (PER_AD_CALL, PER_RESPONSE):
         problems.append(("unknown_basis",
-                         f"{prefix}: basis must be {PER_AD_CALL!r} or "
-                         f"{PER_RESPONSE!r}, got {offer.basis!r}"))
-    if not np.isfinite(offer.bid) or offer.bid < 0:
+                         f"offer {offer.id!r}: basis must be {PER_AD_CALL!r} or "
+                         f"{PER_RESPONSE!r}, got {basis!r}"))
+    if not math.isfinite(bid) or bid < 0:
         problems.append(("negative_bid",
-                         f"{prefix}: bid must be finite and >= 0, got {offer.bid}"))
-    rate = offer.response_rate
-    if offer.basis == PER_RESPONSE:
+                         f"offer {offer.id!r}: bid must be finite and >= 0, got {bid}"))
+    if basis == PER_RESPONSE:
         if rate is None:
             problems.append(("missing_response_rate",
-                             f"{prefix}: per-response offers require a response_rate"))
-        elif not np.isfinite(rate) or not 0.0 <= rate <= 1.0:
+                             f"offer {offer.id!r}: per-response offers require a "
+                             "response_rate"))
+        elif not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
             problems.append(("response_rate_out_of_range",
-                             f"{prefix}: response_rate must be in [0, 1], got {rate}"))
+                             f"offer {offer.id!r}: response_rate must be in [0, 1], "
+                             f"got {rate}"))
     elif rate is not None and rate != 1.0:
         problems.append(("response_rate_conflicts_with_basis",
-                         f"{prefix}: per-ad-call offers have response_rate fixed "
-                         f"at 1, got {rate}"))
+                         f"offer {offer.id!r}: per-ad-call offers have response_rate "
+                         f"fixed at 1, got {rate}"))
     return problems
+
+
+def _value(offer: Offer) -> float:
+    """Expected revenue of an offer that ``offer_problems`` passed."""
+    if offer.basis == PER_RESPONSE:
+        return float(offer.bid) * float(offer.response_rate)
+    return float(offer.bid)
 
 
 def expected_value(offer: Offer) -> float:
@@ -128,9 +137,7 @@ def expected_value(offer: Offer) -> float:
     problems = offer_problems(offer)
     if problems:
         raise MarketValidationError(problems)
-    if offer.basis == PER_RESPONSE:
-        return float(offer.bid) * float(offer.response_rate)
-    return float(offer.bid)
+    return _value(offer)
 
 
 def validate_market(raw: MarketInstance) -> MarketInstance:
@@ -141,6 +148,12 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     invariant (dimension mismatch, asymmetry, PSD failure, n < 2, q < 0,
     bad pool size, per-offer problems, infeasible caps, caps that leave no
     feasible allocation once one offer is removed for its price).
+
+    These are the only checks of the market's data: each offer is checked
+    once, and Sigma is scanned and decomposed once (``quadratic_scan``:
+    finite entries, max|Sigma - Sigma'| <= SYM_TOL * max|Sigma|, the PSD
+    check).  The result shares the raw instance's arrays, keeps the
+    spectrum and max|Sigma|, and hands all three to its kernel problems.
     """
     problems = []
     n = raw.n
@@ -158,30 +171,32 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
         offer_issues = offer_problems(offer)
         problems.extend(offer_issues)
         if not offer_issues:
-            mu[i] = expected_value(offer)
+            mu[i] = _value(offer)
 
     sigma = raw.sigma
-    if sigma.ndim != 2 or sigma.shape != (n, n):
+    spectrum = peak = None
+    if sigma.shape != (n, n):
         problems.append(("dimension_mismatch",
                          f"covariance shape {sigma.shape} does not match "
                          f"{n} offers"))
-    elif not np.all(np.isfinite(sigma)):
-        problems.append(("non_finite_covariance",
-                         "covariance entries must be finite"))
     else:
-        gap = np.abs(sigma - sigma.T)
-        worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[worst] > SYM_TOL:
-            i, j = worst
-            problems.append(("asymmetric_covariance",
-                             f"sigma[{i}][{j}]={float(sigma[i, j])!r} vs "
-                             f"sigma[{j}][{i}]={float(sigma[j, i])!r} "
-                             f"(gap {gap[worst]:.3e} > {SYM_TOL:.0e})"))
-        spectrum = extreme_eigenvalues(sigma)
-        if spectrum[0] < -psd_slack(sigma):
-            problems.append(("not_positive_semidefinite",
-                             f"covariance has min eigenvalue {spectrum[0]:.6g}; "
-                             "input is rejected, not repaired"))
+        peak, gap, spectrum = quadratic_scan(sigma)
+        if spectrum is None:
+            problems.append(("non_finite_covariance",
+                             "covariance entries must be finite"))
+        else:
+            if gap > SYM_TOL * peak:
+                i, j = np.unravel_index(int(np.argmax(np.abs(sigma - sigma.T))),
+                                        sigma.shape)
+                problems.append(("asymmetric_covariance",
+                                 f"sigma[{i}][{j}]={float(sigma[i, j])!r} vs "
+                                 f"sigma[{j}][{i}]={float(sigma[j, i])!r} "
+                                 f"(gap {gap:.3e} > {SYM_TOL:.0e} * max|sigma| "
+                                 f"{peak:.3e})"))
+            if spectrum[0] < -psd_slack(sigma):
+                problems.append(("not_positive_semidefinite",
+                                 f"covariance has min eigenvalue {spectrum[0]:.6g}; "
+                                 "input is rejected, not repaired"))
 
     if not np.isfinite(raw.q) or raw.q < 0:
         problems.append(("negative_risk_parameter",
@@ -213,8 +228,10 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
 
     if problems:
         raise MarketValidationError(problems)
-    market = replace(raw, mu=mu)
-    object.__setattr__(market, "_spectrum", spectrum)
+    mu.setflags(write=False)
+    market = copy.copy(raw)
+    object.__setattr__(market, "mu", mu)
+    object.__setattr__(market, "_scan", (peak, spectrum))
     return market
 
 
@@ -223,7 +240,7 @@ def replace_offer(market: MarketInstance, i: int, offer: Offer) -> MarketInstanc
 
     Only the new offer is validated (its own fields and the uniqueness of
     its id): Sigma, q, the pool and the caps stay as validated, and the
-    market keeps the spectrum of Sigma.
+    market keeps what its validation found of Sigma.
     """
     if any(other.id == offer.id for j, other in enumerate(market.offers) if j != i):
         raise MarketValidationError([("duplicate_offer_id",

@@ -39,13 +39,14 @@ the currency unit.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-SYM_TOL = 1e-10   # absolute symmetry tolerance for Q
+SYM_TOL = 1e-10   # symmetry tolerance for Q, relative to max|Q|
 PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
 # a family of fewer rows is solved one row at a time: on markets of 2 to 6
 # offers one or two single solves take less time than one factorization
@@ -108,6 +109,14 @@ class QpProblem:
     b = ``affine_linear`` (zero when omitted).  ``mass`` is the required
     coordinate sum: 1 for fractional portfolios, the pool size for
     call-count problems.
+
+    A problem built by hand holds read-only copies of its arrays and is
+    validated in full on first use (``_validate_problem``).  One built from
+    a validated market or call-count instance (``market_problem``,
+    ``qmap_problem``, through ``shared_problem``) shares the instance's
+    private read-only arrays without copying them and arrives validated:
+    the instance's checks cover the data's, and it hands over the spectrum
+    and max|Q| they found, so only the shapes and the pins are checked.
     """
 
     linear: np.ndarray
@@ -118,9 +127,7 @@ class QpProblem:
     caps: Optional[np.ndarray] = None
     affine_linear: Optional[np.ndarray] = None
     # (lambda_min, lambda_max) of ``quadratic`` and the gradient magnitude,
-    # set once the data has been validated; ``pinned`` copies inherit both,
-    # and a caller that has already decomposed ``quadratic`` (a validated
-    # market) may seed the spectrum
+    # set once the data has been validated; ``pinned`` copies inherit both
     _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
                                        compare=False)
     _scale: Optional[float] = field(default=None, init=False, repr=False,
@@ -220,12 +227,6 @@ def gradient(problem: QpProblem, w) -> np.ndarray:
     return g
 
 
-def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the symmetric part, from one eigvalsh."""
-    eig = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
-    return float(eig[0]), float(eig[-1])
-
-
 def psd_slack(matrix: np.ndarray) -> float:
     """Allowed negative-eigenvalue slack, relative to the largest diagonal."""
     diag_peak = float(np.max(np.diagonal(matrix), initial=0.0))
@@ -296,52 +297,103 @@ def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
     return w.reshape(np.shape(v))
 
 
+def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, Optional[tuple]]:
+    """(max|M|, max|M - M'|, (lambda_min, lambda_max)) of a square matrix.
+
+    The one pass over a quadratic term, and its one eigvalsh, that every
+    validation makes (``validate_market``, ``validate_qmap``,
+    ``_validate_problem``); each tests ``max|M - M'| <= SYM_TOL * max|M|``
+    and the PSD slack on the result.  The spectrum is that of the symmetric
+    part (M itself when it is exactly symmetric).  When an entry is not
+    finite the result is (nan, nan, None) and nothing else is computed.
+    """
+    if matrix.size == 0:
+        return 0.0, 0.0, (0.0, 0.0)
+    lo, hi = float(np.min(matrix)), float(np.max(matrix))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return math.nan, math.nan, None
+    diff = matrix - matrix.T
+    gap = float(np.max(np.abs(diff, out=diff)))
+    eig = np.linalg.eigvalsh(matrix if gap == 0.0 else 0.5 * (matrix + matrix.T))
+    return max(hi, -lo), gap, (float(eig[0]), float(eig[-1]))
+
+
+def _check_shapes(c: np.ndarray, Q: np.ndarray) -> None:
+    n = c.shape[0]
+    if c.ndim != 1 or n == 0:
+        raise QpValidationError("linear term must be a nonempty vector")
+    if Q.shape != (n, n):
+        raise QpValidationError(
+            f"quadratic term shape {Q.shape} does not match dimension {n}"
+        )
+
+
+def _seed(problem: QpProblem, peak: float, spectrum: tuple[float, float]) -> None:
+    """Mark ``problem`` as validated, with max|Q| and the spectrum of Q."""
+    b = problem.affine_linear
+    scale = float(np.max(np.abs(problem.linear), initial=0.0))
+    scale += 2.0 * problem.risk * peak * problem.mass
+    if b is not None:
+        scale += problem.risk * float(np.max(np.abs(b), initial=0.0))
+    object.__setattr__(problem, "_spectrum", spectrum)
+    object.__setattr__(problem, "_scale", scale)
+
+
+def shared_problem(scan: tuple, **data) -> QpProblem:
+    """A problem over a validated instance's arrays, validated with it.
+
+    ``data`` are ``QpProblem``'s arguments, whose arrays must be the
+    instance's private read-only ones: they are shared, not copied.
+    ``scan`` is the (max|Q|, (lambda_min, lambda_max)) that the instance's
+    ``quadratic_scan`` found; the gradient scale is computed from it exactly
+    as a full validation computes it.  The caller vouches that the
+    instance's checks cover every check of ``_validate_problem`` but the
+    shapes of c and Q, checked here with the same messages, and the pins.
+    """
+    problem = object.__new__(QpProblem)
+    for f in fields(QpProblem):
+        object.__setattr__(problem, f.name, data.get(f.name, f.default))
+    object.__setattr__(problem, "zero_set", frozenset(problem.zero_set))
+    _check_shapes(problem.linear, problem.quadratic)
+    _seed(problem, *scan)
+    return problem
+
+
 def _validate_problem(problem: QpProblem) -> tuple[float, float]:
     """Check the data; return (lambda_min, lambda_max) of the quadratic term.
 
-    A pinned copy carries the spectrum and scale of its already checked
-    parent and differs from it only in the pins, so only those are checked
-    again.  A seeded spectrum skips the eigendecomposition alone.
+    A problem that carries its spectrum and scale (seeded from a validated
+    instance, or a pinned copy of a checked problem) has had its data
+    checked, so only the pins are checked again.
     """
-    c, Q = problem.linear, problem.quadratic
+    c, Q, b = problem.linear, problem.quadratic, problem.affine_linear
     n = c.shape[0]
     if problem._scale is None:
-        if c.ndim != 1 or n == 0:
-            raise QpValidationError("linear term must be a nonempty vector")
-        if Q.shape != (n, n):
-            raise QpValidationError(
-                f"quadratic term shape {Q.shape} does not match dimension {n}"
-            )
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(Q))):
+        _check_shapes(c, Q)
+        peak, gap, spectrum = quadratic_scan(Q)
+        if spectrum is None or not np.all(np.isfinite(c)) or \
+                (b is not None and not np.all(np.isfinite(b))):
             raise QpValidationError("problem data must be finite")
         if problem.risk < 0 or not np.isfinite(problem.risk):
             raise QpValidationError(f"risk weight must be >= 0, got {problem.risk}")
         if problem.mass <= 0 or not np.isfinite(problem.mass):
             raise QpValidationError(f"mass must be positive, got {problem.mass}")
-        if np.max(np.abs(Q - Q.T), initial=0.0) > SYM_TOL:
+        if gap > SYM_TOL * peak:
             raise QpValidationError("quadratic term must be symmetric")
-        if problem._spectrum is None:
-            spectrum = extreme_eigenvalues(Q)
-            if spectrum[0] < -psd_slack(Q):
-                raise QpValidationError(
-                    f"quadratic term is not positive semidefinite "
-                    f"(min eigenvalue {spectrum[0]:.3e})"
-                )
-            object.__setattr__(problem, "_spectrum", spectrum)
+        if spectrum[0] < -psd_slack(Q):
+            raise QpValidationError(
+                f"quadratic term is not positive semidefinite "
+                f"(min eigenvalue {spectrum[0]:.3e})"
+            )
         if problem.caps is not None:
             u = problem.caps
             if u.shape != (n,):
                 raise QpValidationError("caps must match the problem dimension")
             if np.any(u < 0) or not np.all(np.isfinite(u)):
                 raise QpValidationError("caps must be finite and nonnegative")
-        if problem.affine_linear is not None and problem.affine_linear.shape != (n,):
+        if b is not None and b.shape != (n,):
             raise QpValidationError("affine_linear must match the problem dimension")
-        scale = float(np.max(np.abs(c), initial=0.0))
-        scale += 2.0 * problem.risk * float(np.max(np.abs(Q), initial=0.0)) * problem.mass
-        if problem.affine_linear is not None:
-            scale += problem.risk * float(np.max(np.abs(problem.affine_linear),
-                                                 initial=0.0))
-        object.__setattr__(problem, "_scale", scale)
+        _seed(problem, peak, spectrum)
     if any(i < 0 or i >= n for i in problem.zero_set):
         raise QpValidationError("zero_set index out of range")
     return problem._spectrum
@@ -563,9 +615,10 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
         )
 
     q = problem.risk
-    l = _shifted_linear(problem, config)[free]
-    Q = problem.quadratic[np.ix_(free, free)]
-    quad_active = q > 0.0 and float(np.max(np.abs(Q), initial=0.0)) > 0.0
+    l, Q = _shifted_linear(problem, config), problem.quadratic
+    if n_free < n:
+        l, Q = l[free], Q[np.ix_(free, free)]
+    quad_active = q > 0.0 and bool(Q.any())
 
     if n_free == 1:
         if caps_free is not None and float(caps_free[0]) < mass * (1.0 - 1e-12):
@@ -832,10 +885,6 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     Yt = np.zeros((n + 1, k + 1))
     Yt[:n], border = Y[:, :n].T, Y[:, n]
     outside = np.append(~base, False)
-    # D: H on the coordinates outside F, zero elsewhere, with the padding
-    Dp = np.zeros((n + 1, n + 1))
-    Dp[:n, :n] = H
-    Dp[~outside] = Dp[:, ~outside] = 0.0
 
     at_zero = W <= 0.0
     at_cap = (W >= upper) & ~at_zero
@@ -857,11 +906,15 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         C = np.sort(np.where(changed, np.arange(n), n), axis=1)[
             :, :int(changed.sum(axis=1).max())]
         Bc, Yc = Bt[C], Yt[C]
-        S = Dp[C[:, :, None], C[:, None, :]] - Bc @ Yc.transpose(0, 2, 1)
+        # D_CC: H on the coordinates outside F, zero elsewhere and on the padding
+        out_c, Cn = outside[C], np.minimum(C, n - 1)
+        S = np.where(out_c[:, :, None] & out_c[:, None, :],
+                     H[Cn[:, :, None], Cn[:, None, :]], 0.0) \
+            - Bc @ Yc.transpose(0, 2, 1)
         # an identity block on the padding: S's diagonals, flattened
         S.reshape(ids.size, -1)[:, ::C.shape[1] + 1] += C == n
         U = G @ Z + (mass - W.sum(axis=1))[:, None] * border
-        rhs = np.where(outside[C], G[rows[:, None], np.minimum(C, n - 1)], 0.0) \
+        rhs = np.where(out_c, G[rows[:, None], Cn], 0.0) \
             - np.einsum("rck,rk->rc", Bc, U)
         try:
             x = np.linalg.solve(S, rhs[..., None])[..., 0]

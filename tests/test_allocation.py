@@ -211,6 +211,49 @@ class TestQmapAllocate:
                                        c_vector=np.array([1.0, 1.0]), q=1.0, m=0))
 
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("a_matrix", [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]], "A"),
+        ("b_vector", [0.0, 0.0, np.nan], "b_vector"),
+        ("c_vector", [1.0, -np.inf, 1.0], "c_vector")])
+    def test_non_finite_data_rejected_by_name(self, field, value, name):
+        data = dict(a_matrix=np.eye(3), b_vector=np.zeros(3),
+                    c_vector=np.array([1.0, 2.0, 3.0]), q=0.1, m=100)
+        data[field] = np.array(value)
+        with pytest.raises(QmapValidationError) as err:
+            validate_qmap(QmapInstance(**data))
+        assert err.value.diagnostics == [("non_finite_data",
+                                          f"{name} entries must be finite")]
+
+    def test_validated_once(self):
+        inst = validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
+                                          c_vector=np.array([1.0, 0.8]), q=0.5, m=10))
+        assert validate_qmap(inst) is inst
+        problem = qmap_problem(inst)
+        for mine, theirs in ((problem.linear, inst.c_vector),
+                             (problem.quadratic, inst.a_matrix),
+                             (problem.affine_linear, inst.b_vector)):
+            assert np.shares_memory(mine, theirs)
+
+    def test_column_c_vector_is_rejected_by_the_kernel(self):
+        # validate_qmap takes n from c's first axis; the problem built from
+        # the instance still checks that c is a vector
+        inst = validate_qmap(QmapInstance(a_matrix=np.eye(3), b_vector=np.zeros(3),
+                                          c_vector=np.array([[1.0], [2.0], [3.0]]),
+                                          q=0.1, m=100))
+        with pytest.raises(qp.QpValidationError,
+                           match="linear term must be a nonempty vector"):
+            qmap_problem(inst)
+        with pytest.raises(qp.QpValidationError,
+                           match="linear term must be a nonempty vector"):
+            qmap_allocate(inst)
+
+    def test_min_form_whose_inverse_risk_overflows_is_rejected(self):
+        inst = QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
+                            c_vector=np.array([1.0, 0.8]), q=1e-320, m=10)
+        with pytest.raises(TransformUndefinedError, match="overflows"):
+            min_form_to_max_form(inst)
+
+
 class TestObjectives:
     def test_portfolio_objective_matches_allocation(self):
         market = market_from_mu([1.0, 0.8], np.eye(2), 0.5, 1000)

@@ -219,6 +219,26 @@ class TestQmapCommand:
         result = json.loads(capsys.readouterr().out)
         assert result["risk_weight"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("a_matrix", [[1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 1.0]],
+         "A"),
+        ("b_vector", [0.0, 0.0, float("nan")], "b_vector"),
+        ("c_vector", [1.0, float("nan"), 3.0], "c_vector")])
+    def test_non_finite_data_exits_3(self, tmp_path, capsys, field, value, name):
+        doc = {"a_matrix": np.eye(3).tolist(), "b_vector": [0.0, 0.0, 0.0],
+               "c_vector": [1.0, 2.0, 3.0], "q": 0.1, "m": 100, field: value}
+        path = write_json(tmp_path / "qmap.json", doc)
+        assert main(["qmap", "--input", path]) == 3
+        assert f"non_finite_data: {name} entries must be finite" in \
+            capsys.readouterr().err
+
+    def test_column_c_vector_exits_3(self, tmp_path, capsys):
+        doc = {"a_matrix": np.eye(3).tolist(), "c_vector": [[1.0], [2.0], [3.0]],
+               "q": 0.1, "m": 100}
+        path = write_json(tmp_path / "qmap.json", doc)
+        assert main(["qmap", "--input", path]) == 3
+        assert "linear term must be a nonempty vector" in capsys.readouterr().err
+
     def test_bad_form_exits_2(self, tmp_path, capsys):
         doc = {"a_matrix": [[1.0]], "c_vector": [1.0], "q": 1.0, "m": 1,
                "form": "sideways"}

@@ -1,16 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from portfolio_vcg import (
     MarketInstance,
     MarketValidationError,
     Offer,
+    QmapInstance,
+    QmapValidationError,
+    QpProblem,
+    QpValidationError,
     expected_value,
     make_market,
     market_from_mu,
+    price_schedule,
+    solve,
     validate_market,
+    validate_qmap,
 )
-from portfolio_vcg.market import replace_offer
+from portfolio_vcg.market import PER_AD_CALL, PER_RESPONSE, replace_offer
 
 
 class TestExpectedValue:
@@ -109,6 +119,13 @@ class TestValidateMarket:
         assert {"too_few_offers", "negative_bid", "dimension_mismatch",
                 "negative_risk_parameter", "invalid_pool_size"} <= codes
 
+    def test_empty_market_reports_too_few_offers(self):
+        with pytest.raises(MarketValidationError) as err:
+            validate_market(MarketInstance(offers=(), sigma=np.zeros((0, 0)),
+                                           q=0.5, pool_size=100))
+        assert err.value.diagnostics == [
+            ("too_few_offers", "pricing requires at least 2 offers, got 0")]
+
     def test_infeasible_caps_rejected(self):
         with pytest.raises(MarketValidationError) as err:
             make_market([Offer("a", 1.0), Offer("b", 1.0)], np.eye(2), 0.5, 100,
@@ -170,7 +187,7 @@ class TestReplaceOffer:
         assert changed.offers == rebuilt.offers
         np.testing.assert_array_equal(changed.mu, rebuilt.mu)
         np.testing.assert_array_equal(changed.mu, [1.0, 2.0, 0.5])
-        assert changed._spectrum == market._spectrum == rebuilt._spectrum
+        assert changed._scan == market._scan == rebuilt._scan
         np.testing.assert_array_equal(market.mu, [1.0, 1.0, 0.5])
 
     def test_only_the_new_offer_is_validated(self):
@@ -181,3 +198,149 @@ class TestReplaceOffer:
         with pytest.raises(MarketValidationError) as err:
             replace_offer(market, 0, Offer("offer_1", 1.0))
         assert [code for code, _ in err.value.diagnostics] == ["duplicate_offer_id"]
+
+
+# Sigma of a three-offer market in unit 1; a market in currency unit u has
+# mu * u and Sigma * u^2
+UNIT_SIGMA = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
+
+
+def _asymmetric(unit: float, relative: float) -> np.ndarray:
+    """UNIT_SIGMA in ``unit`` with max|S - S'| = relative * max|S|."""
+    sigma = UNIT_SIGMA * unit ** 2
+    sigma[0, 1] += relative * 2.0 * unit ** 2
+    return sigma
+
+
+def _market_accepts(sigma) -> bool:
+    try:
+        make_market([Offer(f"o{i}", 1.0 + i) for i in range(3)], sigma, 0.5, 100)
+    except MarketValidationError as err:
+        assert [code for code, _ in err.diagnostics] == ["asymmetric_covariance"]
+        return False
+    return True
+
+
+def _qmap_accepts(sigma) -> bool:
+    try:
+        validate_qmap(QmapInstance(a_matrix=sigma, b_vector=np.zeros(3),
+                                   c_vector=np.array([1.0, 2.0, 3.0]), q=0.5, m=10))
+    except QmapValidationError as err:
+        assert [code for code, _ in err.diagnostics] == ["asymmetric_matrix"]
+        return False
+    return True
+
+
+def _kernel_accepts(sigma) -> bool:
+    try:
+        solve(QpProblem(linear=np.array([1.0, 2.0, 3.0]), quadratic=sigma, risk=0.5))
+    except QpValidationError as err:
+        assert "symmetric" in str(err)
+        return False
+    return True
+
+
+class TestRelativeSymmetryTolerance:
+    # max|Sigma - Sigma'| <= SYM_TOL * max|Sigma| in the one scan every
+    # validation shares, so a relative asymmetry is accepted or rejected
+    # whatever the currency unit
+    @pytest.mark.parametrize("accepts", [_market_accepts, _qmap_accepts,
+                                         _kernel_accepts])
+    def test_rounding_asymmetry_in_a_large_unit_is_accepted(self, accepts):
+        assert accepts(_asymmetric(1e3, 1e-14))
+
+    @pytest.mark.parametrize("accepts", [_market_accepts, _qmap_accepts,
+                                         _kernel_accepts])
+    def test_real_asymmetry_in_a_small_unit_is_rejected(self, accepts):
+        assert not accepts(_asymmetric(1e-6, 1e-3))
+
+    @pytest.mark.parametrize("unit", [1e-6, 1.0, 1e3])
+    def test_same_relative_asymmetry_same_verdict_in_every_unit(self, unit):
+        assert _market_accepts(_asymmetric(unit, 1e-12))
+        assert not _market_accepts(_asymmetric(unit, 1e-8))
+
+    def test_accepted_market_in_a_large_unit_prices(self):
+        offers = [Offer(f"o{i}", 1e3 * (1.0 + i)) for i in range(3)]
+        schedule = price_schedule(make_market(offers, _asymmetric(1e3, 1e-14),
+                                              0.5e-3, 100))
+        reference = price_schedule(make_market(offers, UNIT_SIGMA * 1e6, 0.5e-3, 100))
+        np.testing.assert_allclose(schedule.offer_prices, reference.offer_prices,
+                                   rtol=1e-9, atol=1e-9 * 3e3)
+
+
+def _reference_offer_problems(offer: Offer) -> list:
+    """The per-offer checks as first written (``np.isfinite``, message
+    prefix built for every offer): the reference for ``validate_market``."""
+    problems = []
+    prefix = f"offer {offer.id!r}"
+    if offer.basis not in (PER_AD_CALL, PER_RESPONSE):
+        problems.append(("unknown_basis",
+                         f"{prefix}: basis must be {PER_AD_CALL!r} or "
+                         f"{PER_RESPONSE!r}, got {offer.basis!r}"))
+    if not np.isfinite(offer.bid) or offer.bid < 0:
+        problems.append(("negative_bid",
+                         f"{prefix}: bid must be finite and >= 0, got {offer.bid}"))
+    rate = offer.response_rate
+    if offer.basis == PER_RESPONSE:
+        if rate is None:
+            problems.append(("missing_response_rate",
+                             f"{prefix}: per-response offers require a response_rate"))
+        elif not np.isfinite(rate) or not 0.0 <= rate <= 1.0:
+            problems.append(("response_rate_out_of_range",
+                             f"{prefix}: response_rate must be in [0, 1], got {rate}"))
+    elif rate is not None and rate != 1.0:
+        problems.append(("response_rate_conflicts_with_basis",
+                         f"{prefix}: per-ad-call offers have response_rate fixed "
+                         f"at 1, got {rate}"))
+    return problems
+
+
+def _reference_diagnostics(offers) -> list:
+    problems = []
+    if len(offers) < 2:
+        problems.append(("too_few_offers",
+                         f"pricing requires at least 2 offers, got {len(offers)}"))
+    seen = set()
+    for offer in offers:
+        if offer.id in seen:
+            problems.append(("duplicate_offer_id",
+                             f"offer id {offer.id!r} appears more than once"))
+        seen.add(offer.id)
+        problems.extend(_reference_offer_problems(offer))
+    return problems
+
+
+_SPECIAL = [0.0, -0.0, 1.0, 1.5, -0.1, -1.0, math.nan, math.inf, -math.inf, 5e-324]
+_ids = st.sampled_from("abcdefghij")
+_valid_offer = st.one_of(
+    st.builds(Offer, id=_ids, bid=st.floats(0.0, 1e6), basis=st.just(PER_AD_CALL),
+              response_rate=st.sampled_from([None, 1.0])),
+    st.builds(Offer, id=_ids, bid=st.floats(0.0, 1e6), basis=st.just(PER_RESPONSE),
+              response_rate=st.floats(0.0, 1.0)))
+_any_offer = st.builds(
+    Offer,
+    id=_ids,
+    bid=st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+    basis=st.sampled_from([PER_AD_CALL, PER_RESPONSE, "per_click"]),
+    response_rate=st.one_of(st.none(), st.sampled_from(_SPECIAL), st.floats(-0.5, 1.5)))
+# valid lists (distinct ids, valid offers) and lists mixing every defect
+_offers = st.one_of(
+    st.lists(_valid_offer, min_size=2, max_size=8, unique_by=lambda offer: offer.id),
+    st.lists(st.one_of(_valid_offer, _any_offer), max_size=8))
+
+
+class TestOfferChecksMatchTheReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_offers)
+    def test_diagnostics_in_order_and_mu_bit_for_bit(self, offers):
+        expected = _reference_diagnostics(offers)
+        raw = MarketInstance(offers=tuple(offers), sigma=np.eye(len(offers)),
+                             q=0.5, pool_size=100)
+        if expected:
+            with pytest.raises(MarketValidationError) as err:
+                validate_market(raw)
+            assert err.value.diagnostics == expected
+            return
+        market = validate_market(raw)
+        values = np.array([expected_value(offer) for offer in offers])
+        assert market.mu.tobytes() == values.tobytes()

@@ -5,6 +5,7 @@ import pytest
 
 from portfolio_vcg import (
     Offer,
+    check_truthfulness,
     QmapInstance,
     QmapPricingError,
     QmapValidationError,
@@ -18,6 +19,8 @@ from portfolio_vcg import (
     solve,
     utility,
 )
+from portfolio_vcg import allocation, qp
+from portfolio_vcg import market as market_module
 from portfolio_vcg.allocation import market_problem, qmap_problem, solve_allocation
 from portfolio_vcg.pricing import _vcg_prices
 from portfolio_vcg.qp import DEFAULT_CONFIG
@@ -414,6 +417,46 @@ class TestZeroWeightShortcut:
             assert np.count_nonzero(schedule.allocation.weights) >= n // 2
             counts.append(len(calls))
         assert counts == [1, 1, 1]
+
+    def test_one_check_of_the_data_per_market(self, monkeypatch):
+        # make_market checks each offer once and scans Sigma once; the kernel
+        # problems share the market's arrays and its validation, so pricing
+        # the market, and a truthfulness deviation, scan Sigma no more
+        real_problems, real_scan = market_module.offer_problems, qp.quadratic_scan
+        checked, scans = [], []
+
+        def counting_problems(offer):
+            checked.append(offer.id)
+            return real_problems(offer)
+
+        def counting_scan(matrix):
+            scans.append(matrix.shape)
+            return real_scan(matrix)
+
+        monkeypatch.setattr(market_module, "offer_problems", counting_problems)
+        for module in (market_module, allocation, qp):
+            monkeypatch.setattr(module, "quadratic_scan", counting_scan)
+        rng = np.random.default_rng(71)
+        for n in (8, 30, 90):
+            offers = [Offer(f"o{i}", float(v)) if i % 2 else
+                      Offer(f"o{i}", float(v) / 0.5, "per_response", 0.5)
+                      for i, v in enumerate(rng.uniform(1.0, 1.5, n))]
+            sigma = np.diag(rng.uniform(0.5, 1.5, n))
+            checked.clear()
+            scans.clear()
+            market = make_market(offers, sigma, 5.0, 1000)
+            schedule = price_schedule(market)
+            assert sorted(checked) == sorted(offer.id for offer in offers)
+            assert scans == [(n, n)]
+            problem = schedule.allocation.solution.problem
+            assert np.shares_memory(problem.quadratic, market.sigma)
+            assert np.shares_memory(problem.linear, market.mu)
+            deltas = [-0.2, 0.1, 0.3]
+            checked.clear()
+            report = check_truthfulness(market, 1, deltas, schedule=schedule)
+            assert report.trials == len(deltas) and report.violations == 0
+            assert scans == [(n, n)]
+            assert len(checked) == len(deltas)   # the deviating offer alone
 
     def test_one_eigendecomposition_per_qmap_schedule(self, monkeypatch):
         # validate_qmap's PSD check decomposes A, and the kernel problem

@@ -126,6 +126,27 @@ class TestSolve:
         with pytest.raises(QpValidationError, match="semidefinite"):
             solve(problem)
 
+    @pytest.mark.parametrize("field", ["linear", "quadratic", "affine_linear"])
+    def test_non_finite_data_rejected(self, field):
+        data = dict(linear=np.array([1.0, 0.8]), quadratic=np.eye(2),
+                    affine_linear=np.zeros(2), risk=0.5, mass=10.0)
+        data[field] = np.full_like(data[field], np.nan)
+        with pytest.raises(QpValidationError, match="finite"):
+            solve(QpProblem(**data))
+
+    def test_hand_built_problem_copies_its_arrays(self):
+        # even read-only arrays that own their data: the caller may make
+        # them writeable again, which would leave the cached scale stale
+        quadratic = np.eye(2)
+        quadratic.setflags(write=False)
+        problem = QpProblem(linear=np.array([1.0, 0.8]), quadratic=quadratic,
+                            risk=0.5)
+        solve(problem)
+        quadratic.setflags(write=True)
+        quadratic[0, 0] = 1e6
+        assert not np.shares_memory(problem.quadratic, quadratic)
+        assert problem.quadratic[0, 0] == 1.0
+
     def test_tied_linear_prefers_lowest_index_and_flags_degeneracy(self):
         problem = QpProblem(linear=np.array([1.0, 1.0, 0.5]),
                             quadratic=np.zeros((3, 3)), risk=0.0, mass=1.0)
