@@ -53,7 +53,6 @@ from .pricing import (
     price_risk_participant,
     price_schedule,
     qmap_prices,
-    restricted_objective,
 )
 from .verification import (
     EPS_PRICE,
@@ -116,7 +115,6 @@ __all__ = [
     "qmap_prices",
     "qmap_transform",
     "random_market",
-    "restricted_objective",
     "run_ir_suite",
     "run_oracle_suite",
     "run_property_suite",

@@ -112,10 +112,13 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
     """
     if instance._scan is not None:
         return instance
+    A, b, c = instance.a_matrix, instance.b_vector, instance.c_vector
+    if c.ndim == 0:   # no first axis to count the offers by
+        raise QmapValidationError([("dimension_mismatch",
+                                    "c_vector must be a vector, got a scalar")])
     problems = []
     spectrum = peak = None
     n = instance.n
-    A, b, c = instance.a_matrix, instance.b_vector, instance.c_vector
     if n == 0:
         problems.append(("empty_instance", "c_vector must be nonempty"))
     elif not np.all(np.isfinite(c)):

@@ -139,7 +139,8 @@ def qmap_from_dict(doc: dict) -> tuple[QmapInstance, str]:
         c = np.array(_require(doc, "c_vector"), dtype=float)
         a = np.array(_require(doc, "a_matrix"), dtype=float)
         b_raw = doc.get("b_vector")
-        b = (np.zeros(c.shape[0]) if b_raw is None
+        # one entry per offer of c; validate_qmap reports a scalar c
+        b = (np.zeros(c.shape[:1]) if b_raw is None
              else np.array(b_raw, dtype=float))
         q = float(_require(doc, "q"))
         m = _require(doc, "m")

@@ -115,18 +115,6 @@ def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
     return pinned - others, pinned
 
 
-def restricted_objective(market: MarketInstance, i: int,
-                         config: SolverConfig = DEFAULT_CONFIG,
-                         warm_start: Optional[np.ndarray] = None) -> float:
-    """Optimum of the market with offer i pinned to zero.
-
-    This is the pivot term in every offer's price; it depends only on the
-    other participants' valuations.
-    """
-    pinned = market_problem(market).pinned(i)
-    return qp.solve(pinned, config, warm_start=warm_start).objective_value
-
-
 def price_offer(market: MarketInstance, alloc: Allocation, i: int,
                 config: SolverConfig = DEFAULT_CONFIG) -> float:
     """VCG charge for offer i: pinned optimum minus the others' value.

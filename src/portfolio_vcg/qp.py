@@ -29,11 +29,16 @@ border of K, so each row's first step is closed form (the optimum falls
 by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
 working-set change borders K again, solved through the row's small Schur
 complement.  The rows advance together and take the steps ``solve``
-would take on its own; each is certified by the same test, and a row the
-factorization cannot serve (a singular system or a downhill step) is
-solved by ``solve`` from the same warm start.  Both run the method on the
-problem divided by its gradient scale, so their steps do not depend on
-the currency unit.
+would take on its own, and a row the factorization cannot serve (a
+singular system or a downhill step) is solved by ``solve`` from the same
+warm start.  Both run the method on the problem divided by its gradient
+scale, so their steps do not depend on the currency unit.
+
+The helpers work on a vector or on a stack of rows, and a single solve is
+their one-row case: one check of the pins and bounds (``_pin_mask``), one
+projection (``_project``), one objective and gradient, and one KKT
+certificate (``_kkt_terms``) serve ``solve``, ``check_kkt`` and every row
+of ``solve_pinned_family``.
 """
 
 from __future__ import annotations
@@ -41,13 +46,21 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
 
 SYM_TOL = 1e-10   # symmetry tolerance for Q, relative to max|Q|
 PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
+# size of the lexicographic perturbation that breaks ties deterministically
+# toward lower indices, relative to the largest linear coefficient; it is
+# keyed to the original coordinate index, so the pinned subproblems of one
+# market all share the same tie-break
+LEX_EPS = 1e-12
+# multiplier tolerance (relative to the gradient scale) and curvature
+# tolerance of the degeneracy test
+DEGENERATE_TOL = 1e-9
 # a family of fewer rows is solved one row at a time: on markets of 2 to 6
 # offers one or two single solves take less time than one factorization
 # and its passes, three or more take longer
@@ -80,16 +93,10 @@ class SolverConfig:
     not depend on the currency unit.  max_iterations caps the number of
     working-set changes (``QpSolution.iterations``, counted per row in a
     pinned family); a solve that needs more raises SolverConvergenceError.
-    lex_eps sizes the lexicographic perturbation that breaks ties
-    deterministically toward lower indices, relative to the largest
-    linear coefficient; it is keyed to the original coordinate index, so
-    the pinned subproblems of one market all share the same tie-break.
     """
 
     kkt_tol: float = 1e-9
     max_iterations: int = 100_000
-    lex_eps: float = 1e-12
-    degenerate_tol: float = 1e-9
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -166,10 +173,9 @@ class QpSolution:
     ``iterations`` counts the active-set method's working-set changes from
     its start (one projected-gradient step from the greedy vertex, or the
     warm start); it is 0 when the start's face already holds the optimum
-    and on the exact linear and single-coordinate paths.  ``problem`` and
-    ``config`` are the solve's inputs; ``degenerate`` is computed from them
-    on first read, so a solve whose caller only wants the optimum does not
-    pay for it.
+    and on the exact linear and single-coordinate paths.  ``problem`` is
+    the solve's input; ``degenerate`` is computed from it on first read, so
+    a solve whose caller only wants the optimum does not pay for it.
     """
 
     weights: np.ndarray
@@ -177,7 +183,6 @@ class QpSolution:
     kkt_residual: float
     iterations: int
     problem: QpProblem = field(repr=False, compare=False)
-    config: SolverConfig = field(repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
@@ -185,7 +190,7 @@ class QpSolution:
     @cached_property
     def degenerate(self) -> bool:
         """True when the maximizer is not unique (see ``_detect_degenerate``)."""
-        return _detect_degenerate(self.problem, self.weights, self.config)
+        return _detect_degenerate(self.problem, self.weights)
 
 
 @dataclass(frozen=True)
@@ -209,19 +214,22 @@ class KktReport:
     passed: bool
 
 
-def objective_value(problem: QpProblem, w) -> float:
-    """Evaluate c'w - q * (w'Qw + b'w)."""
+def objective_value(problem: QpProblem, w):
+    """Evaluate c'w - q * (w'Qw + b'w) at w, or at each row of a stack."""
     w = np.asarray(w, dtype=float)
-    val = float(problem.linear @ w) - problem.risk * float(w @ problem.quadratic @ w)
+    # row by row dot products: a vector's is the same dot as w @ Q @ w
+    quad = np.matmul((w @ problem.quadratic)[..., None, :], w[..., None])[..., 0, 0]
+    val = w @ problem.linear - problem.risk * quad
     if problem.affine_linear is not None:
-        val -= problem.risk * float(problem.affine_linear @ w)
-    return val
+        val = val - problem.risk * (w @ problem.affine_linear)
+    return float(val) if val.ndim == 0 else val
 
 
 def gradient(problem: QpProblem, w) -> np.ndarray:
-    """Gradient of the (maximization) objective at w."""
+    """Gradient of the (maximization) objective at w, or at each row of a
+    stack."""
     w = np.asarray(w, dtype=float)
-    g = problem.linear - 2.0 * problem.risk * (problem.quadratic @ w)
+    g = problem.linear - 2.0 * problem.risk * (w @ problem.quadratic.T)
     if problem.affine_linear is not None:
         g = g - problem.risk * problem.affine_linear
     return g
@@ -236,8 +244,8 @@ def psd_slack(matrix: np.ndarray) -> float:
 def project_to_simplex(point, mass: float = 1.0) -> np.ndarray:
     """Exact Euclidean projection onto {w >= 0, sum(w) = mass}.
 
-    Sort-based: find the largest set of coordinates whose uniformly shifted
-    values stay positive.  Already-feasible input is returned unchanged.
+    Already-feasible input is returned unchanged; anything else goes
+    through ``_project``.
     """
     if mass <= 0:
         raise ValueError(f"projection mass must be positive, got {mass}")
@@ -246,12 +254,36 @@ def project_to_simplex(point, mass: float = 1.0) -> np.ndarray:
         raise ValueError("point must be a nonempty vector")
     if np.all(v >= 0.0) and float(v.sum()) == mass:
         return v.copy()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    counts = np.arange(1, v.size + 1, dtype=float)
-    rho = int(np.nonzero(u + (mass - css) / counts > 0.0)[0][-1])
-    tau = (css[rho] - mass) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    return _project(v, mass)
+
+
+def _project(v: np.ndarray, mass: float, caps: Optional[np.ndarray] = None,
+             pinned: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean projection of v, or of each row of a stack, onto
+    {sum(w) = mass, 0 <= w <= caps, w = 0 where ``pinned``}.
+
+    Capped rows go to ``_project_capped`` at full width, with an upper
+    bound of 0 at their pins.  Uncapped rows are projected on their free
+    coordinates (every row must pin as many), sort-based: a row's mass goes
+    to the largest set of coordinates whose values, less one common shift,
+    stay positive.
+    """
+    if caps is not None:
+        return _project_capped(v, mass, caps if pinned is None
+                               else np.where(pinned, 0.0, caps))
+    if pinned is not None:
+        free = ~pinned
+        out = np.zeros_like(v)
+        out[free] = _project(v[free].reshape(v.shape[:-1] + (-1,)), mass).reshape(-1)
+        return out
+    rows = np.atleast_2d(v)
+    r, n = rows.shape
+    u = np.sort(rows, axis=1)[:, ::-1]
+    # the shift that spreads the mass over the top j + 1 coordinates
+    shift = (np.cumsum(u, axis=1) - mass) / np.arange(1, n + 1)
+    last = n - 1 - (u > shift)[:, ::-1].argmax(axis=1)   # still above its shift
+    tau = shift[np.arange(r), last]
+    return np.maximum(rows - tau[:, None], 0.0).reshape(np.shape(v))
 
 
 def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
@@ -319,9 +351,9 @@ def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, Optional[tuple]]:
 
 
 def _check_shapes(c: np.ndarray, Q: np.ndarray) -> None:
-    n = c.shape[0]
-    if c.ndim != 1 or n == 0:
+    if c.ndim != 1 or c.size == 0:
         raise QpValidationError("linear term must be a nonempty vector")
+    n = c.shape[0]
     if Q.shape != (n, n):
         raise QpValidationError(
             f"quadratic term shape {Q.shape} does not match dimension {n}"
@@ -329,14 +361,18 @@ def _check_shapes(c: np.ndarray, Q: np.ndarray) -> None:
 
 
 def _seed(problem: QpProblem, peak: float, spectrum: tuple[float, float]) -> None:
-    """Mark ``problem`` as validated, with max|Q| and the spectrum of Q."""
+    """Mark ``problem`` as validated, with max|Q| and the spectrum of Q.
+
+    The gradient scale it stores bounds the gradient's magnitude over the
+    feasible set; it is 1 for all-zero data, whose gradient is zero.
+    """
     b = problem.affine_linear
     scale = float(np.max(np.abs(problem.linear), initial=0.0))
     scale += 2.0 * problem.risk * peak * problem.mass
     if b is not None:
         scale += problem.risk * float(np.max(np.abs(b), initial=0.0))
     object.__setattr__(problem, "_spectrum", spectrum)
-    object.__setattr__(problem, "_scale", scale)
+    object.__setattr__(problem, "_scale", scale or 1.0)
 
 
 def shared_problem(scan: tuple, **data) -> QpProblem:
@@ -348,7 +384,7 @@ def shared_problem(scan: tuple, **data) -> QpProblem:
     ``quadratic_scan`` found; the gradient scale is computed from it exactly
     as a full validation computes it.  The caller vouches that the
     instance's checks cover every check of ``_validate_problem`` but the
-    shapes of c and Q, checked here with the same messages, and the pins.
+    shapes of c and Q, checked here with the same messages.
     """
     problem = object.__new__(QpProblem)
     for f in fields(QpProblem):
@@ -364,12 +400,13 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
 
     A problem that carries its spectrum and scale (seeded from a validated
     instance, or a pinned copy of a checked problem) has had its data
-    checked, so only the pins are checked again.
+    checked, so nothing is checked again.  The pins are checked with the
+    bounds by ``_pin_mask``, when a solve or certificate reads them.
     """
     c, Q, b = problem.linear, problem.quadratic, problem.affine_linear
-    n = c.shape[0]
     if problem._scale is None:
         _check_shapes(c, Q)
+        n = c.shape[0]
         peak, gap, spectrum = quadratic_scan(Q)
         if spectrum is None or not np.all(np.isfinite(c)) or \
                 (b is not None and not np.all(np.isfinite(b))):
@@ -394,36 +431,38 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
         if b is not None and b.shape != (n,):
             raise QpValidationError("affine_linear must match the problem dimension")
         _seed(problem, peak, spectrum)
-    if any(i < 0 or i >= n for i in problem.zero_set):
-        raise QpValidationError("zero_set index out of range")
     return problem._spectrum
 
 
-def _gradient_scale(problem: QpProblem) -> float:
-    """Bound on the gradient's magnitude over the feasible set, computed
-    with the spectrum by ``_validate_problem``; 1 for all-zero data, whose
-    gradient is zero."""
-    return problem._scale or 1.0
+def _pin_mask(problem: QpProblem, pins) -> Optional[np.ndarray]:
+    """Mask of the pinned coordinates, or None when nothing is pinned.
 
-
-def _free_mask(problem: QpProblem) -> np.ndarray:
-    mask = np.ones(problem.dimension, dtype=bool)
-    for i in problem.zero_set:
-        mask[i] = False
-    return mask
-
-
-def _mapping_residual(problem: QpProblem, w: np.ndarray, eta: float) -> float:
-    """Norm of w - P(w + eta * grad), divided by eta; zero iff KKT."""
-    trial = w + eta * gradient(problem, w)
-    mask = _free_mask(problem)
-    if problem.caps is not None:
-        proj = _project_capped(trial[mask], problem.mass, problem.caps[mask])
-    else:
-        proj = project_to_simplex(trial[mask], problem.mass)
-    mapped = np.zeros(problem.dimension)
-    mapped[mask] = proj
-    return float(np.max(np.abs(w - mapped))) / eta
+    ``pins`` holds each row's distinct pinned coordinates along its last
+    axis: a vector gives one mask, an (R, k) array a stack of R.  This is
+    the one check of pins and bounds: it raises QpValidationError for a pin
+    out of range, and InfeasibleProblemError when a row pins every
+    coordinate or the caps of its free coordinates cannot hold the mass.
+    """
+    n, mass, caps = problem.dimension, problem.mass, problem.caps
+    pins = np.asarray(pins, dtype=int)
+    pinned = None
+    if pins.size:
+        if pins.min() < 0 or pins.max() >= n:
+            raise QpValidationError("zero_set index out of range")
+        if pins.shape[-1] >= n:
+            raise InfeasibleProblemError(
+                "zero_set pins every coordinate; the mass constraint cannot be met"
+            )
+        pinned = np.zeros(pins.shape[:-1] + (n,), dtype=bool)
+        np.put_along_axis(pinned, pins, True, axis=-1)
+    if caps is not None:
+        room = (caps if pinned is None else np.where(pinned, 0.0, caps)).sum(axis=-1)
+        if (room < mass * (1.0 - 1e-12)).any():
+            raise InfeasibleProblemError(
+                f"caps over free coordinates sum to {float(room.min()):.6g}, "
+                f"below the required mass {mass:.6g}"
+            )
+    return pinned
 
 
 def _mapping_step(problem: QpProblem, lam_max: float) -> float:
@@ -433,57 +472,30 @@ def _mapping_step(problem: QpProblem, lam_max: float) -> float:
     bounds shrink as the currency unit grows, so the certificate's residual
     does not depend on it."""
     return 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0),
-                     _gradient_scale(problem) / problem.mass)
+                     problem._scale / problem.mass)
 
 
-def _kkt_terms(problem: QpProblem, w: np.ndarray, tol: float,
-               lam_max: float) -> KktReport:
-    scale = _gradient_scale(problem)
+def _kkt_terms(problem: QpProblem, W: np.ndarray, pinned: Optional[np.ndarray],
+               lam_max: float) -> tuple:
+    """The KKT certificate of each row of W, a vector or a stack of rows.
 
-    mass_error = abs(float(w.sum()) - problem.mass)
-    negativity = max(0.0, -float(np.min(w, initial=0.0)))
-    pins = sorted(problem.zero_set)
-    pin_error = float(np.max(np.abs(w[pins]), initial=0.0)) if pins else 0.0
-    if problem.caps is not None:
-        cap_excess = max(0.0, float(np.max(w - problem.caps, initial=0.0)))
-    else:
-        cap_excess = 0.0
-
-    stationarity = _mapping_residual(problem, w, _mapping_step(problem, lam_max))
-
-    residual = max(mass_error, negativity, pin_error, cap_excess,
-                   stationarity / scale)
-    return KktReport(
-        mass_error=mass_error,
-        negativity=negativity,
-        pin_error=pin_error,
-        cap_excess=cap_excess,
-        stationarity=stationarity,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-    )
-
-
-def _kkt_residuals(problem: QpProblem, W: np.ndarray, pinned: np.ndarray,
-                   lam_max: float) -> np.ndarray:
-    """``_kkt_terms``'s residual at each row of W, where row r has the
-    coordinates ``pinned[r]`` pinned to zero; one projection call maps
-    every row."""
-    mass = problem.mass
+    ``pinned`` masks each row's coordinates pinned to zero (None when
+    nothing is pinned).  Returns the mass error, negativity, pin error, cap
+    excess and scaled stationarity of each row: floats for a vector, arrays
+    for a stack.  The stationarity is the projected-gradient mapping norm
+    max|W - P(W + eta grad)| / eta, zero exactly at KKT points, divided by
+    the gradient scale.  A row's residual is the largest of its terms; a
+    non-finite weight makes the first term non-finite, so a vector's
+    residual is not finite either.
+    """
+    mass, caps = problem.mass, problem.caps
     eta = _mapping_step(problem, lam_max)
-    G = problem.linear - 2.0 * problem.risk * (W @ problem.quadratic.T)
-    if problem.affine_linear is not None:
-        G -= problem.risk * problem.affine_linear
-    upper = np.where(pinned, 0.0, mass if problem.caps is None else problem.caps)
-    mapped = _project_capped(W + eta * G, mass, upper)
-    terms = [np.abs(W.sum(axis=1) - mass),
-             -np.min(W, axis=1, initial=0.0),
-             np.max(np.abs(np.where(pinned, W, 0.0)), axis=1),
-             np.max(np.abs(W - mapped), axis=1) / (eta * _gradient_scale(problem))]
-    if problem.caps is not None:
-        terms.append(np.max(W - problem.caps, axis=1, initial=0.0))
-    return np.maximum.reduce(terms)
+    mapped = _project(W + eta * gradient(problem, W), mass, caps, pinned)
+    return (np.abs(W.sum(axis=-1) - mass),
+            (-W).max(axis=-1, initial=0.0),
+            0.0 if pinned is None else np.abs(W).max(axis=-1, where=pinned, initial=0.0),
+            0.0 if caps is None else (W - caps).max(axis=-1, initial=0.0),
+            np.abs(W - mapped).max(axis=-1) / eta / problem._scale)
 
 
 def check_kkt(problem: QpProblem, candidate,
@@ -492,7 +504,8 @@ def check_kkt(problem: QpProblem, candidate,
 
     ``report.passed`` is True exactly when the candidate is an approximate
     KKT point at tolerance ``tol`` (hence, by concavity, an approximate
-    global maximizer).
+    global maximizer).  Raises the errors ``solve`` raises for malformed
+    data and for pins or caps that empty the feasible set.
     """
     lam_max = _validate_problem(problem)[1]
     w = np.asarray(candidate, dtype=float)
@@ -501,12 +514,20 @@ def check_kkt(problem: QpProblem, candidate,
             f"candidate shape {w.shape} does not match dimension "
             f"{problem.dimension}"
         )
-    return _kkt_terms(problem, w, tol, lam_max)
-
-
-def _lex_perturbation(n: int, scale: float, eps: float) -> np.ndarray:
-    # strictly decreasing in the original index: lower index wins exact ties
-    return eps * scale * (np.arange(n, 0, -1, dtype=float) / n)
+    pinned = _pin_mask(problem, sorted(problem.zero_set))
+    terms = [float(t) for t in _kkt_terms(problem, w, pinned, lam_max)]
+    residual = max(terms)
+    mass_error, negativity, pin_error, cap_excess, stationarity = terms
+    return KktReport(
+        mass_error=mass_error,
+        negativity=negativity,
+        pin_error=pin_error,
+        cap_excess=cap_excess,
+        stationarity=stationarity * problem._scale,
+        residual=residual,
+        tolerance=tol,
+        passed=residual <= tol,
+    )
 
 
 def _greedy_linear(l: np.ndarray, mass: float,
@@ -538,8 +559,7 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return np.eye(k)[:, 1:] - np.outer(v, v[1:] / v[0])
 
 
-def _detect_degenerate(problem: QpProblem, w: np.ndarray,
-                       config: SolverConfig) -> bool:
+def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     """True when the maximizer is non-unique within tolerance.
 
     The optimal set is a face of the feasible polytope; the maximizer is
@@ -548,12 +568,12 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray,
     that carries weight or whose bound multiplier vanishes.
     """
     g = gradient(problem, w)
-    scale = _gradient_scale(problem)
-    tol = config.degenerate_tol * scale
+    tol = DEGENERATE_TOL * problem._scale
     n = problem.dimension
     act_tol = 1e-8 * problem.mass / max(n, 1)
 
-    mask = _free_mask(problem)
+    mask = np.ones(n, dtype=bool)
+    mask[list(problem.zero_set)] = False
     carrying = mask & (w > act_tol)
     if not np.any(carrying):
         return False
@@ -571,14 +591,16 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray,
     basis = _sum_zero_basis(idx.size)
     reduced = basis.T @ H @ basis
     lo = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
-    return lo <= config.degenerate_tol * max(1.0, float(np.max(np.abs(H), initial=0.0)))
+    return lo <= DEGENERATE_TOL * max(1.0, float(np.max(np.abs(H), initial=0.0)))
 
 
-def _shifted_linear(problem: QpProblem, config: SolverConfig) -> np.ndarray:
+def _shifted_linear(problem: QpProblem) -> np.ndarray:
     """The linear term the active set works with: c plus the lexicographic
     tie-break, minus q b."""
+    n = problem.dimension
     c_scale = float(np.max(np.abs(problem.linear), initial=0.0))
-    l = problem.linear + _lex_perturbation(problem.dimension, c_scale, config.lex_eps)
+    # strictly decreasing in the original index: lower index wins exact ties
+    l = problem.linear + LEX_EPS * c_scale * (np.arange(n, 0, -1, dtype=float) / n)
     if problem.affine_linear is not None:
         l = l - problem.risk * problem.affine_linear
     return l
@@ -599,60 +621,42 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     The start picks only the path, not the optimum.
     """
     lam_max = _validate_problem(problem)[1]
-    n = problem.dimension
-    mass = problem.mass
-    free = _free_mask(problem)
-    n_free = int(free.sum())
-    if n_free == 0:
-        raise InfeasibleProblemError(
-            "zero_set pins every coordinate; the mass constraint cannot be met"
-        )
-    caps_free = problem.caps[free] if problem.caps is not None else None
-    if caps_free is not None and float(caps_free.sum()) < mass * (1.0 - 1e-12):
-        raise InfeasibleProblemError(
-            f"caps over free coordinates sum to {float(caps_free.sum()):.6g}, "
-            f"below the required mass {mass:.6g}"
-        )
-
-    q = problem.risk
-    l, Q = _shifted_linear(problem, config), problem.quadratic
-    if n_free < n:
+    pinned = _pin_mask(problem, sorted(problem.zero_set))
+    mass, q = problem.mass, problem.risk
+    l, Q, caps = _shifted_linear(problem), problem.quadratic, problem.caps
+    if pinned is not None:
+        free = ~pinned
         l, Q = l[free], Q[np.ix_(free, free)]
-    quad_active = q > 0.0 and bool(Q.any())
+        caps = caps[free] if caps is not None else None
+        warm_start = warm_start[free] if warm_start is not None else None
 
-    if n_free == 1:
-        if caps_free is not None and float(caps_free[0]) < mass * (1.0 - 1e-12):
-            raise InfeasibleProblemError(
-                "the single free coordinate's cap is below the required mass"
-            )
-        w_red, iterations = np.array([mass]), 0
-    elif not quad_active:
-        w_red, iterations = _greedy_linear(l, mass, caps_free), 0
+    if l.size == 1:
+        w, iterations = np.array([mass]), 0
+    elif q == 0.0 or not Q.any():
+        w, iterations = _greedy_linear(l, mass, caps), 0
     else:
         # at unit gradient scale, whatever the currency unit
         s = problem._scale
-        w_red, iterations = _active_set(
-            l / s, (2.0 * q / s) * Q, mass, caps_free, config.kkt_tol,
-            config.max_iterations,
-            warm_start[free] if warm_start is not None else None,
-            2.0 * q * lam_max / s,
+        w, iterations = _active_set(
+            l / s, (2.0 * q / s) * Q, mass, caps, config.kkt_tol,
+            config.max_iterations, warm_start, 2.0 * q * lam_max / s,
         )
+    if pinned is not None:
+        w_free, w = w, np.zeros(problem.dimension)
+        w[free] = w_free
 
-    w = np.zeros(n)
-    w[free] = w_red
-    report = _kkt_terms(problem, w, config.kkt_tol, lam_max)
-    if not report.passed:
+    residual = float(max(_kkt_terms(problem, w, pinned, lam_max)))
+    if not residual <= config.kkt_tol:
         raise SolverConvergenceError(
-            f"KKT residual {report.residual:.3e} above tolerance "
+            f"KKT residual {residual:.3e} above tolerance "
             f"{config.kkt_tol:.1e} after {iterations} iterations"
         )
     return QpSolution(
         weights=w,
         objective_value=objective_value(problem, w),
-        kkt_residual=report.residual,
+        kkt_residual=residual,
         iterations=iterations,
         problem=problem,
-        config=config,
     )
 
 
@@ -675,8 +679,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     if warm is None:
         w = _greedy_linear(l, mass, caps)
         w += (l - H @ w) / lipschitz
-        w = (project_to_simplex(w, mass) if caps is None
-             else _project_capped(w, mass, caps))
+        w = _project(w, mass, caps)
     else:
         w = _warm_start(l, H, mass, upper, warm)
     at_zero = w <= 0.0
@@ -798,25 +801,13 @@ def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
     ``problem`` itself are ignored, as by ``pinned``.
     """
     lam_max = _validate_problem(problem)[1]
-    n, mass, q = problem.dimension, problem.mass, problem.risk
     pins = np.asarray(pins, dtype=int).reshape(-1)
     if pins.size < FAMILY_MIN_ROWS:
         return np.array([solve(problem.pinned(i), config, warm_start).objective_value
                          for i in pins])
-    if np.any((pins < 0) | (pins >= n)):
-        raise QpValidationError("zero_set index out of range")
-    pinned = np.zeros((pins.size, n), dtype=bool)
-    pinned[np.arange(pins.size), pins] = True
+    pinned = _pin_mask(problem, pins[:, None])
+    n, mass, q = problem.dimension, problem.mass, problem.risk
     caps = np.full(n, np.inf) if problem.caps is None else problem.caps
-    upper = np.where(pinned, 0.0, caps)
-    if problem.caps is not None:
-        room = upper.sum(axis=1)
-        short = np.flatnonzero(room < mass * (1.0 - 1e-12))
-        if short.size:
-            raise InfeasibleProblemError(
-                f"caps over free coordinates sum to {float(room[short[0]]):.6g}, "
-                f"below the required mass {mass:.6g}"
-            )
 
     W = np.zeros((pins.size, n))
     done = np.zeros(pins.size, dtype=bool)
@@ -828,16 +819,14 @@ def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
     if np.any(curved):
         s = problem._scale
         W[curved], done[curved] = _face_family(
-            _shifted_linear(problem, config) / s, (2.0 * q / s) * problem.quadratic,
-            mass, caps, upper[curved], pinned[curved], config.kkt_tol,
-            config.max_iterations, np.asarray(warm_start, dtype=float))
-        done &= _kkt_residuals(problem, W, pinned, lam_max) <= config.kkt_tol
+            _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
+            mass, caps, np.where(pinned[curved], 0.0, caps), pinned[curved],
+            config.kkt_tol, config.max_iterations, np.asarray(warm_start, dtype=float))
+        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_max)) \
+            <= config.kkt_tol
     for r in np.flatnonzero(~done):
         W[r] = solve(problem.pinned(pins[r]), config, warm_start).weights
-    values = W @ problem.linear - q * np.einsum("ij,ij->i", W @ problem.quadratic, W)
-    if problem.affine_linear is not None:
-        values -= q * (W @ problem.affine_linear)
-    return values
+    return objective_value(problem, W)
 
 
 def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,

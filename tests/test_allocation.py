@@ -234,6 +234,16 @@ class TestQmapAllocate:
                              (problem.affine_linear, inst.b_vector)):
             assert np.shares_memory(mine, theirs)
 
+    @pytest.mark.parametrize("b_vector", [[0.0], 0.0])
+    def test_scalar_c_vector_is_rejected(self, b_vector):
+        # a scalar c has no first axis to count the offers by
+        inst = QmapInstance(a_matrix=[[1.0]], b_vector=b_vector, c_vector=5.0,
+                            q=0.1, m=100)
+        with pytest.raises(QmapValidationError) as err:
+            validate_qmap(inst)
+        assert err.value.diagnostics == [("dimension_mismatch",
+                                          "c_vector must be a vector, got a scalar")]
+
     def test_column_c_vector_is_rejected_by_the_kernel(self):
         # validate_qmap takes n from c's first axis; the problem built from
         # the instance still checks that c is a vector

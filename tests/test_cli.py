@@ -239,6 +239,16 @@ class TestQmapCommand:
         assert main(["qmap", "--input", path]) == 3
         assert "linear term must be a nonempty vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b_vector", [None, [0.0]])
+    def test_scalar_c_vector_exits_3(self, tmp_path, capsys, b_vector):
+        doc = {"a_matrix": [[1.0]], "c_vector": 5, "q": 0.1, "m": 100}
+        if b_vector is not None:
+            doc["b_vector"] = b_vector
+        path = write_json(tmp_path / "qmap.json", doc)
+        assert main(["qmap", "--input", path]) == 3
+        assert "dimension_mismatch: c_vector must be a vector, got a scalar" in \
+            capsys.readouterr().err
+
     def test_bad_form_exits_2(self, tmp_path, capsys):
         doc = {"a_matrix": [[1.0]], "c_vector": [1.0], "q": 1.0, "m": 1,
                "form": "sideways"}

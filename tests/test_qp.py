@@ -17,6 +17,7 @@ from portfolio_vcg import qp
 from portfolio_vcg.qp import (
     DEFAULT_CONFIG,
     _detect_degenerate,
+    _project,
     _project_capped,
     _sum_zero_basis,
     solve_pinned_family,
@@ -133,6 +134,10 @@ class TestSolve:
         data[field] = np.full_like(data[field], np.nan)
         with pytest.raises(QpValidationError, match="finite"):
             solve(QpProblem(**data))
+
+    def test_scalar_linear_term_rejected(self):
+        with pytest.raises(QpValidationError, match="nonempty vector"):
+            solve(QpProblem(linear=5.0, quadratic=np.eye(1)))
 
     def test_hand_built_problem_copies_its_arrays(self):
         # even read-only arrays that own their data: the caller may make
@@ -371,7 +376,7 @@ class TestDegenerateFlag:
             )
             for p in (problem, problem.pinned(int(rng.integers(n)))):
                 sol = solve(p)
-                eager = _detect_degenerate(p, sol.weights, DEFAULT_CONFIG)
+                eager = _detect_degenerate(p, sol.weights)
                 assert sol.degenerate == eager
                 seen.add(eager)
         assert seen == {True, False}
@@ -438,7 +443,7 @@ def family_changes(problem: QpProblem, pins, warm) -> int:
     pinned[np.arange(len(pins)), pins] = True
     caps = np.full(n, np.inf) if problem.caps is None else problem.caps
     s = problem._scale
-    args = (qp._shifted_linear(problem, DEFAULT_CONFIG) / s,
+    args = (qp._shifted_linear(problem) / s,
             (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
             np.where(pinned, 0.0, caps), pinned, DEFAULT_CONFIG.kkt_tol)
     budget = 0
@@ -624,14 +629,22 @@ class TestRowProjection:
             caps[rng.uniform(size=(r, n)) < 0.2] = 0.0
             caps[rng.uniform(size=(r, n)) < 0.2] = np.inf
             caps[:, 0] = np.maximum(caps[:, 0], mass)          # feasible rows
-            W = _project_capped(V, mass, caps)
-            for row in range(r):
-                ref = bisection_projection(V[row], mass, caps[row])
-                scale = mass + float(np.max(np.abs(V[row])))
-                np.testing.assert_allclose(W[row], ref, rtol=0, atol=1e-12 * scale)
-                assert np.all(W[row][caps[row] == 0.0] == 0.0)
-                np.testing.assert_array_equal(
-                    W[row], _project_capped(V[row], mass, caps[row]))
+            # uncapped rows, without pins and with one pin each (not 0)
+            pinned = np.zeros((r, n), dtype=bool)
+            pinned[np.arange(r), rng.integers(1, n, r)] = True
+            for route_caps, route_pins, bounds in (
+                    (caps, None, caps),
+                    (None, None, np.full((r, n), np.inf)),
+                    (None, pinned, np.where(pinned, 0.0, np.inf))):
+                W = _project(V, mass, route_caps, route_pins)
+                for row in range(r):
+                    ref = bisection_projection(V[row], mass, bounds[row])
+                    scale = mass + float(np.max(np.abs(V[row])))
+                    np.testing.assert_allclose(W[row], ref, rtol=0, atol=1e-12 * scale)
+                    assert np.all(W[row][bounds[row] == 0.0] == 0.0)
+                    np.testing.assert_array_equal(W[row], _project(
+                        V[row], mass, None if route_caps is None else caps[row],
+                        None if route_pins is None else pinned[row]))
 
     def test_caps_that_sum_to_the_mass(self):
         rng = np.random.default_rng(101)
@@ -688,9 +701,9 @@ class TestSumZeroBasis:
                 mass=1.0, caps=random_caps(rng, n, kind),
             )
             cases.append((problem, solve(problem).weights))
-        flags = [_detect_degenerate(p, w, DEFAULT_CONFIG) for p, w in cases]
+        flags = [_detect_degenerate(p, w) for p, w in cases]
         monkeypatch.setattr(qp, "_sum_zero_basis", qr_sum_zero_basis)
-        assert flags == [_detect_degenerate(p, w, DEFAULT_CONFIG)
+        assert flags == [_detect_degenerate(p, w)
                          for p, w in cases]
         assert set(flags) == {True, False}
         assert any(p.caps is not None and np.any(w == p.caps)
@@ -755,7 +768,74 @@ class TestProjection:
             assert np.all(direct <= caps + 1e-12)
 
 
+def reference_report(problem: QpProblem, w: np.ndarray) -> dict:
+    """check_kkt's fields from their definitions, the projection by
+    bisection."""
+    c, Q, q, mass = problem.linear, problem.quadratic, problem.risk, problem.mass
+    b = np.zeros_like(c) if problem.affine_linear is None else problem.affine_linear
+    caps = np.full(c.size, np.inf) if problem.caps is None else problem.caps
+    pins = sorted(problem.zero_set)
+    scale = (float(np.max(np.abs(c))) + 2.0 * q * float(np.max(np.abs(Q))) * mass
+             + q * float(np.max(np.abs(b)))) or 1.0
+    lam_max = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
+    eta = 1.0 / max(2.0 * q * max(lam_max, 0.0), scale / mass)
+    free = np.ones(c.size, dtype=bool)
+    free[pins] = False
+    mapped = np.zeros(c.size)
+    mapped[free] = bisection_projection(
+        (w + eta * (c - 2.0 * q * Q @ w - q * b))[free], mass, caps[free])
+    fields = dict(mass_error=abs(float(w.sum()) - mass),
+                  negativity=max(0.0, -float(w.min())),
+                  pin_error=float(np.max(np.abs(w[pins]), initial=0.0)),
+                  cap_excess=max(0.0, float(np.max(w - caps))),
+                  stationarity=float(np.max(np.abs(w - mapped))) / eta)
+    fields["residual"] = max(*list(fields.values())[:4],
+                             fields["stationarity"] / scale)
+    return fields, scale
+
+
 class TestCheckKkt:
+    def test_matches_a_bisection_reference(self):
+        # uncapped, capped and pinned problems at their optimum, at
+        # perturbed points and with weight moved onto a pinned coordinate;
+        # each field agrees to 1e-12 relative, above a floor of the mass
+        # (feasibility), the gradient scale (stationarity) or 1 (residual)
+        # for fields that are rounding noise at the optimum
+        rng = np.random.default_rng(139)
+        seen = set()
+        for kind in np.repeat(("uncapped", "capped", "pinned", "pinned_capped"), 10):
+            n = int(rng.integers(2, 31))
+            k = int(rng.integers(1, n)) if kind.startswith("pinned") else 0
+            problem = QpProblem(
+                linear=rng.uniform(0, 5, n),
+                quadratic=random_quadratic(rng, n, "rank_deficient" if n > 2 and
+                                           rng.uniform() < 0.5 else "full"),
+                risk=float(np.exp(rng.uniform(np.log(1e-3), np.log(10)))),
+                zero_set=frozenset(rng.choice(n, k, replace=False).tolist()),
+                caps=rng.uniform(1.2, 3.0, n) / (n - k) if "capped" in kind else None)
+            optimum = solve(problem).weights
+            points = [optimum, optimum + rng.normal(0, 1e-3, n),
+                      np.abs(optimum + rng.normal(0, 1e-2, n))]
+            if k:
+                moved = optimum.copy()
+                share = 0.5 * float(moved.max())
+                moved[int(np.argmax(moved))] -= share
+                moved[min(problem.zero_set)] += share
+                points.append(moved)
+            for w in points:
+                report = check_kkt(problem, w)
+                ref, scale = reference_report(problem, w)
+                floors = dict(mass_error=1.0, negativity=1.0, pin_error=1.0,
+                              cap_excess=1.0, stationarity=scale, residual=1.0)
+                for name, value in ref.items():
+                    got = getattr(report, name)
+                    assert abs(got - value) <= 1e-12 * (abs(value) + floors[name]), \
+                        (kind, name, got, value)
+                assert report.tolerance == DEFAULT_CONFIG.kkt_tol
+                assert report.passed == (ref["residual"] <= report.tolerance)
+                seen.add(report.passed)
+        assert seen == {True, False}
+
     def test_residual_does_not_depend_on_the_unit(self):
         # at the greedy vertex w = e_0 of c = [1, 0.5], Q = I, q = 0.25 + 1e-5
         # the gradient favours offer 1 by 2e-5, so the optimum lies inside;
