@@ -43,28 +43,35 @@ class Allocation:
 
     ``weights`` live on the scaled simplex (fractions for portfolio
     markets, call counts for the count formulation); ``call_counts`` is
-    the deterministic integer apportionment of the pool.  Solver
-    diagnostics ride along for audit output.  ``solution`` is the kernel
-    solve behind the allocation, if any; ``degenerate`` is read from it on
-    first use, so an allocation whose flag nobody reads does not pay for
-    it.
+    the deterministic integer apportionment of the pool.  ``solution`` is
+    the kernel solve behind the allocation, if any; its diagnostics ride
+    along for audit output as ``kkt_residual``, ``iterations`` and
+    ``degenerate``, which read NaN, 0 and False without a solve.
+    ``degenerate`` is computed on first read, so an allocation whose flag
+    nobody reads does not pay for it.
     """
 
     weights: np.ndarray
     call_counts: np.ndarray
     objective_value: float
-    kkt_residual: float = float("nan")
-    iterations: int = 0
     solution: Optional[qp.QpSolution] = field(default=None, repr=False,
                                               compare=False)
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float, copy=True)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", qp._readonly(self.weights))
         k = np.array(self.call_counts, dtype=int, copy=True)
         k.setflags(write=False)
         object.__setattr__(self, "call_counts", k)
+
+    @property
+    def kkt_residual(self) -> float:
+        """The solve's KKT residual (NaN without one)."""
+        return math.nan if self.solution is None else self.solution.kkt_residual
+
+    @property
+    def iterations(self) -> int:
+        """The solve's working-set changes (0 without one)."""
+        return 0 if self.solution is None else self.solution.iterations
 
     @property
     def degenerate(self) -> bool:
@@ -93,9 +100,7 @@ class QmapInstance:
 
     def __post_init__(self):
         for name in ("a_matrix", "b_vector", "c_vector"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, qp._readonly(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -113,9 +118,10 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
     if instance._scan is not None:
         return instance
     A, b, c = instance.a_matrix, instance.b_vector, instance.c_vector
-    if c.ndim == 0:   # no first axis to count the offers by
+    if c.ndim != 1:   # the offers are counted along c's one axis
+        got = "a scalar" if c.ndim == 0 else f"shape {c.shape}"
         raise QmapValidationError([("dimension_mismatch",
-                                    "c_vector must be a vector, got a scalar")])
+                                    f"c_vector must be a vector, got {got}")])
     problems = []
     spectrum = peak = None
     n = instance.n
@@ -200,8 +206,7 @@ def _instance_problem(instance, **data) -> QpProblem:
     return qp.shared_problem(instance._scan, **data)
 
 
-def market_problem(market: MarketInstance,
-                   zero_set: frozenset = frozenset()) -> QpProblem:
+def market_problem(market: MarketInstance) -> QpProblem:
     """The portfolio program of a market as a kernel problem.
 
     The market owns the checks of its data: a problem built from a market
@@ -213,8 +218,7 @@ def market_problem(market: MarketInstance,
     ``validate_market`` gives a problem that is validated in full.
     """
     return _instance_problem(market, linear=market.mu, quadratic=market.sigma,
-                             risk=market.q, mass=1.0, zero_set=zero_set,
-                             caps=market.caps)
+                             risk=market.q, mass=1.0, caps=market.caps)
 
 
 def solve_allocation(problem: QpProblem, total: int,
@@ -225,8 +229,6 @@ def solve_allocation(problem: QpProblem, total: int,
         weights=solution.weights,
         call_counts=apportion(solution.weights, total),
         objective_value=solution.objective_value,
-        kkt_residual=solution.kkt_residual,
-        iterations=solution.iterations,
         solution=solution,
     )
 
@@ -243,8 +245,7 @@ def allocate(market: MarketInstance,
     return solve_allocation(market_problem(market), market.pool_size, config)
 
 
-def qmap_problem(instance: QmapInstance,
-                 zero_set: frozenset = frozenset()) -> QpProblem:
+def qmap_problem(instance: QmapInstance) -> QpProblem:
     """The max-form call-count program as a kernel problem.
 
     As ``market_problem`` does for a market, the problem of an instance
@@ -252,7 +253,7 @@ def qmap_problem(instance: QmapInstance,
     """
     return _instance_problem(instance, linear=instance.c_vector,
                              quadratic=instance.a_matrix, risk=instance.q,
-                             mass=float(instance.m), zero_set=zero_set,
+                             mass=float(instance.m),
                              affine_linear=instance.b_vector)
 
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -173,31 +174,31 @@ def _jsonable(value):
 
 def _allocation_doc(alloc: Allocation) -> dict:
     return {
-        "weights": [float(w) for w in alloc.weights],
-        "call_counts": [int(k) for k in alloc.call_counts],
-        "objective_value": float(alloc.objective_value),
+        "weights": alloc.weights,
+        "call_counts": alloc.call_counts,
+        "objective_value": alloc.objective_value,
     }
 
 
 def _prices_doc(schedule: PriceSchedule) -> dict:
-    return _jsonable({
+    return {
         "offer_prices": schedule.offer_prices,
         "risk_charge": schedule.risk_charge,
         "publisher_revenue": schedule.publisher_revenue,
         "per_ad_call": schedule.per_ad_call,
         "per_response": schedule.per_response,
         "restricted_objectives": schedule.restricted_objectives,
-    })
+    }
 
 
 def _diagnostics_doc(alloc: Allocation, config: SolverConfig) -> dict:
-    return _jsonable({
+    return {
         "iterations": alloc.iterations,
         "kkt_residual": alloc.kkt_residual,
         "degenerate": alloc.degenerate,
         "kkt_tol": config.kkt_tol,
         "max_iterations": config.max_iterations,
-    })
+    }
 
 
 def _digest(raw: bytes) -> str:
@@ -296,19 +297,7 @@ def cmd_verify(args) -> int:
         "input_digest": None,
         "seed": args.seed,
         "trials": args.trials,
-        "reports": [
-            _jsonable({
-                "property": rep.property,
-                "trials": rep.trials,
-                "violations": rep.violations,
-                "worst_margin": rep.worst_margin,
-                "seed": rep.seed,
-                "skipped": rep.skipped,
-                "restriction_violations": rep.restriction_violations,
-                "counterexamples": list(rep.counterexamples),
-            })
-            for rep in reports
-        ],
+        "reports": [asdict(rep) for rep in reports],
     }
     _emit(result, args.output)
     failed = [rep for rep in reports if not rep.passed]
@@ -329,8 +318,6 @@ def _add_common(sub: argparse.ArgumentParser, needs_input: bool) -> None:
     sub.add_argument("--max-iter", type=int,
                      default=DEFAULT_CONFIG.max_iterations,
                      help="solver iteration budget")
-    sub.add_argument("--eps-price", type=float, default=EPS_PRICE,
-                     help="price tolerance for property checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run property suites")
     _add_common(verify, needs_input=False)
+    verify.add_argument("--eps-price", type=float, default=EPS_PRICE,
+                        help="price tolerance for property checks")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--property", default="all",

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qp import SYM_TOL, psd_slack, quadratic_scan
+from .qp import SYM_TOL, _readonly, psd_slack, quadratic_scan
 
 PER_AD_CALL = "per_ad_call"
 PER_RESPONSE = "per_response"
@@ -76,21 +76,15 @@ class MarketInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "offers", tuple(self.offers))
-        object.__setattr__(self, "sigma", _as_array(self.sigma))
+        object.__setattr__(self, "sigma", _readonly(self.sigma))
         if self.caps is not None:
-            object.__setattr__(self, "caps", _as_array(self.caps))
+            object.__setattr__(self, "caps", _readonly(self.caps))
         if self.mu is not None:
-            object.__setattr__(self, "mu", _as_array(self.mu))
+            object.__setattr__(self, "mu", _readonly(self.mu))
 
     @property
     def n(self) -> int:
         return len(self.offers)
-
-
-def _as_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    arr.setflags(write=False)
-    return arr
 
 
 def offer_problems(offer: Offer) -> list:
@@ -251,7 +245,7 @@ def replace_offer(market: MarketInstance, i: int, offer: Offer) -> MarketInstanc
     mu[i] = expected_value(offer)
     changed = copy.copy(market)
     object.__setattr__(changed, "offers", tuple(offers))
-    object.__setattr__(changed, "mu", _as_array(mu))
+    object.__setattr__(changed, "mu", _readonly(mu))
     return changed
 
 

@@ -12,9 +12,13 @@ Offer prices can be negative: an offer whose covariance strongly reduces
 portfolio variance is rewarded, never so much that any participant's
 payoff turns negative.
 
-The pinned subproblems are independent pure computations with identical
-solver configuration and tie-breaking.  A schedule prices zero-weight
-offers at 0 without a solve and prices the weighted offers from one
+Every charge takes one route, ``_vcg_prices``: a single offer's price
+(``price_offer``) and the schedules of both formulations, the portfolio
+(``price_schedule``) and the call-count (``qmap_prices``) one, which
+share one assembly of the allocation, the charges and the price per ad
+call.  The pinned subproblems are independent pure computations with
+identical solver configuration and tie-breaking.  Zero-weight offers are
+priced at 0 without a solve, and the weighted offers from one
 factorization of the full optimum's face (``qp.solve_pinned_family``).
 Pinning an offer i on that face borders its KKT matrix K once more, so
 the pinned optimum is often closed form, f* - w_i^2 / (2 P_ii) with P
@@ -38,7 +42,6 @@ from .allocation import (  # noqa: F401  (allocate is re-exported)
     Allocation,
     QmapInstance,
     allocate,
-    apportion,
     market_problem,
     qmap_problem,
     solve_allocation,
@@ -77,41 +80,31 @@ class PriceSchedule:
     def __post_init__(self):
         for name in ("offer_prices", "per_ad_call", "per_response",
                      "restricted_objectives"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _pinned_optimum(problem: QpProblem, alloc: Allocation, i: int,
-                    config: SolverConfig) -> float:
-    """Offer i's pinned optimum, solved only when the answer is not known.
-
-    If w*_i = 0 the full optimum stays feasible with offer i pinned, and
-    pinning can only lower the optimum, so the two are equal and offer i
-    pays exactly 0.
-    """
-    if alloc.weights[i] == 0.0:
-        return alloc.objective_value
-    return qp.solve(problem.pinned(i), config, warm_start=alloc.weights).objective_value
+            object.__setattr__(self, name, qp._readonly(getattr(self, name)))
 
 
 def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
-                config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every offer's VCG charge and pinned optimum.
+                config: SolverConfig, offers: Optional[np.ndarray] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The VCG charges and pinned optima of ``offers`` (every offer when None).
 
     ``values`` holds each offer's own per-unit value (mu, or c for the
     call-count program), so offer i's share of the chosen objective is
-    w_i * values[i] and the others' value is the rest.  Zero-weight offers
-    take the shortcut of ``_pinned_optimum``; the weighted offers' pinned
-    problems are priced together from one factorization of the
-    allocation's face, warm-started at the allocation, by
-    ``qp.solve_pinned_family``, and share ``problem``'s validation and
-    eigendecomposition.
+    w_i * values[i] and the others' value is the rest.  If w_i = 0 the
+    full optimum stays feasible with offer i pinned, and pinning can only
+    lower the optimum, so the two are equal and offer i pays exactly 0
+    without a solve.  The weighted offers' pinned problems are priced
+    together from one factorization of the allocation's face, warm-started
+    at the allocation, by ``qp.solve_pinned_family``, and share
+    ``problem``'s validation and eigendecomposition.
     """
-    pinned = np.full(problem.dimension, alloc.objective_value)
-    weighted = np.flatnonzero(alloc.weights)
-    pinned[weighted] = qp.solve_pinned_family(problem, weighted, alloc.weights, config)
-    others = alloc.objective_value - alloc.weights * values
+    if offers is None:
+        offers = np.arange(problem.dimension)
+    pinned = np.full(offers.size, alloc.objective_value)
+    weighted = alloc.weights[offers] != 0.0
+    pinned[weighted] = qp.solve_pinned_family(problem, offers[weighted],
+                                              alloc.weights, config)
+    others = alloc.objective_value - alloc.weights[offers] * values[offers]
     return pinned - others, pinned
 
 
@@ -125,50 +118,58 @@ def price_offer(market: MarketInstance, alloc: Allocation, i: int,
     i = int(i)
     if not 0 <= i < market.n:
         raise IndexError(f"offer index {i} out of range for {market.n} offers")
-    pinned = _pinned_optimum(market_problem(market), alloc, i, config)
-    others_at_optimum = alloc.objective_value - float(alloc.weights[i] * market.mu[i])
-    return pinned - others_at_optimum
+    prices, _ = _vcg_prices(market_problem(market), alloc, market.mu, config,
+                            np.array([i]))
+    return float(prices[0])
 
 
-def price_risk_participant(market: MarketInstance, alloc: Allocation,
-                           config: SolverConfig = DEFAULT_CONFIG) -> float:
+def price_risk_participant(market: MarketInstance, alloc: Allocation) -> float:
     """Expected revenue the publisher forgoes due to risk aversion.
 
     Removing the risk participant makes the objective linear, so the
     risk-neutral optimum is the greedy fill, exact with or without caps;
     the charge is that optimum minus the expected revenue of the actual
-    allocation.  Always nonnegative.  ``config`` is unused.
+    allocation.  Always nonnegative.
     """
     risk_neutral = float(market.mu @ qp._greedy_linear(market.mu, 1.0, market.caps))
     return risk_neutral - float(alloc.weights @ market.mu)
 
 
+def _charges(problem: QpProblem, total: int, values: np.ndarray,
+             config: SolverConfig) -> tuple[Allocation, np.ndarray, np.ndarray, np.ndarray]:
+    """Allocate ``total`` calls, then price every offer by ``_vcg_prices``.
+
+    Returns the allocation, the prices, the pinned optima and the price
+    per ad call: each price over the offer's share of the ``total`` calls,
+    w_i * (total / mass), NaN where the rounded allocation is below one
+    call, since a price per call is meaningless without a call.
+    """
+    alloc = solve_allocation(problem, total, config)
+    prices, pinned = _vcg_prices(problem, alloc, values, config)
+    per_ad_call = np.full(problem.dimension, np.nan)
+    sold = alloc.call_counts >= 1
+    per_ad_call[sold] = prices[sold] / (alloc.weights[sold] * (total / problem.mass))
+    return alloc, prices, pinned, per_ad_call
+
+
 def price_schedule(market: MarketInstance,
                    config: SolverConfig = DEFAULT_CONFIG) -> PriceSchedule:
-    """Allocate once, run the n pinned solves, and assemble all charges.
+    """Allocate once, price every offer, and assemble all charges.
 
     The allocation and every pinned solve share one kernel problem, hence
     one validation and one eigendecomposition.
     """
     if market.mu is None:
         raise ValueError("market must be validated before pricing")
-    problem = market_problem(market)
-    alloc = solve_allocation(problem, market.pool_size, config)
-    n = market.n
-    prices, pinned = _vcg_prices(problem, alloc, market.mu, config)
-
-    per_ad_call = np.full(n, np.nan)
-    per_response = np.full(n, np.nan)
+    alloc, prices, pinned, per_ad_call = _charges(
+        market_problem(market), market.pool_size, market.mu, config)
+    per_response = np.full(market.n, np.nan)
     for i, offer in enumerate(market.offers):
-        if alloc.call_counts[i] < 1:
-            continue  # a price per call is meaningless without a call
-        per_ad_call[i] = prices[i] / (alloc.weights[i] * market.pool_size)
         if offer.basis == PER_RESPONSE and offer.response_rate > 0.0:
             per_response[i] = per_ad_call[i] / offer.response_rate
-
     return PriceSchedule(
         offer_prices=prices,
-        risk_charge=price_risk_participant(market, alloc, config),
+        risk_charge=price_risk_participant(market, alloc),
         publisher_revenue=float(prices.sum()),
         per_ad_call=per_ad_call,
         per_response=per_response,
@@ -194,15 +195,8 @@ def qmap_prices(instance: QmapInstance,
             f"pricing requires at least 2 offers, got {n}: removing the "
             "only offer empties the market"
         )
-    problem = qmap_problem(instance)
-    alloc = solve_allocation(problem, instance.m, config)
-    prices, pinned = _vcg_prices(problem, alloc, instance.c_vector, config)
-
-    per_ad_call = np.full(n, np.nan)
-    counts = apportion(alloc.weights, instance.m)
-    positive = counts >= 1
-    per_ad_call[positive] = prices[positive] / alloc.weights[positive]
-
+    alloc, prices, pinned, per_ad_call = _charges(
+        qmap_problem(instance), instance.m, instance.c_vector, config)
     return PriceSchedule(
         offer_prices=prices,
         risk_charge=None,

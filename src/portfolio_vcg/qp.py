@@ -123,7 +123,7 @@ class QpProblem:
     ``qmap_problem``, through ``shared_problem``) shares the instance's
     private read-only arrays without copying them and arrives validated:
     the instance's checks cover the data's, and it hands over the spectrum
-    and max|Q| they found, so only the shapes and the pins are checked.
+    and max|Q| they found, so only the pins are checked.
     """
 
     linear: np.ndarray
@@ -383,14 +383,11 @@ def shared_problem(scan: tuple, **data) -> QpProblem:
     ``scan`` is the (max|Q|, (lambda_min, lambda_max)) that the instance's
     ``quadratic_scan`` found; the gradient scale is computed from it exactly
     as a full validation computes it.  The caller vouches that the
-    instance's checks cover every check of ``_validate_problem`` but the
-    shapes of c and Q, checked here with the same messages.
+    instance's checks cover every check of ``_validate_problem``.
     """
     problem = object.__new__(QpProblem)
     for f in fields(QpProblem):
         object.__setattr__(problem, f.name, data.get(f.name, f.default))
-    object.__setattr__(problem, "zero_set", frozenset(problem.zero_set))
-    _check_shapes(problem.linear, problem.quadratic)
     _seed(problem, *scan)
     return problem
 

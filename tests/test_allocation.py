@@ -18,7 +18,7 @@ from portfolio_vcg import (
 )
 from portfolio_vcg import qp
 from portfolio_vcg.qp import check_kkt
-from portfolio_vcg.allocation import qmap_problem
+from portfolio_vcg.allocation import market_problem, qmap_problem
 
 
 def simplex_grid(n, resolution):
@@ -91,6 +91,20 @@ class TestAllocate:
                              sigma=np.eye(2), q=0.5, pool_size=10)
         with pytest.raises(ValueError, match="validated"):
             allocate(raw)
+
+    def test_problem_builders_take_no_pins(self):
+        # A pin passed to the builders must fail loudly rather than be
+        # dropped; pinned problems come from ``QpProblem.pinned``.
+        market = market_from_mu([1.0, 0.8], np.eye(2), 0.5, 1000)
+        inst = validate_qmap(QmapInstance(a_matrix=np.eye(2),
+                                          b_vector=np.zeros(2),
+                                          c_vector=np.ones(2), q=0.1, m=10))
+        with pytest.raises(TypeError):
+            market_problem(market, frozenset({0}))
+        with pytest.raises(TypeError):
+            qmap_problem(inst, frozenset({0}))
+        assert market_problem(market).zero_set == frozenset()
+        assert qmap_problem(inst).zero_set == frozenset()
 
 
 class TestApportion:
@@ -244,18 +258,16 @@ class TestQmapAllocate:
         assert err.value.diagnostics == [("dimension_mismatch",
                                           "c_vector must be a vector, got a scalar")]
 
-    def test_column_c_vector_is_rejected_by_the_kernel(self):
-        # validate_qmap takes n from c's first axis; the problem built from
-        # the instance still checks that c is a vector
-        inst = validate_qmap(QmapInstance(a_matrix=np.eye(3), b_vector=np.zeros(3),
-                                          c_vector=np.array([[1.0], [2.0], [3.0]]),
-                                          q=0.1, m=100))
-        with pytest.raises(qp.QpValidationError,
-                           match="linear term must be a nonempty vector"):
-            qmap_problem(inst)
-        with pytest.raises(qp.QpValidationError,
-                           match="linear term must be a nonempty vector"):
-            qmap_allocate(inst)
+    def test_column_c_vector_is_rejected(self):
+        # the instance checks reject it by name before any kernel problem
+        # is built from it
+        inst = QmapInstance(a_matrix=np.eye(3), b_vector=np.zeros(3),
+                            c_vector=np.array([[1.0], [2.0], [3.0]]), q=0.1, m=100)
+        for call in (validate_qmap, qmap_allocate):
+            with pytest.raises(QmapValidationError) as err:
+                call(inst)
+            assert err.value.diagnostics == [
+                ("dimension_mismatch", "c_vector must be a vector, got shape (3, 1)")]
 
     def test_min_form_whose_inverse_risk_overflows_is_rejected(self):
         inst = QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),

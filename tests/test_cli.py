@@ -119,6 +119,11 @@ class TestPriceCommand:
         assert prices["per_response"][0] is None
         assert prices["per_response"][1] == pytest.approx(0.004, abs=1e-6)
 
+    def test_eps_price_is_verify_only(self, fixture_file):
+        with pytest.raises(SystemExit) as exit_:
+            main(["price", "--input", fixture_file, "--eps-price", "1e-3"])
+        assert exit_.value.code == 2
+
     def test_risk_neutral_prices(self, tmp_path, capsys):
         doc = {
             "offers": [{"id": "a", "bid": 2.0}, {"id": "b", "bid": 1.0}],
@@ -237,7 +242,8 @@ class TestQmapCommand:
                "q": 0.1, "m": 100}
         path = write_json(tmp_path / "qmap.json", doc)
         assert main(["qmap", "--input", path]) == 3
-        assert "linear term must be a nonempty vector" in capsys.readouterr().err
+        assert "dimension_mismatch: c_vector must be a vector, got shape (3, 1)" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("b_vector", [None, [0.0]])
     def test_scalar_c_vector_exits_3(self, tmp_path, capsys, b_vector):

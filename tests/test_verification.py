@@ -20,6 +20,7 @@ from portfolio_vcg import (
     run_truthfulness_suite,
     utility,
 )
+from portfolio_vcg import verification
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +266,17 @@ class TestSuites:
     def test_zero_trials_is_vacuous(self):
         reports = run_property_suite("all", trials=0, seed=3)
         assert all(r.trials == 0 and r.passed for r in reports)
+        # the reports are named as at any other trial count
+        assert [r.property for r in reports] == \
+            [r.property for r in run_property_suite("all", trials=1, seed=3)]
+
+    def test_passing_trials_build_no_counterexample(self, monkeypatch):
+        def refuse(market):
+            raise AssertionError("a passing trial built its counterexample")
+
+        monkeypatch.setattr(verification, "_market_summary", refuse)
+        report = run_ir_suite(trials=20, seed=11)
+        assert report.passed and report.counterexamples == ()
 
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError, match="unknown property"):
