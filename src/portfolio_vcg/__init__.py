@@ -20,13 +20,11 @@ from .market import (
     validate_market,
 )
 from .qp import (
-    DEFAULT_CONFIG,
     InfeasibleProblemError,
     KktReport,
     QpProblem,
     QpSolution,
     QpValidationError,
-    SolverConfig,
     SolverConvergenceError,
     check_kkt,
     project_to_simplex,
@@ -76,7 +74,6 @@ __all__ = [
     "PER_AD_CALL",
     "PER_RESPONSE",
     "Allocation",
-    "DEFAULT_CONFIG",
     "EPS_PRICE",
     "InfeasibleProblemError",
     "KktReport",
@@ -91,7 +88,6 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "QpValidationError",
-    "SolverConfig",
     "SolverConvergenceError",
     "TransformUndefinedError",
     "allocate",

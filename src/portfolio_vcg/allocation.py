@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qp
 from .market import MarketInstance
-from .qp import DEFAULT_CONFIG, SYM_TOL, QpProblem, SolverConfig, psd_slack, quadratic_scan
+from .qp import SYM_TOL, QpProblem, psd_slack, quadratic_scan
 
 
 class QmapValidationError(ValueError):
@@ -221,10 +221,9 @@ def market_problem(market: MarketInstance) -> QpProblem:
                              risk=market.q, mass=1.0, caps=market.caps)
 
 
-def solve_allocation(problem: QpProblem, total: int,
-                     config: SolverConfig = DEFAULT_CONFIG) -> Allocation:
+def solve_allocation(problem: QpProblem, total: int) -> Allocation:
     """Solve a kernel problem and apportion ``total`` calls to its optimum."""
-    solution = qp.solve(problem, config)
+    solution = qp.solve(problem)
     return Allocation(
         weights=solution.weights,
         call_counts=apportion(solution.weights, total),
@@ -233,8 +232,7 @@ def solve_allocation(problem: QpProblem, total: int,
     )
 
 
-def allocate(market: MarketInstance,
-             config: SolverConfig = DEFAULT_CONFIG) -> Allocation:
+def allocate(market: MarketInstance) -> Allocation:
     """Maximize w'mu - q w'Sigma w over the feasible weight simplex.
 
     With q = 0 all calls go to the offer with the highest expected value
@@ -242,7 +240,7 @@ def allocate(market: MarketInstance,
     """
     if market.mu is None:
         raise ValueError("market must be validated before allocation")
-    return solve_allocation(market_problem(market), market.pool_size, config)
+    return solve_allocation(market_problem(market), market.pool_size)
 
 
 def qmap_problem(instance: QmapInstance) -> QpProblem:
@@ -257,11 +255,10 @@ def qmap_problem(instance: QmapInstance) -> QpProblem:
                              affine_linear=instance.b_vector)
 
 
-def qmap_allocate(instance: QmapInstance,
-                  config: SolverConfig = DEFAULT_CONFIG) -> Allocation:
+def qmap_allocate(instance: QmapInstance) -> Allocation:
     """Maximize c'k - q (k'Ak + b'k) over {k >= 0, sum(k) = m}."""
     validate_qmap(instance)
-    return solve_allocation(qmap_problem(instance), instance.m, config)
+    return solve_allocation(qmap_problem(instance), instance.m)
 
 
 def min_form_to_max_form(min_form: QmapInstance) -> QmapInstance:

@@ -9,6 +9,7 @@ parse back bit-exactly.  Exit codes are a stable contract:
     3  validation failure (invariants violated, infeasible, transform undefined)
     4  solver failure
     5  property violation from ``verify``
+    6  stdout closed before the whole result was written (``| head``)
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -33,13 +35,8 @@ from .allocation import (
 )
 from .market import MarketInstance, MarketValidationError, Offer, make_market
 from .pricing import PriceSchedule, QmapPricingError, price_schedule, qmap_prices
-from .qp import (
-    DEFAULT_CONFIG,
-    InfeasibleProblemError,
-    QpValidationError,
-    SolverConfig,
-    SolverConvergenceError,
-)
+from . import qp
+from .qp import InfeasibleProblemError, QpValidationError, SolverConvergenceError
 from .verification import EPS_PRICE, run_property_suite
 
 EXIT_OK = 0
@@ -47,6 +44,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_PROPERTY = 5
+EXIT_OUTPUT_CLOSED = 6
 
 _VALIDATION_ERRORS = (
     MarketValidationError,
@@ -191,13 +189,13 @@ def _prices_doc(schedule: PriceSchedule) -> dict:
     }
 
 
-def _diagnostics_doc(alloc: Allocation, config: SolverConfig) -> dict:
+def _diagnostics_doc(alloc: Allocation) -> dict:
     return {
         "iterations": alloc.iterations,
         "kkt_residual": alloc.kkt_residual,
         "degenerate": alloc.degenerate,
-        "kkt_tol": config.kkt_tol,
-        "max_iterations": config.max_iterations,
+        "kkt_tol": qp.KKT_TOL,
+        "max_iterations": qp.MAX_ITERATIONS,
     }
 
 
@@ -222,26 +220,29 @@ def _emit(result: dict, output: Optional[str]) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        kkt_tol=args.kkt_tol,
-        max_iterations=args.max_iter,
-    )
+        return
+    try:
+        # print's separate write of the newline also catches a reader that
+        # left during the text's write when stdout is unbuffered
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so that the
+        # interpreter's flush at exit does not raise again (Python docs,
+        # "Note on SIGPIPE"), and let ``main`` return EXIT_OUTPUT_CLOSED
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def cmd_allocate(args) -> int:
     doc, digest = _read_json(args.input)
     market = market_from_dict(doc)
-    config = _config_from_args(args)
-    alloc = allocate(market, config)
+    alloc = allocate(market)
     result = {
         "input_digest": digest,
         "allocation": _allocation_doc(alloc),
-        "diagnostics": _diagnostics_doc(alloc, config),
+        "diagnostics": _diagnostics_doc(alloc),
     }
     _emit(result, args.output)
     print(f"allocated {market.n} offers; objective "
@@ -252,13 +253,12 @@ def cmd_allocate(args) -> int:
 def cmd_price(args) -> int:
     doc, digest = _read_json(args.input)
     market = market_from_dict(doc)
-    config = _config_from_args(args)
-    schedule = price_schedule(market, config)
+    schedule = price_schedule(market)
     result = {
         "input_digest": digest,
         "allocation": _allocation_doc(schedule.allocation),
         "prices": _prices_doc(schedule),
-        "diagnostics": _diagnostics_doc(schedule.allocation, config),
+        "diagnostics": _diagnostics_doc(schedule.allocation),
     }
     _emit(result, args.output)
     print(f"revenue {schedule.publisher_revenue:.6g}; risk charge "
@@ -269,10 +269,9 @@ def cmd_price(args) -> int:
 def cmd_qmap(args) -> int:
     doc, digest = _read_json(args.input)
     instance, form = qmap_from_dict(doc)
-    config = _config_from_args(args)
     if form == "min":
         instance = min_form_to_max_form(instance)
-    schedule = qmap_prices(instance, config)
+    schedule = qmap_prices(instance)
     alloc = schedule.allocation
     result = {
         "input_digest": digest,
@@ -280,7 +279,7 @@ def cmd_qmap(args) -> int:
         "risk_weight": float(instance.q),
         "allocation": _allocation_doc(alloc),
         "prices": _prices_doc(schedule),
-        "diagnostics": _diagnostics_doc(alloc, config),
+        "diagnostics": _diagnostics_doc(alloc),
     }
     _emit(result, args.output)
     print(f"call allocation over {instance.n} offers; revenue "
@@ -289,10 +288,8 @@ def cmd_qmap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
     reports = run_property_suite(args.property, trials=args.trials,
-                                 seed=args.seed, eps=args.eps_price,
-                                 config=config)
+                                 seed=args.seed, eps=args.eps_price)
     result = {
         "input_digest": None,
         "seed": args.seed,
@@ -313,11 +310,6 @@ def _add_common(sub: argparse.ArgumentParser, needs_input: bool) -> None:
         sub.add_argument("--input", required=True, help="path to the JSON instance")
     sub.add_argument("--output", default=None,
                      help="write the JSON result here instead of stdout")
-    sub.add_argument("--kkt-tol", type=float, default=DEFAULT_CONFIG.kkt_tol,
-                     help="solver KKT tolerance")
-    sub.add_argument("--max-iter", type=int,
-                     default=DEFAULT_CONFIG.max_iterations,
-                     help="solver iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,6 +364,8 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except BrokenPipeError:
+        return EXIT_OUTPUT_CLOSED
 
 
 def entrypoint() -> None:

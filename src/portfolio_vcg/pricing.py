@@ -16,8 +16,8 @@ Every charge takes one route, ``_vcg_prices``: a single offer's price
 (``price_offer``) and the schedules of both formulations, the portfolio
 (``price_schedule``) and the call-count (``qmap_prices``) one, which
 share one assembly of the allocation, the charges and the price per ad
-call.  The pinned subproblems are independent pure computations with
-identical solver configuration and tie-breaking.  Zero-weight offers are
+call.  The pinned subproblems are independent pure computations with the
+same solver tolerances and tie-breaking.  Zero-weight offers are
 priced at 0 without a solve, and the weighted offers from one
 factorization of the full optimum's face (``qp.solve_pinned_family``).
 Pinning an offer i on that face borders its KKT matrix K once more, so
@@ -48,7 +48,7 @@ from .allocation import (  # noqa: F401  (allocate is re-exported)
     validate_qmap,
 )
 from .market import PER_RESPONSE, MarketInstance
-from .qp import DEFAULT_CONFIG, QpProblem, SolverConfig
+from .qp import QpProblem
 
 
 class QmapPricingError(ValueError):
@@ -84,8 +84,7 @@ class PriceSchedule:
 
 
 def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
-                config: SolverConfig, offers: Optional[np.ndarray] = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+                offers: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The VCG charges and pinned optima of ``offers`` (every offer when None).
 
     ``values`` holds each offer's own per-unit value (mu, or c for the
@@ -103,13 +102,12 @@ def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
     pinned = np.full(offers.size, alloc.objective_value)
     weighted = alloc.weights[offers] != 0.0
     pinned[weighted] = qp.solve_pinned_family(problem, offers[weighted],
-                                              alloc.weights, config)
+                                              alloc.weights)
     others = alloc.objective_value - alloc.weights[offers] * values[offers]
     return pinned - others, pinned
 
 
-def price_offer(market: MarketInstance, alloc: Allocation, i: int,
-                config: SolverConfig = DEFAULT_CONFIG) -> float:
+def price_offer(market: MarketInstance, alloc: Allocation, i: int) -> float:
     """VCG charge for offer i: pinned optimum minus the others' value.
 
     The others' value at the chosen allocation is the full objective minus
@@ -118,8 +116,7 @@ def price_offer(market: MarketInstance, alloc: Allocation, i: int,
     i = int(i)
     if not 0 <= i < market.n:
         raise IndexError(f"offer index {i} out of range for {market.n} offers")
-    prices, _ = _vcg_prices(market_problem(market), alloc, market.mu, config,
-                            np.array([i]))
+    prices, _ = _vcg_prices(market_problem(market), alloc, market.mu, np.array([i]))
     return float(prices[0])
 
 
@@ -135,8 +132,8 @@ def price_risk_participant(market: MarketInstance, alloc: Allocation) -> float:
     return risk_neutral - float(alloc.weights @ market.mu)
 
 
-def _charges(problem: QpProblem, total: int, values: np.ndarray,
-             config: SolverConfig) -> tuple[Allocation, np.ndarray, np.ndarray, np.ndarray]:
+def _charges(problem: QpProblem, total: int,
+             values: np.ndarray) -> tuple[Allocation, np.ndarray, np.ndarray, np.ndarray]:
     """Allocate ``total`` calls, then price every offer by ``_vcg_prices``.
 
     Returns the allocation, the prices, the pinned optima and the price
@@ -144,16 +141,15 @@ def _charges(problem: QpProblem, total: int, values: np.ndarray,
     w_i * (total / mass), NaN where the rounded allocation is below one
     call, since a price per call is meaningless without a call.
     """
-    alloc = solve_allocation(problem, total, config)
-    prices, pinned = _vcg_prices(problem, alloc, values, config)
+    alloc = solve_allocation(problem, total)
+    prices, pinned = _vcg_prices(problem, alloc, values)
     per_ad_call = np.full(problem.dimension, np.nan)
     sold = alloc.call_counts >= 1
     per_ad_call[sold] = prices[sold] / (alloc.weights[sold] * (total / problem.mass))
     return alloc, prices, pinned, per_ad_call
 
 
-def price_schedule(market: MarketInstance,
-                   config: SolverConfig = DEFAULT_CONFIG) -> PriceSchedule:
+def price_schedule(market: MarketInstance) -> PriceSchedule:
     """Allocate once, price every offer, and assemble all charges.
 
     The allocation and every pinned solve share one kernel problem, hence
@@ -162,7 +158,7 @@ def price_schedule(market: MarketInstance,
     if market.mu is None:
         raise ValueError("market must be validated before pricing")
     alloc, prices, pinned, per_ad_call = _charges(
-        market_problem(market), market.pool_size, market.mu, config)
+        market_problem(market), market.pool_size, market.mu)
     per_response = np.full(market.n, np.nan)
     for i, offer in enumerate(market.offers):
         if offer.basis == PER_RESPONSE and offer.response_rate > 0.0:
@@ -178,8 +174,7 @@ def price_schedule(market: MarketInstance,
     )
 
 
-def qmap_prices(instance: QmapInstance,
-                config: SolverConfig = DEFAULT_CONFIG) -> PriceSchedule:
+def qmap_prices(instance: QmapInstance) -> PriceSchedule:
     """VCG offer prices for the max-form call-count program.
 
     p_i = [optimum with k_i = 0] - [c'k* - q(k*'Ak* + b'k*) - c_i k*_i].
@@ -196,7 +191,7 @@ def qmap_prices(instance: QmapInstance,
             "only offer empties the market"
         )
     alloc, prices, pinned, per_ad_call = _charges(
-        qmap_problem(instance), instance.m, instance.c_vector, config)
+        qmap_problem(instance), instance.m, instance.c_vector)
     return PriceSchedule(
         offer_prices=prices,
         risk_charge=None,

@@ -59,12 +59,24 @@ PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
 # market all share the same tie-break
 LEX_EPS = 1e-12
 # multiplier tolerance (relative to the gradient scale) and curvature
-# tolerance of the degeneracy test
+# tolerance (relative to the face's largest curvature entry) of the
+# degeneracy test; neither has an absolute floor, so the test does not
+# depend on the currency unit
 DEGENERATE_TOL = 1e-9
 # a family of fewer rows is solved one row at a time: on markets of 2 to 6
 # offers one or two single solves take less time than one factorization
 # and its passes, three or more take longer
 FAMILY_MIN_ROWS = 3
+# KKT tolerance, relative: a point is accepted once its KKT residual (see
+# ``check_kkt``) is at most KKT_TOL, the stationarity part already divided
+# by the problem's gradient scale.  The active-set method works on the
+# problem divided by that scale and releases a bound while its multiplier
+# is wrong by more than KKT_TOL, so the path it takes, where it stops and
+# the certificate it meets do not depend on the currency unit
+KKT_TOL = 1e-9
+# working-set changes a solve may make (``QpSolution.iterations``, counted
+# per row in a pinned family) before it raises SolverConvergenceError
+MAX_ITERATIONS = 100_000
 
 
 class QpValidationError(ValueError):
@@ -76,30 +88,8 @@ class InfeasibleProblemError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """More than max_iterations working-set changes, or the result misses
-    the KKT tolerance."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and limits for ``solve``.
-
-    kkt_tol is relative: a point is accepted once the KKT residual (see
-    ``check_kkt``) drops below kkt_tol, where the stationarity part of the
-    residual is already scaled by the problem's gradient magnitude.  The
-    active-set method works on the problem divided by that magnitude and
-    releases a bound while its multiplier is wrong by more than kkt_tol,
-    so the path it takes, where it stops and the certificate it meets do
-    not depend on the currency unit.  max_iterations caps the number of
-    working-set changes (``QpSolution.iterations``, counted per row in a
-    pinned family); a solve that needs more raises SolverConvergenceError.
-    """
-
-    kkt_tol: float = 1e-9
-    max_iterations: int = 100_000
-
-
-DEFAULT_CONFIG = SolverConfig()
+    """More than MAX_ITERATIONS working-set changes, or the result misses
+    KKT_TOL."""
 
 
 def _readonly(arr) -> np.ndarray:
@@ -495,12 +485,11 @@ def _kkt_terms(problem: QpProblem, W: np.ndarray, pinned: Optional[np.ndarray],
             np.abs(W - mapped).max(axis=-1) / eta / problem._scale)
 
 
-def check_kkt(problem: QpProblem, candidate,
-              tol: float = DEFAULT_CONFIG.kkt_tol) -> KktReport:
+def check_kkt(problem: QpProblem, candidate) -> KktReport:
     """Report feasibility violations and optimality residuals at a point.
 
     ``report.passed`` is True exactly when the candidate is an approximate
-    KKT point at tolerance ``tol`` (hence, by concavity, an approximate
+    KKT point at tolerance ``KKT_TOL`` (hence, by concavity, an approximate
     global maximizer).  Raises the errors ``solve`` raises for malformed
     data and for pins or caps that empty the feasible set.
     """
@@ -522,8 +511,8 @@ def check_kkt(problem: QpProblem, candidate,
         cap_excess=cap_excess,
         stationarity=stationarity * problem._scale,
         residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
+        tolerance=KKT_TOL,
+        passed=residual <= KKT_TOL,
     )
 
 
@@ -588,7 +577,7 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     basis = _sum_zero_basis(idx.size)
     reduced = basis.T @ H @ basis
     lo = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
-    return lo <= DEGENERATE_TOL * max(1.0, float(np.max(np.abs(H), initial=0.0)))
+    return lo <= DEGENERATE_TOL * float(np.max(np.abs(H)))
 
 
 def _shifted_linear(problem: QpProblem) -> np.ndarray:
@@ -603,7 +592,7 @@ def _shifted_linear(problem: QpProblem) -> np.ndarray:
     return l
 
 
-def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
+def solve(problem: QpProblem,
           warm_start: Optional[np.ndarray] = None) -> QpSolution:
     """Maximize the concave objective over the constrained simplex.
 
@@ -611,8 +600,8 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
     toward the lower index.  Raises InfeasibleProblemError when pins or
     caps empty the feasible set, QpValidationError for malformed data, and
     SolverConvergenceError if the active set needs more than
-    ``config.max_iterations`` working-set changes or the result misses the
-    KKT tolerance.  Without a warm start the active set starts one
+    ``MAX_ITERATIONS`` working-set changes or the result misses
+    ``KKT_TOL``.  Without a warm start the active set starts one
     projected-gradient step from the greedy vertex; a warm start (the full
     optimum, for pinned solves) starts it on that point's face instead.
     The start picks only the path, not the optimum.
@@ -635,18 +624,18 @@ def solve(problem: QpProblem, config: SolverConfig = DEFAULT_CONFIG,
         # at unit gradient scale, whatever the currency unit
         s = problem._scale
         w, iterations = _active_set(
-            l / s, (2.0 * q / s) * Q, mass, caps, config.kkt_tol,
-            config.max_iterations, warm_start, 2.0 * q * lam_max / s,
+            l / s, (2.0 * q / s) * Q, mass, caps, KKT_TOL, MAX_ITERATIONS,
+            warm_start, 2.0 * q * lam_max / s,
         )
     if pinned is not None:
         w_free, w = w, np.zeros(problem.dimension)
         w[free] = w_free
 
     residual = float(max(_kkt_terms(problem, w, pinned, lam_max)))
-    if not residual <= config.kkt_tol:
+    if not residual <= KKT_TOL:
         raise SolverConvergenceError(
             f"KKT residual {residual:.3e} above tolerance "
-            f"{config.kkt_tol:.1e} after {iterations} iterations"
+            f"{KKT_TOL:.1e} after {iterations} iterations"
         )
     return QpSolution(
         weights=w,
@@ -780,12 +769,12 @@ def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int,
     return sol, 1.0
 
 
-def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
-                        config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+def solve_pinned_family(problem: QpProblem, pins,
+                        warm_start: np.ndarray) -> np.ndarray:
     """Optimum of ``problem.pinned(i)`` for every i in ``pins``, from one
     factorization.
 
-    Entry r is ``solve(problem.pinned(pins[r]), config, warm_start)``'s
+    Entry r is ``solve(problem.pinned(pins[r]), warm_start)``'s
     objective value up to rounding, and the family raises the errors those
     solves would.  A family of fewer than ``FAMILY_MIN_ROWS`` rows is
     solved one row at a time by ``solve``.  Otherwise the rows with
@@ -800,7 +789,7 @@ def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
     lam_max = _validate_problem(problem)[1]
     pins = np.asarray(pins, dtype=int).reshape(-1)
     if pins.size < FAMILY_MIN_ROWS:
-        return np.array([solve(problem.pinned(i), config, warm_start).objective_value
+        return np.array([solve(problem.pinned(i), warm_start).objective_value
                          for i in pins])
     pinned = _pin_mask(problem, pins[:, None])
     n, mass, q = problem.dimension, problem.mass, problem.risk
@@ -818,11 +807,10 @@ def solve_pinned_family(problem: QpProblem, pins, warm_start: np.ndarray,
         W[curved], done[curved] = _face_family(
             _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
             mass, caps, np.where(pinned[curved], 0.0, caps), pinned[curved],
-            config.kkt_tol, config.max_iterations, np.asarray(warm_start, dtype=float))
-        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_max)) \
-            <= config.kkt_tol
+            KKT_TOL, MAX_ITERATIONS, np.asarray(warm_start, dtype=float))
+        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_max)) <= KKT_TOL
     for r in np.flatnonzero(~done):
-        W[r] = solve(problem.pinned(pins[r]), config, warm_start).weights
+        W[r] = solve(problem.pinned(pins[r]), warm_start).weights
     return objective_value(problem, W)
 
 

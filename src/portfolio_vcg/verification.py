@@ -12,12 +12,13 @@ directly computable criterion on concrete markets:
 * oracle agreement: the solver's optimum matches exhaustive grid search.
 
 Randomized suites draw markets from a fixed-seed generator, so every
-report is reproducible from (seed, config).  Trials are independent pure
+report is reproducible from its seed.  Trials are independent pure
 computations; reports aggregate by trial index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,7 +28,6 @@ import numpy as np
 from .allocation import Allocation, allocate, apportion
 from .market import MarketInstance, Offer, PER_RESPONSE, market_from_mu, replace_offer
 from .pricing import PriceSchedule, price_offer, price_schedule
-from .qp import DEFAULT_CONFIG, SolverConfig
 
 EPS_PRICE = 1e-6          # an order of magnitude above solver-induced price noise
 TIE_TOL = 1e-9            # expected-value gap below which a q=0 market counts as tied
@@ -162,8 +162,7 @@ def _with_reported_value(market: MarketInstance, i: int,
 def check_truthfulness(market: MarketInstance, i: int,
                        deltas: Sequence[float],
                        schedule: Optional[PriceSchedule] = None,
-                       eps: float = EPS_PRICE,
-                       config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+                       eps: float = EPS_PRICE) -> PropertyReport:
     """Compare bidder i's truthful payoff against each reporting deviation.
 
     For each delta, the market is re-run with offer i reporting
@@ -174,14 +173,21 @@ def check_truthfulness(market: MarketInstance, i: int,
     market's validated Sigma and its spectrum, so pricing it decomposes
     nothing again.
     """
-    i = int(i)
     if schedule is None:
-        schedule = price_schedule(market, config)
+        schedule = price_schedule(market)
     builder = _ReportBuilder("truthfulness", eps)
     builder.check_restriction(schedule)
+    _record_deviations(builder, market, schedule, int(i), deltas)
+    return builder.build()
+
+
+def _record_deviations(builder: _ReportBuilder, market: MarketInstance,
+                       schedule: PriceSchedule, i: int,
+                       deltas: Sequence[float]) -> None:
+    """Record one truthfulness trial per delta; ``schedule`` is the
+    truthful market's, whose restriction the caller checks once."""
     u_truth = utility(market, schedule, i)
     true_mu = float(market.mu[i])
-
     for delta in deltas:
         reported = true_mu + float(delta)
         if reported < 0:
@@ -189,8 +195,8 @@ def check_truthfulness(market: MarketInstance, i: int,
                 f"delta {delta} drives the reported value below zero"
             )
         deviated = _with_reported_value(market, i, reported)
-        dev_alloc = allocate(deviated, config)
-        dev_price = price_offer(deviated, dev_alloc, i, config)
+        dev_alloc = allocate(deviated)
+        dev_price = price_offer(deviated, dev_alloc, i)
         u_dev = float(dev_alloc.weights[i]) * true_mu - dev_price
         builder.record(u_truth - u_dev, lambda: {
             **_market_summary(market),
@@ -199,16 +205,14 @@ def check_truthfulness(market: MarketInstance, i: int,
             "u_truth": u_truth,
             "u_dev": u_dev,
         })
-    return builder.build()
 
 
 def check_individual_rationality(market: MarketInstance,
                                  schedule: Optional[PriceSchedule] = None,
-                                 eps: float = EPS_PRICE,
-                                 config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+                                 eps: float = EPS_PRICE) -> PropertyReport:
     """Assert every offer's payoff from participating is >= -eps."""
     if schedule is None:
-        schedule = price_schedule(market, config)
+        schedule = price_schedule(market)
     builder = _ReportBuilder("individual_rationality", eps)
     builder.check_restriction(schedule)
     for i in range(market.n):
@@ -221,8 +225,7 @@ def check_individual_rationality(market: MarketInstance,
 
 
 def check_second_price_limit(market: MarketInstance,
-                             eps: float = EPS_PRICE,
-                             config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+                             eps: float = EPS_PRICE) -> PropertyReport:
     """With q = 0: winner-take-all at the second-highest expected value.
 
     Requires a risk-neutral market; markets whose top expected value is
@@ -240,7 +243,7 @@ def check_second_price_limit(market: MarketInstance,
         builder.skip()
         return builder.build()
 
-    schedule = price_schedule(market, config)
+    schedule = price_schedule(market)
     builder.check_restriction(schedule)
     weights = schedule.allocation.weights
     expected = np.zeros(market.n)
@@ -260,24 +263,32 @@ def check_second_price_limit(market: MarketInstance,
     return builder.build()
 
 
+@functools.lru_cache(maxsize=8)
 def _simplex_lattice(n: int, resolution: int) -> np.ndarray:
-    """All integer vectors of length n summing to ``resolution``."""
+    """All integer vectors of length n summing to ``resolution``.
+
+    Built once per (n, resolution) and shared, so the array is read-only:
+    the oracle suite's n = 3 trials reuse one 501,501-point lattice.
+    """
     count = math.comb(resolution + n - 1, n - 1)
     if count > MAX_LATTICE_POINTS:
         raise ValueError(
             f"lattice would hold {count} points; coarsen the step"
         )
     if n == 1:
-        return np.array([[resolution]], dtype=np.int64)
-    if n == 2:
+        lattice = np.array([[resolution]], dtype=np.int64)
+    elif n == 2:
         k = np.arange(resolution + 1, dtype=np.int64)
-        return np.stack([k, resolution - k], axis=1)
-    blocks = []
-    for first in range(resolution + 1):
-        tail = _simplex_lattice(n - 1, resolution - first)
-        head = np.full((tail.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, tail]))
-    return np.vstack(blocks)
+        lattice = np.stack([k, resolution - k], axis=1)
+    else:
+        blocks = []
+        for first in range(resolution + 1):
+            tail = _simplex_lattice(n - 1, resolution - first)
+            head = np.full((tail.shape[0], 1), first, dtype=np.int64)
+            blocks.append(np.hstack([head, tail]))
+        lattice = np.vstack(blocks)
+    lattice.setflags(write=False)
+    return lattice
 
 
 def brute_force_allocate(market: MarketInstance, step: float) -> Allocation:
@@ -334,8 +345,7 @@ def random_market(rng: np.random.Generator, n: Optional[int] = None,
 
 
 def run_truthfulness_suite(trials: int = 1000, seed: int = 42,
-                           eps: float = EPS_PRICE,
-                           config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+                           eps: float = EPS_PRICE) -> PropertyReport:
     """Randomized (market, bidder, delta) trials of dominant-strategy truth-telling.
 
     Deviations are drawn from [-mu_i, +5], so reported values stay valid
@@ -346,20 +356,18 @@ def run_truthfulness_suite(trials: int = 1000, seed: int = 42,
     builder = _ReportBuilder("truthfulness", eps, seed=seed)
     while builder.trials < trials:
         market = random_market(rng)
-        schedule = price_schedule(market, config)
+        schedule = price_schedule(market)
         builder.check_restriction(schedule)
         for i in range(market.n):
             if builder.trials >= trials:
                 break
             delta = float(rng.uniform(-market.mu[i], 5.0))
-            builder.merge(check_truthfulness(market, i, [delta],
-                                             schedule=schedule, eps=eps,
-                                             config=config))
+            _record_deviations(builder, market, schedule, i, [delta])
     return builder.build()
 
 
-def run_ir_suite(trials: int = 1000, seed: int = 42, eps: float = EPS_PRICE,
-                 config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+def run_ir_suite(trials: int = 1000, seed: int = 42,
+                 eps: float = EPS_PRICE) -> PropertyReport:
     """Randomized individual-rationality trials; one market per trial.
 
     Each trial asserts every offer's payoff >= -eps and, additionally,
@@ -369,7 +377,7 @@ def run_ir_suite(trials: int = 1000, seed: int = 42, eps: float = EPS_PRICE,
     builder = _ReportBuilder("individual_rationality", eps, seed=seed)
     for _ in range(trials):
         market = random_market(rng)
-        schedule = price_schedule(market, config)
+        schedule = price_schedule(market)
         builder.check_restriction(schedule)
         margins = [utility(market, schedule, i) for i in range(market.n)]
         margins.append(float(schedule.risk_charge))
@@ -382,20 +390,18 @@ def run_ir_suite(trials: int = 1000, seed: int = 42, eps: float = EPS_PRICE,
 
 
 def run_second_price_suite(trials: int = 500, seed: int = 42,
-                           eps: float = EPS_PRICE,
-                           config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+                           eps: float = EPS_PRICE) -> PropertyReport:
     """Randomized q = 0 markets against the direct second-price computation."""
     rng = np.random.default_rng(seed)
     builder = _ReportBuilder("second_price_limit", eps, seed=seed)
     while builder.trials < trials:
         market = random_market(rng, q=0.0)
-        builder.merge(check_second_price_limit(market, eps=eps, config=config))
+        builder.merge(check_second_price_limit(market, eps=eps))
     return builder.build()
 
 
 def run_oracle_suite(trials: int = 100, seed: int = 42, step: float = 1e-3,
-                     tol: float = 1e-4,
-                     config: SolverConfig = DEFAULT_CONFIG) -> PropertyReport:
+                     tol: float = 1e-4) -> PropertyReport:
     """Solver optimum versus exhaustive lattice search on small markets.
 
     Uses n in {2, 3} with unit-spectral-norm covariance so the lattice
@@ -406,7 +412,7 @@ def run_oracle_suite(trials: int = 100, seed: int = 42, step: float = 1e-3,
     for trial in range(trials):
         n = 2 + trial % 2
         market = random_market(rng, n=n, normalize_sigma=True)
-        schedule = price_schedule(market, config)
+        schedule = price_schedule(market)
         builder.check_restriction(schedule)
         oracle = brute_force_allocate(market, step)
         diff = abs(schedule.allocation.objective_value - oracle.objective_value)
@@ -427,8 +433,7 @@ SUITES = {
 
 
 def run_property_suite(name: str, trials: int, seed: int = 42,
-                       eps: float = EPS_PRICE,
-                       config: SolverConfig = DEFAULT_CONFIG) -> list[PropertyReport]:
+                       eps: float = EPS_PRICE) -> list[PropertyReport]:
     """Run one named suite, or all of them, returning the reports.
 
     The grid-search suite is capped at 200 trials regardless of the
@@ -447,7 +452,7 @@ def run_property_suite(name: str, trials: int, seed: int = 42,
     for key in names:
         runner = SUITES[key]
         if key == "oracle":
-            reports.append(runner(trials=min(trials, 200), seed=seed, config=config))
+            reports.append(runner(trials=min(trials, 200), seed=seed))
         else:
-            reports.append(runner(trials=trials, seed=seed, eps=eps, config=config))
+            reports.append(runner(trials=trials, seed=seed, eps=eps))
     return reports

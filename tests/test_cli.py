@@ -1,10 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from portfolio_vcg import Offer, make_market, random_market
-from portfolio_vcg.cli import main, market_from_dict, market_to_dict
+import portfolio_vcg
+from portfolio_vcg import Offer, make_market, qp, random_market
+from portfolio_vcg.cli import (
+    EXIT_OUTPUT_CLOSED,
+    EXIT_SOLVER,
+    main,
+    market_from_dict,
+    market_to_dict,
+)
 
 FIXTURE_DOC = {
     "offers": [
@@ -120,9 +131,50 @@ class TestPriceCommand:
         assert prices["per_response"][1] == pytest.approx(0.004, abs=1e-6)
 
     def test_eps_price_is_verify_only(self, fixture_file):
-        with pytest.raises(SystemExit) as exit_:
-            main(["price", "--input", fixture_file, "--eps-price", "1e-3"])
-        assert exit_.value.code == 2
+        # and the solver takes no flags: its tolerance and budget are fixed
+        for flag, value in (("--eps-price", "1e-3"), ("--kkt-tol", "1e-3"),
+                            ("--max-iter", "10")):
+            with pytest.raises(SystemExit) as exit_:
+                main(["price", "--input", fixture_file, flag, value])
+            assert exit_.value.code == 2, flag
+
+    def test_spent_iteration_budget_exits_4(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the cold allocation of this market makes 3 working-set changes
+        doc = {
+            "offers": [{"id": k, "bid": bid}
+                       for k, bid in zip("abcd", (2.6, 1.7, 5.0, 1.6))],
+            "covariance": [[5.54, 0.14, 0.23, 3.24], [0.14, 0.12, 0.42, -0.1],
+                           [0.23, 0.42, 3.26, -1.14], [3.24, -0.1, -1.14, 2.41]],
+            "q": 2.0,
+            "pool_size": 1000,
+        }
+        path = write_json(tmp_path / "market.json", doc)
+        assert main(["price", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["iterations"] == 3
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 0)
+        assert main(["price", "--input", path]) == EXIT_SOLVER == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: ")
+
+    def test_closed_stdout_exits_6_without_traceback(self, fixture_file):
+        # the reader is gone before the command writes, as when
+        # ``portfolio-vcg price ... | head -c 10`` meets a large result
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(portfolio_vcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "portfolio_vcg.cli", "price",
+                 "--input", fixture_file],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_OUTPUT_CLOSED == 6
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
     def test_risk_neutral_prices(self, tmp_path, capsys):
         doc = {

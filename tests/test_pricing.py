@@ -23,7 +23,6 @@ from portfolio_vcg import allocation, qp
 from portfolio_vcg import market as market_module
 from portfolio_vcg.allocation import market_problem, qmap_problem, solve_allocation
 from portfolio_vcg.pricing import _vcg_prices
-from portfolio_vcg.qp import DEFAULT_CONFIG
 from portfolio_vcg.verification import brute_force_allocate, random_market
 
 FIXTURE = dict(mu=[1.0, 0.8], sigma=np.eye(2), q=0.5, pool=1000)
@@ -561,6 +560,6 @@ class TestPinnedFamily:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        prices, _ = _vcg_prices(problem, alloc, market.mu, DEFAULT_CONFIG)
+        prices, _ = _vcg_prices(problem, alloc, market.mu)
         assert calls == []
         assert np.count_nonzero(prices) >= 10

@@ -7,7 +7,6 @@ from portfolio_vcg import (
     InfeasibleProblemError,
     QpProblem,
     QpValidationError,
-    SolverConfig,
     SolverConvergenceError,
     check_kkt,
     project_to_simplex,
@@ -15,7 +14,6 @@ from portfolio_vcg import (
 )
 from portfolio_vcg import qp
 from portfolio_vcg.qp import (
-    DEFAULT_CONFIG,
     _detect_degenerate,
     _project,
     _project_capped,
@@ -243,15 +241,14 @@ class TestSolve:
             assert abs(sol.objective_value - grid_maximum(problem, 1e-3)) <= 1e-4
 
     def test_iteration_budget_cannot_be_circumvented(self):
-        config = SolverConfig(kkt_tol=1e-9, max_iterations=100_000)
         rng = np.random.default_rng(13)
         g = rng.standard_normal((6, 6))
         problem = QpProblem(linear=rng.uniform(0, 5, 6),
                             quadratic=g.T @ g + 1e-6 * np.eye(6),
                             risk=5.0, mass=1.0)
-        sol = solve(problem, config)
-        assert sol.iterations <= config.max_iterations
-        assert sol.kkt_residual <= config.kkt_tol
+        sol = solve(problem)
+        assert sol.iterations <= qp.MAX_ITERATIONS
+        assert sol.kkt_residual <= qp.KKT_TOL
 
     def test_call_count_problems_in_any_unit(self):
         # mass 5000 and a risk weight of qmap's order: in a unit s the data
@@ -271,7 +268,7 @@ class TestSolve:
                       for s in (1e-6, 1.0, 1e6)]
             assert np.ptp(values) <= 1e-12 * 5.0 * 5000.0
 
-    def test_too_small_iteration_budget_raises(self):
+    def test_too_small_iteration_budget_raises(self, monkeypatch):
         # 60 capped offers of close value under a rank-3 factor covariance:
         # the projected-gradient step off the greedy vertex lands near the
         # optimum's face, which still lies some working-set changes away
@@ -284,15 +281,17 @@ class TestSolve:
                             risk=100.0, mass=1.0, caps=np.full(n, 1.5 / n))
         needed = solve(problem).iterations
         assert needed >= 2
-        assert solve(problem, SolverConfig(max_iterations=needed)).iterations == needed
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", needed)
+        assert solve(problem).iterations == needed
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", needed - 1)
         with pytest.raises(SolverConvergenceError):
-            solve(problem, SolverConfig(max_iterations=needed - 1))
+            solve(problem)
 
 
 def assert_matches_cold(problem: QpProblem, warm_start: np.ndarray):
     """The warm solve is certified and reaches the cold solve's optimum."""
     warm, cold = solve(problem, warm_start=warm_start), solve(problem)
-    assert warm.kkt_residual <= DEFAULT_CONFIG.kkt_tol
+    assert warm.kkt_residual <= qp.KKT_TOL
     scale = float(np.max(np.abs(problem.linear))) * problem.mass
     assert abs(warm.objective_value - cold.objective_value) <= 1e-12 * scale
     return warm
@@ -381,6 +380,28 @@ class TestDegenerateFlag:
                 seen.add(eager)
         assert seen == {True, False}
 
+    def test_does_not_depend_on_the_unit(self):
+        # the same problems in a unit s: c s, Q s^2, q / s.  H and its face
+        # curvature scale with s, so a test relative to max|H| on the face
+        # gives the same flag in every unit, down to s = 1e-9
+        rng = np.random.default_rng(151)
+        flags = []
+        for trial in range(200):
+            n = int(rng.integers(3, 8))
+            c = rng.uniform(0.0, 5.0, n)
+            g = rng.standard_normal((n, n))
+            if trial % 2:   # offer 1 copies offer 0: a flat direction
+                c[1], g[:, 1] = c[0], g[:, 0]
+            sigma = g.T @ g + (1e-6 * np.eye(n) if trial % 2 == 0 else 0.0)
+            sigma /= np.linalg.eigvalsh(sigma)[-1]
+            q = float(np.exp(rng.uniform(0.0, np.log(100.0))))
+            flags.append([solve(QpProblem(linear=c * s, quadratic=sigma * s * s,
+                                          risk=q / s)).degenerate
+                          for s in (1e-9, 1e-6, 1.0, 1e3)])
+        flags = np.array(flags)
+        assert 0 < np.count_nonzero(flags[:, 2]) < len(flags)
+        assert np.all(flags == flags[:, 2:3])
+
 
 def family_problems(rng: np.random.Generator, kind: str):
     """Seeded problems for comparing the pinned family with single pinned
@@ -445,7 +466,7 @@ def family_changes(problem: QpProblem, pins, warm) -> int:
     s = problem._scale
     args = (qp._shifted_linear(problem) / s,
             (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
-            np.where(pinned, 0.0, caps), pinned, DEFAULT_CONFIG.kkt_tol)
+            np.where(pinned, 0.0, caps), pinned, qp.KKT_TOL)
     budget = 0
     while not np.all(qp._face_family(*args, budget, warm)[1]):
         budget += 1
@@ -569,7 +590,7 @@ class TestSolvePinnedFamily:
                                     / scale)
             assert len(gaps) >= 10 and max(gaps) <= 1e-12, kind
 
-    def test_too_small_iteration_budget_raises(self):
+    def test_too_small_iteration_budget_raises(self, monkeypatch):
         # the family needs as many passes as its slowest row needs changes,
         # the count a single solve of that row makes
         cases = []
@@ -582,10 +603,11 @@ class TestSolvePinnedFamily:
         needed, _, problem, warm, pins = max(cases, key=lambda c: c[:2])
         assert needed >= 2 and pins.size >= 3
         assert family_changes(problem, pins, warm) == needed
-        solve_pinned_family(problem, pins, warm, SolverConfig(max_iterations=needed))
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", needed)
+        solve_pinned_family(problem, pins, warm)
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", needed - 1)
         with pytest.raises(SolverConvergenceError):
-            solve_pinned_family(problem, pins, warm,
-                                SolverConfig(max_iterations=needed - 1))
+            solve_pinned_family(problem, pins, warm)
 
     def test_infeasible_and_out_of_range_pins(self):
         # without offer 0 the other caps sum to 0.9
@@ -831,7 +853,7 @@ class TestCheckKkt:
                     got = getattr(report, name)
                     assert abs(got - value) <= 1e-12 * (abs(value) + floors[name]), \
                         (kind, name, got, value)
-                assert report.tolerance == DEFAULT_CONFIG.kkt_tol
+                assert report.tolerance == qp.KKT_TOL
                 assert report.passed == (ref["residual"] <= report.tolerance)
                 seen.add(report.passed)
         assert seen == {True, False}

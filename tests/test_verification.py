@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,13 @@ class TestBruteForce:
         np.testing.assert_allclose(oracle.weights, [1 / 3, 1 / 3, 1 / 3],
                                    atol=1e-2)
 
+    def test_lattice_is_built_once_and_read_only(self):
+        lattice = verification._simplex_lattice(3, 10)
+        assert verification._simplex_lattice(3, 10) is lattice
+        assert not lattice.flags.writeable
+        assert lattice.shape == (66, 3) and np.all(lattice.sum(axis=1) == 10)
+        assert len({tuple(row) for row in lattice}) == 66 and lattice.min() == 0
+
     def test_large_markets_rejected(self):
         market = market_from_mu([1.0] * 5, np.eye(5), 1.0, 100)
         with pytest.raises(ValueError, match="n <= 4"):
@@ -269,6 +278,25 @@ class TestSuites:
         # the reports are named as at any other trial count
         assert [r.property for r in reports] == \
             [r.property for r in run_property_suite("all", trials=1, seed=3)]
+
+    def test_truthfulness_suite_counts_each_schedule_once(self, monkeypatch):
+        # every truthful schedule gets a pinned optimum above the full one;
+        # the suite counts one restriction violation per priced market,
+        # not one more for each bidder it then deviates
+        schedules = []
+        real = verification.price_schedule
+
+        def violated(market):
+            schedule = real(market)
+            pinned = schedule.restricted_objectives.copy()
+            pinned[0] = schedule.allocation.objective_value + 1.0
+            schedules.append(dataclasses.replace(schedule, restricted_objectives=pinned))
+            return schedules[-1]
+
+        monkeypatch.setattr(verification, "price_schedule", violated)
+        report = run_truthfulness_suite(trials=10, seed=7)
+        assert report.trials == 10 and len(schedules) >= 2
+        assert report.restriction_violations == len(schedules)
 
     def test_passing_trials_build_no_counterexample(self, monkeypatch):
         def refuse(market):
