@@ -93,8 +93,8 @@ class QmapInstance:
     c_vector: np.ndarray
     q: float
     m: int
-    # (max|A|, (lambda_min, lambda_max)), found by validate_qmap's checks
-    # and handed to the kernel problem; ``replace`` drops it
+    # (max|A|, a bound on its largest eigenvalue), found by validate_qmap's
+    # checks and handed to the kernel problem; ``replace`` drops it
     _scan: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -111,9 +111,9 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
     """Check finite data, dimensions, symmetry and PSD of A, q >= 0, m > 0.
 
     These are the only checks of the instance's data, made once: the
-    instance keeps the extreme eigenvalues and max|A| found here, so the
-    kernel problem built from it checks and decomposes nothing again, and
-    validating it a second time returns it as it is.
+    instance keeps max|A| and the bound on A's largest eigenvalue found
+    here, so the kernel problem built from it checks and factors nothing
+    again, and validating it a second time returns it as it is.
     """
     if instance._scan is not None:
         return instance
@@ -123,7 +123,7 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
         raise QmapValidationError([("dimension_mismatch",
                                     f"c_vector must be a vector, got {got}")])
     problems = []
-    spectrum = peak = None
+    peak = lam_bound = None
     n = instance.n
     if n == 0:
         problems.append(("empty_instance", "c_vector must be nonempty"))
@@ -133,14 +133,14 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
         problems.append(("dimension_mismatch",
                          f"A shape {A.shape} does not match {n} offers"))
     else:
-        peak, gap, spectrum = quadratic_scan(A)
-        if spectrum is None:
+        peak, gap, floor, lam_bound = quadratic_scan(A)
+        if math.isnan(peak):
             problems.append(("non_finite_data", "A entries must be finite"))
         elif gap > SYM_TOL * peak:
             problems.append(("asymmetric_matrix", "A must be symmetric"))
-        elif spectrum[0] < -psd_slack(A):
+        elif floor < -psd_slack(A):
             problems.append(("not_positive_semidefinite",
-                             f"A has min eigenvalue {spectrum[0]:.6g}"))
+                             f"A has min eigenvalue {floor:.6g}"))
     if b.shape != (n,):
         problems.append(("dimension_mismatch",
                          f"b shape {b.shape} does not match {n} offers"))
@@ -154,7 +154,7 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
                          f"m must be a positive integer, got {instance.m!r}"))
     if problems:
         raise QmapValidationError(problems)
-    object.__setattr__(instance, "_scan", (peak, spectrum))
+    object.__setattr__(instance, "_scan", (peak, lam_bound))
     return instance
 
 
@@ -212,8 +212,8 @@ def market_problem(market: MarketInstance) -> QpProblem:
     The market owns the checks of its data: a problem built from a market
     that ``validate_market`` returned shares the market's read-only mu,
     Sigma and caps without copying them, and arrives validated, with the
-    spectrum and max|Sigma| that validation found.  So a market is scanned
-    and decomposed once, however many problems are built from it, and
+    max|Sigma| and eigenvalue bound that validation found.  So a market is
+    scanned and factored once, however many problems are built from it, and
     only the pins of each are checked.  A market that did not come from
     ``validate_market`` gives a problem that is validated in full.
     """

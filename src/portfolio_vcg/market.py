@@ -69,8 +69,9 @@ class MarketInstance:
     pool_size: int
     caps: Optional[np.ndarray] = None
     mu: Optional[np.ndarray] = None
-    # (max|sigma|, (lambda_min, lambda_max)), found by validate_market's
-    # checks and handed to the kernel problem; ``replace`` drops it
+    # (max|sigma|, a bound on its largest eigenvalue), found by
+    # validate_market's checks and handed to the kernel problem; ``replace``
+    # drops it
     _scan: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -144,10 +145,11 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     feasible allocation once one offer is removed for its price).
 
     These are the only checks of the market's data: each offer is checked
-    once, and Sigma is scanned and decomposed once (``quadratic_scan``:
+    once, and Sigma is scanned and factored once (``quadratic_scan``:
     finite entries, max|Sigma - Sigma'| <= SYM_TOL * max|Sigma|, the PSD
-    check).  The result shares the raw instance's arrays, keeps the
-    spectrum and max|Sigma|, and hands all three to its kernel problems.
+    check by Cholesky).  The result shares the raw instance's arrays, keeps
+    max|Sigma| and the scan's bound on Sigma's largest eigenvalue, and
+    hands all three to its kernel problems.
     """
     problems = []
     n = raw.n
@@ -168,14 +170,14 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
             mu[i] = _value(offer)
 
     sigma = raw.sigma
-    spectrum = peak = None
+    peak = lam_bound = None
     if sigma.shape != (n, n):
         problems.append(("dimension_mismatch",
                          f"covariance shape {sigma.shape} does not match "
                          f"{n} offers"))
     else:
-        peak, gap, spectrum = quadratic_scan(sigma)
-        if spectrum is None:
+        peak, gap, floor, lam_bound = quadratic_scan(sigma)
+        if math.isnan(peak):
             problems.append(("non_finite_covariance",
                              "covariance entries must be finite"))
         else:
@@ -187,9 +189,9 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
                                  f"sigma[{j}][{i}]={float(sigma[j, i])!r} "
                                  f"(gap {gap:.3e} > {SYM_TOL:.0e} * max|sigma| "
                                  f"{peak:.3e})"))
-            if spectrum[0] < -psd_slack(sigma):
+            if floor < -psd_slack(sigma):
                 problems.append(("not_positive_semidefinite",
-                                 f"covariance has min eigenvalue {spectrum[0]:.6g}; "
+                                 f"covariance has min eigenvalue {floor:.6g}; "
                                  "input is rejected, not repaired"))
 
     if not np.isfinite(raw.q) or raw.q < 0:
@@ -225,7 +227,7 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     mu.setflags(write=False)
     market = copy.copy(raw)
     object.__setattr__(market, "mu", mu)
-    object.__setattr__(market, "_scan", (peak, spectrum))
+    object.__setattr__(market, "_scan", (peak, lam_bound))
     return market
 
 

@@ -95,7 +95,7 @@ def _vcg_prices(problem: QpProblem, alloc: Allocation, values: np.ndarray,
     without a solve.  The weighted offers' pinned problems are priced
     together from one factorization of the allocation's face, warm-started
     at the allocation, by ``qp.solve_pinned_family``, and share
-    ``problem``'s validation and eigendecomposition.
+    ``problem``'s validation and eigenvalue bound.
     """
     if offers is None:
         offers = np.arange(problem.dimension)
@@ -153,7 +153,7 @@ def price_schedule(market: MarketInstance) -> PriceSchedule:
     """Allocate once, price every offer, and assemble all charges.
 
     The allocation and every pinned solve share one kernel problem, hence
-    one validation and one eigendecomposition.
+    one validation and one factorization of Sigma.
     """
     if market.mu is None:
         raise ValueError("market must be validated before pricing")

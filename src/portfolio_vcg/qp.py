@@ -112,8 +112,9 @@ class QpProblem:
     a validated market or call-count instance (``market_problem``,
     ``qmap_problem``, through ``shared_problem``) shares the instance's
     private read-only arrays without copying them and arrives validated:
-    the instance's checks cover the data's, and it hands over the spectrum
-    and max|Q| they found, so only the pins are checked.
+    the instance's checks cover the data's, and it hands over the bound on
+    Q's largest eigenvalue and the max|Q| they found, so only the pins are
+    checked.
     """
 
     linear: np.ndarray
@@ -123,10 +124,11 @@ class QpProblem:
     zero_set: frozenset = frozenset()
     caps: Optional[np.ndarray] = None
     affine_linear: Optional[np.ndarray] = None
-    # (lambda_min, lambda_max) of ``quadratic`` and the gradient magnitude,
-    # set once the data has been validated; ``pinned`` copies inherit both
-    _spectrum: Optional[tuple] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # an upper bound on the largest eigenvalue of ``quadratic`` and the
+    # gradient magnitude, set once the data has been validated; ``pinned``
+    # copies inherit both
+    _lam_bound: Optional[float] = field(default=None, init=False, repr=False,
+                                        compare=False)
     _scale: Optional[float] = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -146,9 +148,9 @@ class QpProblem:
     def pinned(self, i: int) -> "QpProblem":
         """This problem with coordinate i (alone) pinned to zero.
 
-        The copy shares this problem's arrays, validation, spectrum and
-        gradient scale: a family of pinned solves makes one
-        eigendecomposition in all.
+        The copy shares this problem's arrays, validation, eigenvalue bound
+        and gradient scale: a family of pinned solves scans and factors the
+        quadratic term once in all.
         """
         _validate_problem(self)
         pinned = copy.copy(self)
@@ -319,25 +321,49 @@ def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
     return w.reshape(np.shape(v))
 
 
-def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, Optional[tuple]]:
-    """(max|M|, max|M - M'|, (lambda_min, lambda_max)) of a square matrix.
+def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
+    """(max|M|, max|M - M'|, PSD floor, lambda_max bound) of a square matrix.
 
-    The one pass over a quadratic term, and its one eigvalsh, that every
-    validation makes (``validate_market``, ``validate_qmap``,
-    ``_validate_problem``); each tests ``max|M - M'| <= SYM_TOL * max|M|``
-    and the PSD slack on the result.  The spectrum is that of the symmetric
-    part (M itself when it is exactly symmetric).  When an entry is not
-    finite the result is (nan, nan, None) and nothing else is computed.
+    The one pass over a quadratic term that every validation makes
+    (``validate_market``, ``validate_qmap``, ``_validate_problem``); each
+    tests ``max|M - M'| <= SYM_TOL * max|M|`` and ``floor >= -psd_slack(M)``
+    on the result.  Floor and bound are those of the symmetric part S (M
+    itself when it is exactly symmetric).
+
+    The PSD test is one Cholesky factorization of S + psd_slack(M) I, built
+    in the scan's one n x n buffer: when it exists, no eigenvalue of S is
+    below -psd_slack(M), and that is the floor.  Only when it does not is
+    the floor S's smallest eigenvalue, from ``eigvalsh``, so a rejected
+    matrix is judged and reported by its exact minimum eigenvalue.  The
+    bound is Gershgorin's, max_i sum_j |S_ij|, which no eigenvalue of S
+    exceeds, taken from M's rows: |S_ij| <= |M_ij| + gap / 2.  When an
+    entry is not finite the result is NaN throughout and nothing else is
+    computed.
     """
+    n = matrix.shape[0]
     if matrix.size == 0:
-        return 0.0, 0.0, (0.0, 0.0)
-    lo, hi = float(np.min(matrix)), float(np.max(matrix))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return math.nan, math.nan, None
-    diff = matrix - matrix.T
-    gap = float(np.max(np.abs(diff, out=diff)))
-    eig = np.linalg.eigvalsh(matrix if gap == 0.0 else 0.5 * (matrix + matrix.T))
-    return max(hi, -lo), gap, (float(eig[0]), float(eig[-1]))
+        return 0.0, 0.0, 0.0, 0.0
+    buf = np.abs(matrix)
+    peak = float(buf.max())
+    if not math.isfinite(peak):
+        return math.nan, math.nan, math.nan, math.nan
+    rows = float(buf.sum(axis=1).max())
+    np.subtract(matrix, matrix.T, out=buf)
+    gap = float(np.abs(buf, out=buf).max())
+    bound = rows + 0.5 * n * gap
+    if gap == 0.0:
+        np.copyto(buf, matrix)
+    else:
+        np.multiply(np.add(matrix, matrix.T, out=buf), 0.5, out=buf)
+    slack = psd_slack(matrix)
+    buf.flat[::n + 1] += slack
+    try:
+        np.linalg.cholesky(buf)
+        floor = -slack
+    except np.linalg.LinAlgError:
+        floor = float(np.linalg.eigvalsh(
+            matrix if gap == 0.0 else 0.5 * (matrix + matrix.T))[0])
+    return peak, gap, floor, bound
 
 
 def _check_shapes(c: np.ndarray, Q: np.ndarray) -> None:
@@ -350,8 +376,9 @@ def _check_shapes(c: np.ndarray, Q: np.ndarray) -> None:
         )
 
 
-def _seed(problem: QpProblem, peak: float, spectrum: tuple[float, float]) -> None:
-    """Mark ``problem`` as validated, with max|Q| and the spectrum of Q.
+def _seed(problem: QpProblem, peak: float, lam_bound: float) -> None:
+    """Mark ``problem`` as validated, with max|Q| and a bound on Q's largest
+    eigenvalue.
 
     The gradient scale it stores bounds the gradient's magnitude over the
     feasible set; it is 1 for all-zero data, whose gradient is zero.
@@ -361,7 +388,7 @@ def _seed(problem: QpProblem, peak: float, spectrum: tuple[float, float]) -> Non
     scale += 2.0 * problem.risk * peak * problem.mass
     if b is not None:
         scale += problem.risk * float(np.max(np.abs(b), initial=0.0))
-    object.__setattr__(problem, "_spectrum", spectrum)
+    object.__setattr__(problem, "_lam_bound", lam_bound)
     object.__setattr__(problem, "_scale", scale or 1.0)
 
 
@@ -370,7 +397,7 @@ def shared_problem(scan: tuple, **data) -> QpProblem:
 
     ``data`` are ``QpProblem``'s arguments, whose arrays must be the
     instance's private read-only ones: they are shared, not copied.
-    ``scan`` is the (max|Q|, (lambda_min, lambda_max)) that the instance's
+    ``scan`` is the (max|Q|, lambda_max bound) that the instance's
     ``quadratic_scan`` found; the gradient scale is computed from it exactly
     as a full validation computes it.  The caller vouches that the
     instance's checks cover every check of ``_validate_problem``.
@@ -382,10 +409,11 @@ def shared_problem(scan: tuple, **data) -> QpProblem:
     return problem
 
 
-def _validate_problem(problem: QpProblem) -> tuple[float, float]:
-    """Check the data; return (lambda_min, lambda_max) of the quadratic term.
+def _validate_problem(problem: QpProblem) -> float:
+    """Check the data; return a bound on the quadratic term's largest
+    eigenvalue (see ``quadratic_scan``).
 
-    A problem that carries its spectrum and scale (seeded from a validated
+    A problem that carries its bound and scale (seeded from a validated
     instance, or a pinned copy of a checked problem) has had its data
     checked, so nothing is checked again.  The pins are checked with the
     bounds by ``_pin_mask``, when a solve or certificate reads them.
@@ -394,8 +422,8 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
     if problem._scale is None:
         _check_shapes(c, Q)
         n = c.shape[0]
-        peak, gap, spectrum = quadratic_scan(Q)
-        if spectrum is None or not np.all(np.isfinite(c)) or \
+        peak, gap, floor, lam_bound = quadratic_scan(Q)
+        if math.isnan(peak) or not np.all(np.isfinite(c)) or \
                 (b is not None and not np.all(np.isfinite(b))):
             raise QpValidationError("problem data must be finite")
         if problem.risk < 0 or not np.isfinite(problem.risk):
@@ -404,10 +432,10 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
             raise QpValidationError(f"mass must be positive, got {problem.mass}")
         if gap > SYM_TOL * peak:
             raise QpValidationError("quadratic term must be symmetric")
-        if spectrum[0] < -psd_slack(Q):
+        if floor < -psd_slack(Q):
             raise QpValidationError(
                 f"quadratic term is not positive semidefinite "
-                f"(min eigenvalue {spectrum[0]:.3e})"
+                f"(min eigenvalue {floor:.3e})"
             )
         if problem.caps is not None:
             u = problem.caps
@@ -417,8 +445,8 @@ def _validate_problem(problem: QpProblem) -> tuple[float, float]:
                 raise QpValidationError("caps must be finite and nonnegative")
         if b is not None and b.shape != (n,):
             raise QpValidationError("affine_linear must match the problem dimension")
-        _seed(problem, peak, spectrum)
-    return problem._spectrum
+        _seed(problem, peak, lam_bound)
+    return problem._lam_bound
 
 
 def _pin_mask(problem: QpProblem, pins) -> Optional[np.ndarray]:
@@ -441,9 +469,10 @@ def _pin_mask(problem: QpProblem, pins) -> Optional[np.ndarray]:
                 "zero_set pins every coordinate; the mass constraint cannot be met"
             )
         pinned = np.zeros(pins.shape[:-1] + (n,), dtype=bool)
-        np.put_along_axis(pinned, pins, True, axis=-1)
+        # a vector's pins index the mask, each row of a stack its own row
+        pinned[(np.arange(len(pins))[:, None],) * (pins.ndim - 1) + (pins,)] = True
     if caps is not None:
-        room = (caps if pinned is None else np.where(pinned, 0.0, caps)).sum(axis=-1)
+        room = caps.sum() - caps[pins].sum(axis=-1)
         if (room < mass * (1.0 - 1e-12)).any():
             raise InfeasibleProblemError(
                 f"caps over free coordinates sum to {float(room.min()):.6g}, "
@@ -452,18 +481,18 @@ def _pin_mask(problem: QpProblem, pins) -> Optional[np.ndarray]:
     return pinned
 
 
-def _mapping_step(problem: QpProblem, lam_max: float) -> float:
-    """The reciprocal of the gradient's Lipschitz constant, but at most
-    mass / gradient scale, a step that moves no coordinate by more than the
-    mass; ``lam_max`` is the largest eigenvalue of the quadratic term.  Both
-    bounds shrink as the currency unit grows, so the certificate's residual
-    does not depend on it."""
-    return 1.0 / max(2.0 * problem.risk * max(lam_max, 0.0),
+def _mapping_step(problem: QpProblem, lam_bound: float) -> float:
+    """The reciprocal of a bound on the gradient's Lipschitz constant, but
+    at most mass / gradient scale, a step that moves no coordinate by more
+    than the mass; ``lam_bound`` is at least the largest eigenvalue of the
+    quadratic term.  Both bounds shrink as the currency unit grows, so the
+    certificate's residual does not depend on it."""
+    return 1.0 / max(2.0 * problem.risk * lam_bound,
                      problem._scale / problem.mass)
 
 
 def _kkt_terms(problem: QpProblem, W: np.ndarray, pinned: Optional[np.ndarray],
-               lam_max: float) -> tuple:
+               lam_bound: float) -> tuple:
     """The KKT certificate of each row of W, a vector or a stack of rows.
 
     ``pinned`` masks each row's coordinates pinned to zero (None when
@@ -476,7 +505,7 @@ def _kkt_terms(problem: QpProblem, W: np.ndarray, pinned: Optional[np.ndarray],
     residual is not finite either.
     """
     mass, caps = problem.mass, problem.caps
-    eta = _mapping_step(problem, lam_max)
+    eta = _mapping_step(problem, lam_bound)
     mapped = _project(W + eta * gradient(problem, W), mass, caps, pinned)
     return (np.abs(W.sum(axis=-1) - mass),
             (-W).max(axis=-1, initial=0.0),
@@ -493,7 +522,7 @@ def check_kkt(problem: QpProblem, candidate) -> KktReport:
     global maximizer).  Raises the errors ``solve`` raises for malformed
     data and for pins or caps that empty the feasible set.
     """
-    lam_max = _validate_problem(problem)[1]
+    lam_bound = _validate_problem(problem)
     w = np.asarray(candidate, dtype=float)
     if w.shape != (problem.dimension,):
         raise QpValidationError(
@@ -501,7 +530,7 @@ def check_kkt(problem: QpProblem, candidate) -> KktReport:
             f"{problem.dimension}"
         )
     pinned = _pin_mask(problem, sorted(problem.zero_set))
-    terms = [float(t) for t in _kkt_terms(problem, w, pinned, lam_max)]
+    terms = [float(t) for t in _kkt_terms(problem, w, pinned, lam_bound)]
     residual = max(terms)
     mass_error, negativity, pin_error, cap_excess, stationarity = terms
     return KktReport(
@@ -606,7 +635,7 @@ def solve(problem: QpProblem,
     optimum, for pinned solves) starts it on that point's face instead.
     The start picks only the path, not the optimum.
     """
-    lam_max = _validate_problem(problem)[1]
+    lam_bound = _validate_problem(problem)
     pinned = _pin_mask(problem, sorted(problem.zero_set))
     mass, q = problem.mass, problem.risk
     l, Q, caps = _shifted_linear(problem), problem.quadratic, problem.caps
@@ -625,13 +654,13 @@ def solve(problem: QpProblem,
         s = problem._scale
         w, iterations = _active_set(
             l / s, (2.0 * q / s) * Q, mass, caps, KKT_TOL, MAX_ITERATIONS,
-            warm_start, 2.0 * q * lam_max / s,
+            warm_start, 2.0 * q * lam_bound / s,
         )
     if pinned is not None:
         w_free, w = w, np.zeros(problem.dimension)
         w[free] = w_free
 
-    residual = float(max(_kkt_terms(problem, w, pinned, lam_max)))
+    residual = float(max(_kkt_terms(problem, w, pinned, lam_bound)))
     if not residual <= KKT_TOL:
         raise SolverConvergenceError(
             f"KKT residual {residual:.3e} above tolerance "
@@ -786,7 +815,7 @@ def solve_pinned_family(problem: QpProblem, pins,
     solved by ``solve`` itself, from the same warm start.  The pins of
     ``problem`` itself are ignored, as by ``pinned``.
     """
-    lam_max = _validate_problem(problem)[1]
+    lam_bound = _validate_problem(problem)
     pins = np.asarray(pins, dtype=int).reshape(-1)
     if pins.size < FAMILY_MIN_ROWS:
         return np.array([solve(problem.pinned(i), warm_start).objective_value
@@ -808,7 +837,7 @@ def solve_pinned_family(problem: QpProblem, pins,
             _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
             mass, caps, np.where(pinned[curved], 0.0, caps), pinned[curved],
             KKT_TOL, MAX_ITERATIONS, np.asarray(warm_start, dtype=float))
-        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_max)) <= KKT_TOL
+        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_bound)) <= KKT_TOL
     for r in np.flatnonzero(~done):
         W[r] = solve(problem.pinned(pins[r]), warm_start).weights
     return objective_value(problem, W)
@@ -823,7 +852,8 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}
     with the coordinates ``pinned[r]`` never released; it starts, steps,
     blocks and releases as ``_active_set`` would, one working-set change per
-    pass.  Let F be the coordinates strictly inside ``caps`` at ``warm``,
+    pass.  Let F be the coordinates strictly inside ``caps`` at ``warm``
+    (at a vertex, its largest coordinate instead),
     K = [[H_FF, 1], [1', 0]] its bordered KKT matrix, and B the column
     [e_j; 0] for j in F and [H_Fj; 1] for j outside.  A row's face differs
     from F in a few coordinates C (its pin and the bounds it added in F,
@@ -844,6 +874,10 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     W = _warm_start(l, H, mass, upper, warm)
     finished = np.zeros(R, dtype=bool)
     base = (warm > 0.0) & (warm < caps)
+    if not base.any():
+        # a vertex with every weighted coordinate at its cap: K would be
+        # the singular [0], and one coordinate at its cap makes it regular
+        base[int(np.argmax(warm))] = True
     F = np.flatnonzero(base)
     k = F.size
     # row j of Bt is B's column j; row n pads the change sets

@@ -170,8 +170,8 @@ def check_truthfulness(market: MarketInstance, i: int,
     under the deviated outcome is evaluated at the TRUE mu_i.  A violation
     is a deviation that beats truth-telling by more than eps.  Every delta
     must keep the reported value nonnegative.  A deviated market keeps the
-    market's validated Sigma and its spectrum, so pricing it decomposes
-    nothing again.
+    market's validated Sigma and its eigenvalue bound, so pricing it
+    factors nothing again.
     """
     if schedule is None:
         schedule = price_schedule(market)
@@ -312,8 +312,9 @@ def brute_force_allocate(market: MarketInstance, step: float) -> Allocation:
         weights = weights[feasible]
         if weights.shape[0] == 0:
             raise ValueError("no lattice point satisfies the caps")
-    values = weights @ market.mu - market.q * np.einsum(
-        "ij,jk,ik->i", weights, market.sigma, weights)
+    # w'Sigma w row by row: one product with Sigma, then a row-wise dot
+    risk = np.einsum("ij,ij->i", weights @ market.sigma, weights)
+    values = weights @ market.mu - market.q * risk
     best = int(np.argmax(values))
     w = weights[best]
     return Allocation(

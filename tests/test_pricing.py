@@ -392,30 +392,60 @@ class TestZeroWeightShortcut:
         gaps = self.forced_solve_gaps(kind, weighted=True)
         assert gaps and max(gaps) <= 1e-12
 
-    def test_one_eigendecomposition_per_problem_family(self, monkeypatch):
-        # full-size eigvalsh calls in building and pricing one market: the
-        # PSD check of validation decomposes Sigma, and the allocation and
-        # the pinned family share one problem that reuses its spectrum,
-        # whatever n and however many offers carry weight
-        real_eigvalsh = np.linalg.eigvalsh
+    @staticmethod
+    def eigvalsh_shapes(monkeypatch) -> list:
+        """Record the shape of every eigvalsh call from here on."""
+        real, shapes = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return shapes
+
+    def test_psd_market_makes_no_full_size_eigvalsh(self, monkeypatch):
+        # building and pricing one market: the PSD check of validation
+        # factors Sigma, and the allocation and the pinned family share one
+        # problem that reuses the scan's eigenvalue bound, whatever n and
+        # however many offers carry weight
+        shapes = self.eigvalsh_shapes(monkeypatch)
         rng = np.random.default_rng(67)
-        counts = []
         for n in (8, 30, 90):
             mu = rng.uniform(1.0, 1.5, n)
             sigma = np.diag(rng.uniform(0.5, 1.5, n))
-            calls = []
-
-            def counting(a, *args, **kwargs):
-                if np.shape(a) == (n, n):
-                    calls.append(n)
-                return real_eigvalsh(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            shapes.clear()
             schedule = price_schedule(market_from_mu(mu, sigma, 5.0, 1000))
-            monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
             assert np.count_nonzero(schedule.allocation.weights) >= n // 2
-            counts.append(len(calls))
-        assert counts == [1, 1, 1]
+            assert (n, n) not in shapes
+
+    def test_non_psd_data_makes_one_full_size_eigvalsh(self, monkeypatch):
+        # a failed factorization falls back to one eigvalsh, whose minimum
+        # eigenvalue the diagnostic names
+        shapes = self.eigvalsh_shapes(monkeypatch)
+        rng = np.random.default_rng(151)
+        for n in (8, 30, 90):
+            basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            values = rng.uniform(0.5, 1.5, n)
+            values[n // 2] = -0.1
+            raw = basis @ np.diag(values) @ basis.T
+            sigma = 0.5 * (raw + raw.T)
+            lowest = float(np.linalg.eigvalsh(sigma)[0])
+            shapes.clear()
+            with pytest.raises(market_module.MarketValidationError) as err:
+                market_from_mu(rng.uniform(1.0, 1.5, n), sigma, 5.0, 1000)
+            assert shapes == [(n, n)]
+            assert err.value.diagnostics == [(
+                "not_positive_semidefinite",
+                f"covariance has min eigenvalue {lowest:.6g}; "
+                "input is rejected, not repaired")]
+            shapes.clear()
+            with pytest.raises(QmapValidationError) as err:
+                qmap_prices(QmapInstance(a_matrix=sigma, b_vector=np.zeros(n),
+                                         c_vector=np.ones(n), q=0.1, m=100))
+            assert shapes == [(n, n)]
+            assert err.value.diagnostics == [(
+                "not_positive_semidefinite", f"A has min eigenvalue {lowest:.6g}")]
 
     def test_one_check_of_the_data_per_market(self, monkeypatch):
         # make_market checks each offer once and scans Sigma once; the kernel
@@ -457,30 +487,20 @@ class TestZeroWeightShortcut:
             assert scans == [(n, n)]
             assert len(checked) == len(deltas)   # the deviating offer alone
 
-    def test_one_eigendecomposition_per_qmap_schedule(self, monkeypatch):
-        # validate_qmap's PSD check decomposes A, and the kernel problem
-        # reuses its spectrum
-        real_eigvalsh = np.linalg.eigvalsh
+    def test_psd_qmap_schedule_makes_no_full_size_eigvalsh(self, monkeypatch):
+        # validate_qmap's PSD check factors A, and the kernel problem reuses
+        # the scan's eigenvalue bound
+        shapes = self.eigvalsh_shapes(monkeypatch)
         rng = np.random.default_rng(131)
-        counts = []
         for n in (8, 30, 90):
             g = rng.standard_normal((n, n))
             instance = QmapInstance(a_matrix=g.T @ g / n, b_vector=rng.uniform(0.0, 1.0, n),
                                     c_vector=rng.uniform(4.0, 5.0, n), q=0.1 / 5000,
                                     m=5000)
-            calls = []
-
-            def counting(a, *args, **kwargs):
-                if np.shape(a) == (n, n):
-                    calls.append(n)
-                return real_eigvalsh(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            shapes.clear()
             schedule = qmap_prices(instance)
-            monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
             assert np.count_nonzero(schedule.allocation.weights) >= 2
-            counts.append(len(calls))
-        assert counts == [1, 1, 1]
+            assert (n, n) not in shapes
 
 
 def _unit_markets(rng):

@@ -18,6 +18,8 @@ from portfolio_vcg.qp import (
     _project,
     _project_capped,
     _sum_zero_basis,
+    psd_slack,
+    quadratic_scan,
     solve_pinned_family,
 )
 
@@ -547,6 +549,28 @@ class TestSolvePinnedFamily:
             assert c <= passes + 1 < k
             assert rows <= complements[max(passes - 1, 0)][0]
 
+    def test_vertex_warm_start(self, monkeypatch):
+        # every weighted coordinate at its cap leaves no coordinate strictly
+        # inside; the family factors one capped coordinate's face instead of
+        # handing every row to a single solve
+        rng = np.random.default_rng(179)
+        for n, k in ((6, 4), (10, 5), (30, 15)):
+            g = rng.standard_normal((n, n))
+            problem = QpProblem(
+                linear=np.concatenate([rng.uniform(4.5, 5.0, k),
+                                       rng.uniform(0.5, 1.0, n - k)]),
+                quadratic=g.T @ g / n, risk=0.1, mass=1.0, caps=np.full(n, 1.0 / k))
+            warm = solve(problem).weights
+            assert np.array_equal(warm > 0.0, warm >= problem.caps)
+            assert float(np.max(self.family_gaps(problem))) <= 1e-12
+
+            def single(*args, **kwargs):
+                raise AssertionError("a row fell back to a single solve")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(qp, "solve", single)
+                solve_pinned_family(problem, np.flatnonzero(warm), warm)
+
     def test_closed_form_rows(self, monkeypatch):
         # a row that finishes on its first step, from a start on the full
         # optimum's face less its pin, is that face's optimum with the pin
@@ -790,6 +814,115 @@ class TestProjection:
             assert np.all(direct <= caps + 1e-12)
 
 
+def with_min_eigenvalue(rng: np.random.Generator, n: int, slacks: float) -> np.ndarray:
+    """A symmetric matrix with eigenvalues in [0.5, 1.5] but its smallest,
+    which is ``slacks`` times the matrix's own ``psd_slack``."""
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    values = rng.uniform(0.5, 1.5, n)
+    values[0] = 0.0
+    for _ in range(2):   # the slack moves with the diagonal, by about 1e-7
+        raw = basis @ np.diag(values) @ basis.T
+        values[0] = slacks * psd_slack(raw)
+    raw = basis @ np.diag(values) @ basis.T
+    return 0.5 * (raw + raw.T)
+
+
+class TestQuadraticScan:
+    @pytest.fixture(autouse=True)
+    def count_eigvalsh(self, monkeypatch):
+        real, self.calls = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            self.calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+
+    def assert_agrees(self, matrix: np.ndarray) -> bool:
+        """The scan's PSD verdict is eigvalsh's, its bound is at least the
+        largest eigenvalue, and a rejection reports the smallest one; return
+        the verdict.  The scan calls eigvalsh only when the factorization
+        fails: on a rejected matrix, or a PSD one that allows no slack."""
+        self.calls.clear()
+        peak, gap, floor, bound = quadratic_scan(matrix)
+        fallbacks = len(self.calls)
+        sym = matrix if gap == 0.0 else 0.5 * (matrix + matrix.T)
+        eig = np.linalg.eigvalsh(sym)
+        slack = psd_slack(matrix)
+        assert fallbacks == (0 if floor >= -slack and slack > 0.0 else 1)
+        assert peak == float(np.max(np.abs(matrix)))
+        assert gap == float(np.max(np.abs(matrix - matrix.T)))
+        assert (floor >= -slack) == (eig[0] >= -slack)
+        assert bound >= eig[-1] - 1e-12 * abs(eig[-1])
+        if floor < -slack:
+            assert floor == float(eig[0])
+        return bool(floor >= -slack)
+
+    def test_edge_cases(self):
+        assert quadratic_scan(np.zeros((0, 0))) == (0.0, 0.0, 0.0, 0.0)
+        for n in (1, 2, 5):
+            assert quadratic_scan(np.zeros((n, n))) == (0.0, 0.0, 0.0, 0.0)
+            assert self.assert_agrees(np.zeros((n, n)))
+        assert self.assert_agrees(np.array([[2.0]]))
+        assert quadratic_scan(np.array([[2.0]]))[3] == 2.0
+        assert not self.assert_agrees(np.array([[-1.0]]))
+        # a zero diagonal allows no slack
+        assert not self.assert_agrees(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # far from symmetric: the symmetric part's largest eigenvalue,
+        # (1 + sqrt(3)) / 2, exceeds every absolute row sum of M
+        assert not self.assert_agrees(np.array([[1.0, 0.0, 0.0]] * 3))
+        for bad in (np.nan, np.inf, -np.inf):
+            matrix = np.eye(3)
+            matrix[1, 2] = bad
+            assert all(np.isnan(quadratic_scan(matrix)))
+
+    def test_seeded_matrices(self):
+        rng = np.random.default_rng(157)
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.integers(1, 41))
+            v = rng.standard_normal(n)
+            g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            h = rng.standard_normal((n, n))
+            assert self.assert_agrees(np.outer(v, v))          # rank 1
+            assert self.assert_agrees(g.T @ g)                 # rank deficient
+            assert self.assert_agrees(h.T @ h + 1e-6 * np.eye(n))
+            verdicts.append(self.assert_agrees(h + h.T))      # indefinite
+            verdicts.append(self.assert_agrees(np.diag(rng.uniform(-0.1, 1.0, n))))
+        assert set(verdicts) == {True, False}
+
+    def test_verdict_at_ten_slacks(self):
+        rng = np.random.default_rng(163)
+        for n in (2, 3, 6, 30, 100):
+            assert self.assert_agrees(with_min_eigenvalue(rng, n, 10.0))
+            assert not self.assert_agrees(with_min_eigenvalue(rng, n, -10.0))
+
+    def test_asymmetry_inside_the_tolerance(self):
+        rng = np.random.default_rng(167)
+        for n in (2, 6, 40):
+            for slacks in (10.0, -10.0):
+                sym = with_min_eigenvalue(rng, n, slacks)
+                skew = rng.standard_normal((n, n))
+                skew -= skew.T
+                skew *= 0.45 * qp.SYM_TOL * np.max(np.abs(sym)) / np.max(np.abs(skew))
+                matrix = sym + skew
+                peak, gap, _, _ = quadratic_scan(matrix)
+                assert 0.0 < gap <= qp.SYM_TOL * peak
+                assert self.assert_agrees(matrix) == (slacks > 0)
+
+    def test_unit_sweep(self):
+        # the verdict does not depend on the unit, and the bound scales with it
+        rng = np.random.default_rng(173)
+        for n in (2, 5, 40):
+            for slacks in (10.0, -10.0):
+                matrix = with_min_eigenvalue(rng, n, slacks)
+                bound = quadratic_scan(matrix)[3]
+                for unit in 10.0 ** np.arange(-6, 7):
+                    assert self.assert_agrees(unit * matrix) == (slacks > 0)
+                    assert quadratic_scan(unit * matrix)[3] == \
+                        pytest.approx(unit * bound, rel=1e-12)
+
+
 def reference_report(problem: QpProblem, w: np.ndarray) -> dict:
     """check_kkt's fields from their definitions, the projection by
     bisection."""
@@ -799,8 +932,11 @@ def reference_report(problem: QpProblem, w: np.ndarray) -> dict:
     pins = sorted(problem.zero_set)
     scale = (float(np.max(np.abs(c))) + 2.0 * q * float(np.max(np.abs(Q))) * mass
              + q * float(np.max(np.abs(b)))) or 1.0
-    lam_max = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
-    eta = 1.0 / max(2.0 * q * max(lam_max, 0.0), scale / mass)
+    # the kernel's bound on the largest eigenvalue: Gershgorin's, the largest
+    # absolute row sum of the symmetric part
+    sym = 0.5 * (Q + Q.T)
+    lam_bound = float(np.abs(sym).sum(axis=1).max())
+    eta = 1.0 / max(2.0 * q * lam_bound, scale / mass)
     free = np.ones(c.size, dtype=bool)
     free[pins] = False
     mapped = np.zeros(c.size)
