@@ -9,7 +9,8 @@ parse back bit-exactly.  Exit codes are a stable contract:
     3  validation failure (invariants violated, infeasible, transform undefined)
     4  solver failure
     5  property violation from ``verify``
-    6  stdout closed before the whole result was written (``| head``)
+    6  the result could not be written: stdout closed before all of it was
+       written (``| head``), or ``--output`` cannot be opened or written
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_PROPERTY = 5
-EXIT_OUTPUT_CLOSED = 6
+EXIT_OUTPUT = 6
 
 _VALIDATION_ERRORS = (
     MarketValidationError,
@@ -58,6 +59,10 @@ _VALIDATION_ERRORS = (
 
 class ParseError(ValueError):
     """The input document is structurally unusable."""
+
+
+class OutputError(RuntimeError):
+    """The ``--output`` file cannot be opened or written."""
 
 
 def _require(doc: dict, key: str):
@@ -218,8 +223,11 @@ def _read_json(path: str) -> tuple[dict, str]:
 def _emit(result: dict, output: Optional[str]) -> None:
     text = json.dumps(_jsonable(result), indent=2, allow_nan=False)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
         return
     try:
         # print's separate write of the newline also catches a reader that
@@ -228,7 +236,7 @@ def _emit(result: dict, output: Optional[str]) -> None:
     except BrokenPipeError:
         # the reader closed the pipe: point stdout at devnull so that the
         # interpreter's flush at exit does not raise again (Python docs,
-        # "Note on SIGPIPE"), and let ``main`` return EXIT_OUTPUT_CLOSED
+        # "Note on SIGPIPE"), and let ``main`` return EXIT_OUTPUT
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -312,6 +320,21 @@ def _add_common(sub: argparse.ArgumentParser, needs_input: bool) -> None:
                      help="write the JSON result here instead of stdout")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        # a NaN or infinite tolerance makes every margin test pass or fail
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="portfolio-vcg",
@@ -334,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run property suites")
     _add_common(verify, needs_input=False)
-    verify.add_argument("--eps-price", type=float, default=EPS_PRICE,
+    verify.add_argument("--eps-price", type=_finite_float, default=EPS_PRICE,
                         help="price tolerance for property checks")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--trials", type=int, default=1000)
+    verify.add_argument("--seed", type=_nonnegative_int, default=42)
+    verify.add_argument("--trials", type=_nonnegative_int, default=1000)
     verify.add_argument("--property", default="all",
                         choices=["truthfulness", "ir", "second_price",
                                  "oracle", "all"])
@@ -364,8 +387,11 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except BrokenPipeError:
-        return EXIT_OUTPUT_CLOSED
+        return EXIT_OUTPUT
 
 
 def entrypoint() -> None:

@@ -26,8 +26,8 @@ the top-left block of K^-1: an offer that hedges the others' risk is
 costly to remove, has a small P_ii and pays less.  Rows that need more
 working-set changes solve small Schur complements of K, and a row the
 factorization cannot serve, or a family of one or two rows, is solved
-alone; every row reaches the optimum a separate solve would and meets
-the same certificate.
+by ``qp.solve``; every row reaches the optimum that solve reaches and
+meets the same certificate.
 """
 
 from __future__ import annotations

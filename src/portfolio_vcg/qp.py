@@ -9,7 +9,7 @@ subproblem:
                w_i <= u_i where per-coordinate caps are given.
 
 The solver is a primal active-set method for convex QP (Nocedal & Wright,
-Numerical Optimization, section 16.5).  A cold solve starts one projected-
+Numerical Optimization, section 16.5).  A solve starts one projected-
 gradient step from the greedy vertex (the maximizer of the linear term),
 which on a market where most offers carry weight lands near the optimum's
 face and on a sparse one stays next to the vertex.  A working set fixes
@@ -22,17 +22,16 @@ certificate on the result confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
-pinned to zero (the n pricing subproblems of a market), warm-started at
-the full optimum.  It factors the bordered KKT matrix K of the full
+pinned to zero (the n pricing subproblems of a market), started at the
+full optimum.  It factors the bordered KKT matrix K of the full
 optimum's free face once; pinning a coordinate of that face is one more
 border of K, so each row's first step is closed form (the optimum falls
 by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
 working-set change borders K again, solved through the row's small Schur
-complement.  The rows advance together and take the steps ``solve``
-would take on its own, and a row the factorization cannot serve (a
-singular system or a downhill step) is solved by ``solve`` from the same
-warm start.  Both run the method on the problem divided by its gradient
-scale, so their steps do not depend on the currency unit.
+complement.  A row the factorization cannot serve (a singular system or
+a downhill step) is solved by ``solve``.  Both run the method on the
+problem divided by its gradient scale, so their steps do not depend on
+the currency unit.
 
 The helpers work on a vector or on a stack of rows, and a single solve is
 their one-row case: one check of the pins and bounds (``_pin_mask``), one
@@ -163,11 +162,11 @@ class QpSolution:
     """A feasible point together with its optimality certificate.
 
     ``iterations`` counts the active-set method's working-set changes from
-    its start (one projected-gradient step from the greedy vertex, or the
-    warm start); it is 0 when the start's face already holds the optimum
-    and on the exact linear and single-coordinate paths.  ``problem`` is
-    the solve's input; ``degenerate`` is computed from it on first read, so
-    a solve whose caller only wants the optimum does not pay for it.
+    its start, one projected-gradient step from the greedy vertex; it is 0
+    when the start's face already holds the optimum and on the exact linear
+    and single-coordinate paths.  ``problem`` is the solve's input;
+    ``degenerate`` is computed from it on first read, so a solve whose
+    caller only wants the optimum does not pay for it.
     """
 
     weights: np.ndarray
@@ -621,8 +620,7 @@ def _shifted_linear(problem: QpProblem) -> np.ndarray:
     return l
 
 
-def solve(problem: QpProblem,
-          warm_start: Optional[np.ndarray] = None) -> QpSolution:
+def solve(problem: QpProblem) -> QpSolution:
     """Maximize the concave objective over the constrained simplex.
 
     Deterministic for fixed input; exact ties in the linear term are broken
@@ -630,10 +628,7 @@ def solve(problem: QpProblem,
     caps empty the feasible set, QpValidationError for malformed data, and
     SolverConvergenceError if the active set needs more than
     ``MAX_ITERATIONS`` working-set changes or the result misses
-    ``KKT_TOL``.  Without a warm start the active set starts one
-    projected-gradient step from the greedy vertex; a warm start (the full
-    optimum, for pinned solves) starts it on that point's face instead.
-    The start picks only the path, not the optimum.
+    ``KKT_TOL``.
     """
     lam_bound = _validate_problem(problem)
     pinned = _pin_mask(problem, sorted(problem.zero_set))
@@ -643,7 +638,6 @@ def solve(problem: QpProblem,
         free = ~pinned
         l, Q = l[free], Q[np.ix_(free, free)]
         caps = caps[free] if caps is not None else None
-        warm_start = warm_start[free] if warm_start is not None else None
 
     if l.size == 1:
         w, iterations = np.array([mass]), 0
@@ -652,10 +646,8 @@ def solve(problem: QpProblem,
     else:
         # at unit gradient scale, whatever the currency unit
         s = problem._scale
-        w, iterations = _active_set(
-            l / s, (2.0 * q / s) * Q, mass, caps, KKT_TOL, MAX_ITERATIONS,
-            warm_start, 2.0 * q * lam_bound / s,
-        )
+        w, iterations = _active_set(l / s, (2.0 * q / s) * Q, mass, caps,
+                                    2.0 * q * lam_bound / s)
     if pinned is not None:
         w_free, w = w, np.zeros(problem.dimension)
         w[free] = w_free
@@ -676,33 +668,28 @@ def solve(problem: QpProblem,
 
 
 def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
-                caps: Optional[np.ndarray], tol: float, max_iterations: int,
-                warm: Optional[np.ndarray],
+                caps: Optional[np.ndarray],
                 lipschitz: float) -> tuple[np.ndarray, int]:
     """Maximize l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= caps}.
 
-    Returns the maximizer and the number of working-set changes.  Without
-    ``warm`` it starts from the greedy vertex moved by one projected-
-    gradient step of length 1 / ``lipschitz``, an upper bound on H's largest
-    eigenvalue.  Each pass solves the bordered KKT system for the step to
-    the optimum of the face left free by the working set; a singular face
-    takes ``_lstsq_step``.  ``tol`` is the multiplier error a face optimum
-    may keep.
+    Returns the maximizer and the number of working-set changes.  It starts
+    from the greedy vertex moved by one projected-gradient step of length
+    1 / ``lipschitz``, an upper bound on H's largest eigenvalue.  Each pass
+    solves the bordered KKT system for the step to the optimum of the face
+    left free by the working set; a singular face takes ``_lstsq_step``.  A
+    face optimum may keep a multiplier error of ``KKT_TOL``.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
-    if warm is None:
-        w = _greedy_linear(l, mass, caps)
-        w += (l - H @ w) / lipschitz
-        w = _project(w, mass, caps)
-    else:
-        w = _warm_start(l, H, mass, upper, warm)
+    w = _greedy_linear(l, mass, caps)
+    w += (l - H @ w) / lipschitz
+    w = _project(w, mass, caps)
     at_zero = w <= 0.0
     at_cap = (w >= upper) & ~at_zero
     if np.all(at_zero | at_cap):
         at_cap[:] = False   # a vertex: let its positive coordinates move
 
-    for changes in range(max_iterations + 1):
+    for changes in range(MAX_ITERATIONS + 1):
         idx = np.flatnonzero(~(at_zero | at_cap))
         k = idx.size
         g = l - H @ w
@@ -715,11 +702,11 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
             sol = np.linalg.solve(A, rhs)
             # on a numerically singular face LU can return a huge downhill step
             usable = bool(np.all(np.isfinite(sol))) and \
-                float(g[idx] @ sol[:k]) >= -tol * float(np.abs(sol[:k]).sum())
+                float(g[idx] @ sol[:k]) >= -KKT_TOL * float(np.abs(sol[:k]).sum())
         except np.linalg.LinAlgError:
             usable = False
         if not usable:
-            sol, limit = _lstsq_step(A, rhs, k, tol)
+            sol, limit = _lstsq_step(A, rhs, k)
         d = sol[:k]
 
         if k > 1:
@@ -741,21 +728,20 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
 
         g = l - H @ w
         lam = sol[k]
-        wrong = (at_zero & (g - lam > tol)) | (at_cap & (lam - g > tol))
+        wrong = (at_zero & (g - lam > KKT_TOL)) | (at_cap & (lam - g > KKT_TOL))
         if not np.any(wrong):
             return w, changes
         i = int(np.argmax(wrong))
         at_zero[i] = at_cap[i] = False
     raise SolverConvergenceError(
-        f"active set still changing after {max_iterations} working-set changes"
+        f"active set still changing after {MAX_ITERATIONS} working-set changes"
     )
 
 
 def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
                 warm: np.ndarray) -> np.ndarray:
-    """The active set's start from ``warm`` under the bounds ``upper`` (inf
-    where uncapped, 0 where pinned); a stack of bound rows gives one start
-    per row.
+    """One start per row of the bounds ``upper`` (inf where uncapped, 0
+    where pinned), from the point ``warm``.
 
     The start keeps the warm working set: clip, then spread the missing
     mass over the warm face (coordinates strictly inside their bounds), by
@@ -763,26 +749,24 @@ def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
     only mass the face cannot take is handed out greedily by gradient.
     """
     W = np.minimum(np.maximum(warm, 0.0), upper)
-    W *= mass / np.maximum(W.sum(axis=-1, keepdims=True), mass)
-    missing = np.maximum(mass - W.sum(axis=-1, keepdims=True), 0.0)
+    W *= mass / np.maximum(W.sum(axis=1, keepdims=True), mass)
+    missing = np.maximum(mass - W.sum(axis=1, keepdims=True), 0.0)
     face = (W > 0.0) & (W < upper)
     room = np.where(face, upper - W, 0.0)
-    spread = room.sum(axis=-1, keepdims=True)
+    spread = room.sum(axis=1, keepdims=True)
     if np.isinf(spread).any():
         # uncapped: each face coordinate could take the whole mass, equal shares
         room = face * mass
-        spread = room.sum(axis=-1, keepdims=True)
+        spread = room.sum(axis=1, keepdims=True)
     take = np.minimum(missing, spread)
     W += room * (take / np.maximum(spread, np.finfo(float).tiny))
-    rows, short = W.reshape(-1, l.size), (missing - take).reshape(-1)
+    short = (missing - take)[:, 0]
     for r in np.flatnonzero(short > 0.0):
-        rows[r] += _greedy_linear(l - H @ rows[r], float(short[r]),
-                                  np.broadcast_to(upper, rows.shape)[r] - rows[r])
+        W[r] += _greedy_linear(l - H @ W[r], float(short[r]), upper[r] - W[r])
     return W
 
 
-def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int,
-                tol: float) -> tuple[np.ndarray, float]:
+def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Step and step limit for a face system that LU cannot use.
 
     A consistent singular system gives its least-squares solution (limit
@@ -793,7 +777,7 @@ def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int,
     """
     sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
     resid = rhs - A @ sol
-    if float(np.max(np.abs(resid[:k]))) > tol:
+    if float(np.max(np.abs(resid[:k]))) > KKT_TOL:
         return resid, np.inf
     return sol, 1.0
 
@@ -803,71 +787,60 @@ def solve_pinned_family(problem: QpProblem, pins,
     """Optimum of ``problem.pinned(i)`` for every i in ``pins``, from one
     factorization.
 
-    Entry r is ``solve(problem.pinned(pins[r]), warm_start)``'s
-    objective value up to rounding, and the family raises the errors those
-    solves would.  A family of fewer than ``FAMILY_MIN_ROWS`` rows is
-    solved one row at a time by ``solve``.  Otherwise the rows with
-    curvature run ``_face_family``: they start, step, block and release as
-    ``solve`` would, but every face system is solved from one factorization
-    of the warm start's face, and each row that finishes there meets the
-    same KKT certificate.  Every other row (no curvature, a singular
-    system, a downhill step, the budget spent or the certificate missed) is
-    solved by ``solve`` itself, from the same warm start.  The pins of
+    Entry r is ``solve(problem.pinned(pins[r]))``'s objective value up to
+    rounding, and the family raises the errors those solves would.  A
+    family of at least ``FAMILY_MIN_ROWS`` rows runs ``_face_family`` from
+    ``warm_start`` (the full optimum): every face system is solved from one
+    factorization of the warm start's face, and each row that finishes
+    there meets the same KKT certificate as a single solve.  Every other
+    row (a smaller family, a singular system, a downhill step, the budget
+    spent or the certificate missed) is solved by ``solve``.  The pins of
     ``problem`` itself are ignored, as by ``pinned``.
     """
     lam_bound = _validate_problem(problem)
     pins = np.asarray(pins, dtype=int).reshape(-1)
-    if pins.size < FAMILY_MIN_ROWS:
-        return np.array([solve(problem.pinned(i), warm_start).objective_value
-                         for i in pins])
-    pinned = _pin_mask(problem, pins[:, None])
     n, mass, q = problem.dimension, problem.mass, problem.risk
-    caps = np.full(n, np.inf) if problem.caps is None else problem.caps
-
     W = np.zeros((pins.size, n))
     done = np.zeros(pins.size, dtype=bool)
-    # a row whose free face has no curvature is linear: ``solve``'s greedy fill
-    nonzero = problem.quadratic != 0.0
-    outside = (np.count_nonzero(nonzero) - nonzero[pins].sum(axis=1)
-               - nonzero[:, pins].sum(axis=0) + nonzero[pins, pins])
-    curved = (q > 0.0) & (outside > 0)
-    if np.any(curved):
+    if pins.size >= FAMILY_MIN_ROWS:
+        pinned = _pin_mask(problem, pins[:, None])
+        caps = np.full(n, np.inf) if problem.caps is None else problem.caps
         s = problem._scale
-        W[curved], done[curved] = _face_family(
+        W, done = _face_family(
             _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
-            mass, caps, np.where(pinned[curved], 0.0, caps), pinned[curved],
-            KKT_TOL, MAX_ITERATIONS, np.asarray(warm_start, dtype=float))
+            mass, caps, np.where(pinned, 0.0, caps), pinned,
+            np.asarray(warm_start, dtype=float))
         done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_bound)) <= KKT_TOL
     for r in np.flatnonzero(~done):
-        W[r] = solve(problem.pinned(pins[r]), warm_start).weights
+        W[r] = solve(problem.pinned(pins[r])).weights
     return objective_value(problem, W)
 
 
 def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
-                 upper: np.ndarray, pinned: np.ndarray, tol: float,
-                 max_iterations: int, warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_active_set`` from ``warm`` on a stack of rows, every face system
-    solved from one factorization.
+                 upper: np.ndarray, pinned: np.ndarray,
+                 warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_active_set`` on a stack of rows started from ``warm``, every face
+    system solved from one factorization.
 
     Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}
-    with the coordinates ``pinned[r]`` never released; it starts, steps,
-    blocks and releases as ``_active_set`` would, one working-set change per
-    pass.  Let F be the coordinates strictly inside ``caps`` at ``warm``
-    (at a vertex, its largest coordinate instead),
-    K = [[H_FF, 1], [1', 0]] its bordered KKT matrix, and B the column
-    [e_j; 0] for j in F and [H_Fj; 1] for j outside.  A row's face differs
-    from F in a few coordinates C (its pin and the bounds it added in F,
-    the coordinates it released outside F), so its bordered KKT system is
-    K bordered by B_C: one solve of K against B serves every row, and each
-    row solves only its Schur complement S = D_CC - B_C' K^-1 B_C, where D
-    is H on the coordinates outside F and zero elsewhere.  For a pin i in
-    F this is the closed form: the face optimum moves by
-    -K^-1 e_i w_i / P_ii, with P the top-left block of K^-1, and the
-    optimum falls by w_i^2 / (2 P_ii).  The systems of a pass are padded to
-    the largest C and solved in one batch.
+    with the coordinates ``pinned[r]`` never released; it starts at
+    ``_warm_start``'s point, then steps, blocks and releases as
+    ``_active_set`` does, one working-set change per pass.  Let F be the
+    coordinates strictly inside ``caps`` at ``warm`` (at a vertex, its
+    largest coordinate instead), K = [[H_FF, 1], [1', 0]] its bordered KKT
+    matrix, and B the column [e_j; 0] for j in F and [H_Fj; 1] for j
+    outside.  A row's face differs from F in a few coordinates C (its pin
+    and the bounds it added in F, the coordinates it released outside F),
+    so its bordered KKT system is K bordered by B_C: one solve of K against
+    B serves every row, and each row solves only its Schur complement
+    S = D_CC - B_C' K^-1 B_C, where D is H on the coordinates outside F and
+    zero elsewhere.  For a pin i in F this is the closed form: the face
+    optimum moves by -K^-1 e_i w_i / P_ii, with P the top-left block of
+    K^-1, and the optimum falls by w_i^2 / (2 P_ii).  The systems of a pass
+    are padded to the largest C and solved in one batch.
 
     Returns the rows and which of them finished: a singular K or Schur
-    complement, a downhill step or more than ``max_iterations`` changes
+    complement, a downhill step or more than ``MAX_ITERATIONS`` changes
     leaves a row unfinished.
     """
     R, n = upper.shape
@@ -899,13 +872,13 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     at_cap[np.all(at_zero | at_cap, axis=1)] = False   # vertices: let them move
     free = ~(at_zero | at_cap)
     # +1 at a zero bound, -1 at a cap, 0 when free or pinned: a bound is
-    # released while sign * (g - lambda) > tol
+    # released while sign * (g - lambda) > KKT_TOL
     sign = (at_zero & ~pinned) - at_cap * 1.0
     Z = np.zeros((n, k + 1))
     Z[F] = Yt[F]   # K^-1 [g_F; 0] = g Z
     G = l - W @ H.T
     out, ids = W.copy(), np.arange(R)
-    for _ in range(max_iterations + 1):
+    for _ in range(MAX_ITERATIONS + 1):
         if ids.size == 0:
             break
         rows = np.arange(ids.size)
@@ -938,7 +911,7 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         D = np.where(free, step[:, :n], 0.0)
         # on a numerically singular face the step can be huge and downhill;
         # a step of rounding noise (a face of one coordinate) is not
-        usable = np.einsum("ij,ij->i", G, D) >= -tol * (np.abs(D).sum(axis=1) + mass)
+        usable = np.einsum("ij,ij->i", G, D) >= -KKT_TOL * (np.abs(D).sum(axis=1) + mass)
         D[~usable] = 0.0
 
         room = np.divide(np.where(D < 0.0, -W, upper - W), D,
@@ -954,7 +927,7 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         np.clip(W, 0.0, upper, out=W)
 
         G = l - W @ H.T
-        wrong = sign * (G - sol[:, k, None]) > tol
+        wrong = sign * (G - sol[:, k, None]) > KKT_TOL
         settled = usable & ~blocked
         release = settled & wrong.any(axis=1)
         r, i = rows[release], np.argmax(wrong[release], axis=1)

@@ -10,7 +10,7 @@ import pytest
 import portfolio_vcg
 from portfolio_vcg import Offer, make_market, qp, random_market
 from portfolio_vcg.cli import (
-    EXIT_OUTPUT_CLOSED,
+    EXIT_OUTPUT,
     EXIT_SOLVER,
     main,
     market_from_dict,
@@ -173,8 +173,17 @@ class TestPriceCommand:
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write)
-        assert proc.returncode == EXIT_OUTPUT_CLOSED == 6
+        assert proc.returncode == EXIT_OUTPUT == 6
         assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+
+    def test_unwritable_output_exits_6(self, fixture_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "prices.json"
+        assert main(["price", "--input", fixture_file, "--output", str(out)]) \
+            == EXIT_OUTPUT == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: cannot write ")
+        assert captured.err.count("\n") == 1 and not out.exists()
 
     def test_risk_neutral_prices(self, tmp_path, capsys):
         doc = {
@@ -339,6 +348,16 @@ class TestVerifyCommand:
         result = json.loads(capsys.readouterr().out)
         assert result["reports"][0]["violations"] > 0
         assert result["reports"][0]["counterexamples"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-price", "nan"), ("--eps-price", "inf"),   # every check passes
+        ("--seed", "-1"), ("--trials", "-4")])
+    def test_out_of_range_flag_exits_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--property", "ir", "--trials", "3", flag, value])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
 
     def test_verify_is_deterministic(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"

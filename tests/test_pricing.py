@@ -543,7 +543,7 @@ def _dense_capped_market(seed, n=60):
 
 
 class TestPinnedFamily:
-    def test_warm_start_keeps_the_full_optimums_face(self):
+    def test_warm_start_keeps_the_full_optimums_face(self, monkeypatch):
         # 60 weighted offers, 22 at their cap: the family takes 42
         # working-set changes in all; a start that handed the pinned
         # offer's mass out greedily by gradient took 117, mostly releasing
@@ -553,8 +553,21 @@ class TestPinnedFamily:
         weighted = np.flatnonzero(alloc.weights)
         assert weighted.size == 60
         assert np.count_nonzero(alloc.weights == market.caps) == 22
-        total = sum(solve(problem.pinned(i), warm_start=alloc.weights).iterations
-                    for i in weighted)
+        calls, real = [], qp._face_family
+        monkeypatch.setattr(qp, "_face_family",
+                            lambda *args: calls.append(args) or real(*args))
+        qp.solve_pinned_family(problem, weighted, alloc.weights)
+        (args,) = calls
+        assert real(*args)[1].all()   # no row falls back to a single solve
+        # a budget of b changes leaves unfinished each row that needs more
+        # than b, so the rows left, summed over b, are the changes in all
+        total = budget = 0
+        while True:
+            monkeypatch.setattr(qp, "MAX_ITERATIONS", budget)
+            left = int(np.count_nonzero(~real(*args)[1]))
+            if not left:
+                break
+            total, budget = total + left, budget + 1
         assert total < 117
 
     def test_cold_start_is_one_step_from_the_optimum(self):

@@ -100,14 +100,6 @@ class TestSolve:
         assert a.objective_value == b.objective_value
         assert a.kkt_residual == b.kkt_residual
 
-    def test_warm_start_changes_nothing_material(self):
-        problem = QpProblem(linear=np.array([1.0, 0.8, 0.3]),
-                            quadratic=np.diag([1.0, 2.0, 0.5]),
-                            risk=0.7, mass=1.0)
-        cold = solve(problem)
-        warm = solve(problem, warm_start=np.array([0.9, 0.05, 0.05]))
-        np.testing.assert_allclose(cold.weights, warm.weights, atol=1e-9)
-
     def test_all_pinned_is_infeasible(self):
         problem = QpProblem(linear=np.array([1.0, 0.8]), quadratic=np.eye(2),
                             risk=0.5, mass=1.0, zero_set=frozenset({0, 1}))
@@ -290,19 +282,53 @@ class TestSolve:
             solve(problem)
 
 
-def assert_matches_cold(problem: QpProblem, warm_start: np.ndarray):
-    """The warm solve is certified and reaches the cold solve's optimum."""
-    warm, cold = solve(problem, warm_start=warm_start), solve(problem)
-    assert warm.kkt_residual <= qp.KKT_TOL
+def family_args(problem: QpProblem, pins) -> tuple:
+    """``_face_family``'s arguments before ``warm`` for the rows of
+    ``problem`` pinned at ``pins``, as ``solve_pinned_family`` builds them."""
+    n = problem.dimension
+    pinned = np.zeros((len(pins), n), dtype=bool)
+    pinned[np.arange(len(pins)), pins] = True
+    caps = np.full(n, np.inf) if problem.caps is None else problem.caps
+    s = problem._scale
+    return (qp._shifted_linear(problem) / s,
+            (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
+            np.where(pinned, 0.0, caps), pinned)
+
+
+def family_changes(problem: QpProblem, pins, warm) -> np.ndarray:
+    """The working-set changes each row makes in ``_face_family``: the
+    smallest budget with which it finishes there, inf for a row that does
+    not finish (a single solve takes it)."""
+    args = family_args(problem, pins)
+    changes = np.where(qp._face_family(*args, warm)[1], -1.0, np.inf)
+    with pytest.MonkeyPatch.context() as patch:
+        budget = 0
+        while np.any(changes < 0):
+            patch.setattr(qp, "MAX_ITERATIONS", budget)
+            changes[(changes < 0) & qp._face_family(*args, warm)[1]] = budget
+            budget += 1
+    return changes
+
+
+def assert_matches_cold(problem: QpProblem, pin: int, warm: np.ndarray):
+    """The family's row pinned at ``pin``, started from ``warm``, finishes
+    without a single solve, is certified and reaches the cold solve's
+    optimum; returns its weights."""
+    (w,), (finished,) = qp._face_family(*family_args(problem, [pin]), warm)
+    pinned = problem.pinned(pin)
+    assert finished and check_kkt(pinned, w).passed
     scale = float(np.max(np.abs(problem.linear))) * problem.mass
-    assert abs(warm.objective_value - cold.objective_value) <= 1e-12 * scale
-    return warm
+    assert abs(qp.objective_value(pinned, w) - solve(pinned).objective_value) \
+        <= 1e-12 * scale
+    return w
 
 
 class TestPinnedWarmStart:
-    # a pinned solve starts from the full optimum with the pinned coordinate
-    # cleared; its missing mass goes to the warm face (the coordinates
-    # strictly inside their bounds) first, greedily only beyond that
+    # a row of the pinned family starts from the full optimum with the
+    # pinned coordinate cleared; its missing mass goes to the warm face (the
+    # coordinates strictly inside their bounds) first, greedily only beyond
+    # that.  These families have one row, which ``solve_pinned_family``
+    # hands to a single solve, so ``_face_family`` runs them directly
 
     @staticmethod
     def interior(problem: QpProblem, w: np.ndarray) -> np.ndarray:
@@ -315,8 +341,7 @@ class TestPinnedWarmStart:
                             quadratic=np.eye(3), risk=0.1, mass=1.0)
         full = solve(problem)
         assert self.interior(problem, full.weights).tolist() == [0]
-        sol = assert_matches_cold(problem.pinned(0), full.weights)
-        assert sol.weights[0] == 0.0
+        assert assert_matches_cold(problem, 0, full.weights)[0] == 0.0
 
     def test_pin_empties_a_capped_face(self):
         # full optimum [0.3, 0.3, 0.3, 0.1, 0]: offer 3 is the only one
@@ -326,9 +351,8 @@ class TestPinnedWarmStart:
                             caps=np.full(5, 0.3))
         full = solve(problem)
         assert self.interior(problem, full.weights).tolist() == [3]
-        sol = assert_matches_cold(problem.pinned(3), full.weights)
-        np.testing.assert_allclose(sol.weights, [0.3, 0.3, 0.3, 0.0, 0.1],
-                                   atol=1e-12)
+        np.testing.assert_allclose(assert_matches_cold(problem, 3, full.weights),
+                                   [0.3, 0.3, 0.3, 0.0, 0.1], atol=1e-12)
 
     def test_face_with_less_room_than_the_missing_mass(self):
         # full optimum [0.3, 0.3, 0.25, 0.15, 0] (multiplier 1): pinning
@@ -343,8 +367,12 @@ class TestPinnedWarmStart:
         assert face.tolist() == [2, 3]
         assert float(np.sum(problem.caps[face] - full.weights[face])) \
             < full.weights[0]
-        sol = assert_matches_cold(problem.pinned(0), full.weights)
-        assert sol.weights[0] == 0.0
+        # the face fills to its caps, and only the remaining 0.1 goes
+        # greedily, to offer 4
+        l, H, mass, _, upper, _ = family_args(problem, [0])
+        np.testing.assert_allclose(qp._warm_start(l, H, mass, upper, full.weights),
+                                   [[0.0, 0.3, 0.3, 0.3, 0.1]], atol=1e-12)
+        assert assert_matches_cold(problem, 0, full.weights)[0] == 0.0
 
 
 class TestDegenerateFlag:
@@ -429,6 +457,29 @@ def family_problems(rng: np.random.Generator, kind: str):
                             quadratic=random_quadratic(rng, n, "full"), risk=0.0,
                             mass=1.0, caps=rng.uniform(0.25, 0.45, n))
         return
+    if kind == "linear":
+        # rows with no curvature, which the family serves with the rest: q = 0
+        # and Sigma = 0 under caps, and one risky offer among riskless ones.
+        # Here the optimum is [0.1, 0.4, 0, 0.5, 0]; the family finishes
+        # none of its three rows, whose faces come to hold two riskless
+        # offers (a singular system), and the rows pinning offers 1 and 3
+        # stop short of their optima: a single solve takes each row
+        yield QpProblem(linear=np.array([1.9, 1.5, 0.1, 2.5, 0.2]),
+                        quadratic=np.diag([1.0, 0.0, 0.0, 0.0, 0.0]), risk=2.0,
+                        mass=1.0, caps=np.full(5, 0.5))
+        for _ in range(8):
+            n = int(rng.integers(4, 12))
+            caps = rng.uniform(1.2, 2.5, n) / (n - 1)
+            risk = float(rng.uniform(0.1, 5.0))
+            yield QpProblem(linear=rng.uniform(0, 3, n),
+                            quadratic=random_quadratic(rng, n, "full"), risk=0.0,
+                            mass=1.0, caps=caps)
+            yield QpProblem(linear=rng.uniform(0, 3, n), quadratic=np.zeros((n, n)),
+                            risk=risk, mass=1.0, caps=caps)
+            yield QpProblem(linear=rng.uniform(0, 3, n),
+                            quadratic=np.diag(np.eye(n)[0] * rng.uniform(0.5, 2.0)),
+                            risk=risk, mass=1.0, caps=caps)
+        return
     if kind == "capped":
         # the face left by one pin has 0.2 of room for 0.3 of missing mass
         yield QpProblem(linear=np.array([3.0, 2.5, 1.5, 1.3, 0.5]),
@@ -458,48 +509,36 @@ def family_problems(rng: np.random.Generator, kind: str):
                 risk=float(np.exp(rng.uniform(np.log(1e-2), np.log(10)))), mass=1.0)
 
 
-def family_changes(problem: QpProblem, pins, warm) -> int:
-    """The most working-set changes any row of the family makes: the
-    smallest budget with which ``_face_family`` finishes every row."""
-    n = problem.dimension
-    pinned = np.zeros((len(pins), n), dtype=bool)
-    pinned[np.arange(len(pins)), pins] = True
-    caps = np.full(n, np.inf) if problem.caps is None else problem.caps
-    s = problem._scale
-    args = (qp._shifted_linear(problem) / s,
-            (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
-            np.where(pinned, 0.0, caps), pinned, qp.KKT_TOL)
-    budget = 0
-    while not np.all(qp._face_family(*args, budget, warm)[1]):
-        budget += 1
-    return budget
-
-
 class TestSolvePinnedFamily:
-    # the family against one solve(problem.pinned(i)) per row, from
-    # the same warm start (the full optimum), on every weighted coordinate
+    # the family, started from the full optimum, against one cold
+    # solve(problem.pinned(i)) per row, on every weighted coordinate
 
     @staticmethod
     def family_gaps(problem: QpProblem):
         warm = solve(problem).weights
         pins = np.flatnonzero(warm)
         family = solve_pinned_family(problem, pins, warm)
-        single = [solve(problem.pinned(i), warm_start=warm).objective_value
-                  for i in pins]
+        single = [solve(problem.pinned(i)).objective_value for i in pins]
         scale = float(np.max(np.abs(problem.linear))) * problem.mass
         return np.abs(family - single) / scale
 
     @pytest.mark.parametrize("kind", ("uncapped", "capped", "rank_deficient",
-                                      "degenerate", "qmap", "small"))
+                                      "degenerate", "qmap", "small", "linear"))
     def test_matches_single_pinned_solves(self, kind, monkeypatch):
-        steps = []
-        real = qp._lstsq_step
+        steps, finished = [], []
+        real, real_family = qp._lstsq_step, qp._face_family
 
         def recording(*args):
             steps.append(real(*args)[1])
             return real(*args)
 
+        def recording_family(*args):
+            W, done = real_family(*args)
+            finished.extend(done)
+            return W, done
+
         monkeypatch.setattr(qp, "_lstsq_step", recording)
+        monkeypatch.setattr(qp, "_face_family", recording_family)
         rng = np.random.default_rng(83)
         short_faces = 0
         for problem in family_problems(rng, kind):
@@ -515,6 +554,10 @@ class TestSolvePinnedFamily:
         if kind == "rank_deficient":
             # singular faces: some row followed a zero-curvature ray
             assert np.inf in steps
+        if kind == "linear":
+            # the family finished rows without curvature, and the rows it
+            # did not finish were solved alone
+            assert any(finished) and not all(finished)
 
     def test_one_factorization_of_the_face(self, monkeypatch):
         # the face's bordered KKT matrix is factored once; each later pass
@@ -580,9 +623,9 @@ class TestSolvePinnedFamily:
 
         def first_step(*args):
             W, finished = real(*args)
-            once = list(args)
-            once[7] = 0   # max_iterations: no working-set change
-            first.append(real(*once)[1] & finished)
+            with monkeypatch.context() as patch:
+                patch.setattr(qp, "MAX_ITERATIONS", 0)   # no working-set change
+                first.append(real(*args)[1] & finished)
             return W, finished
 
         monkeypatch.setattr(qp, "_face_family", first_step)
@@ -615,18 +658,18 @@ class TestSolvePinnedFamily:
             assert len(gaps) >= 10 and max(gaps) <= 1e-12, kind
 
     def test_too_small_iteration_budget_raises(self, monkeypatch):
-        # the family needs as many passes as its slowest row needs changes,
-        # the count a single solve of that row makes
+        # a row is served within the budget by the family or by its cold
+        # single solve, so the family needs the most changes any row makes
+        # on the shorter of its two routes
         cases = []
         for problem in family_problems(np.random.default_rng(89), "capped"):
             warm = solve(problem).weights
             pins = np.flatnonzero(warm)
-            needed = max(solve(problem.pinned(i), warm_start=warm).iterations
-                         for i in pins)
+            cold = [solve(problem.pinned(i)).iterations for i in pins]
+            needed = int(np.max(np.minimum(family_changes(problem, pins, warm), cold)))
             cases.append((needed, problem.dimension, problem, warm, pins))
         needed, _, problem, warm, pins = max(cases, key=lambda c: c[:2])
         assert needed >= 2 and pins.size >= 3
-        assert family_changes(problem, pins, warm) == needed
         monkeypatch.setattr(qp, "MAX_ITERATIONS", needed)
         solve_pinned_family(problem, pins, warm)
         monkeypatch.setattr(qp, "MAX_ITERATIONS", needed - 1)
