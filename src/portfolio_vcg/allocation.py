@@ -199,10 +199,10 @@ def qmap_objective(instance: QmapInstance, k, min_form: bool = False) -> float:
 
 
 def _instance_problem(instance, **data) -> QpProblem:
-    """The kernel problem over an instance's data: validated with it when
-    the instance is, else validated in full on first use."""
+    """The kernel problem over a validated instance's data, validated with
+    it; an instance that was not validated is refused."""
     if instance._scan is None:
-        return QpProblem(**data)
+        raise ValueError(f"{type(instance).__name__} must be validated first")
     return qp.shared_problem(instance._scan, **data)
 
 
@@ -215,7 +215,7 @@ def market_problem(market: MarketInstance) -> QpProblem:
     max|Sigma| and eigenvalue bound that validation found.  So a market is
     scanned and factored once, however many problems are built from it, and
     only the pins of each are checked.  A market that did not come from
-    ``validate_market`` gives a problem that is validated in full.
+    ``validate_market`` raises ValueError.
     """
     return _instance_problem(market, linear=market.mu, quadratic=market.sigma,
                              risk=market.q, mass=1.0, caps=market.caps)
@@ -238,8 +238,6 @@ def allocate(market: MarketInstance) -> Allocation:
     With q = 0 all calls go to the offer with the highest expected value
     (lowest index on ties).  The market must already be validated.
     """
-    if market.mu is None:
-        raise ValueError("market must be validated before allocation")
     return solve_allocation(market_problem(market), market.pool_size)
 
 
@@ -247,7 +245,8 @@ def qmap_problem(instance: QmapInstance) -> QpProblem:
     """The max-form call-count program as a kernel problem.
 
     As ``market_problem`` does for a market, the problem of an instance
-    that ``validate_qmap`` passed shares its arrays and its validation.
+    that ``validate_qmap`` passed shares its arrays and its validation; an
+    instance it did not pass raises ValueError.
     """
     return _instance_problem(instance, linear=instance.c_vector,
                              quadratic=instance.a_matrix, risk=instance.q,

@@ -105,7 +105,9 @@ def market_from_dict(doc: dict) -> MarketInstance:
                 if isinstance(caps, dict) else np.array(caps, dtype=float)
     except ParseError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except KeyError as exc:   # only a caps object's lookup by offer id
+        raise ParseError(f"caps has no entry for offer {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed market document: {exc}") from exc
     return make_market(offers, sigma, q, pool_size, caps=caps_arr)
 

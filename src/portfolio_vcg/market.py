@@ -58,8 +58,8 @@ class Offer:
 class MarketInstance:
     """The full auction input: offers, covariance, risk parameter, pool.
 
-    ``mu`` is derived by ``validate_market``; a freshly constructed raw
-    instance carries ``mu=None``.  ``caps`` optionally bounds each offer's
+    ``mu`` is set only by ``validate_market`` and ``replace_offer``; a raw
+    instance carries None.  ``caps`` optionally bounds each offer's
     fraction of the pool (extra linear constraints on the feasible set).
     """
 
@@ -68,7 +68,7 @@ class MarketInstance:
     q: float
     pool_size: int
     caps: Optional[np.ndarray] = None
-    mu: Optional[np.ndarray] = None
+    mu: Optional[np.ndarray] = field(default=None, init=False)
     # (max|sigma|, a bound on its largest eigenvalue), found by
     # validate_market's checks and handed to the kernel problem; ``replace``
     # drops it
@@ -80,8 +80,6 @@ class MarketInstance:
         object.__setattr__(self, "sigma", _readonly(self.sigma))
         if self.caps is not None:
             object.__setattr__(self, "caps", _readonly(self.caps))
-        if self.mu is not None:
-            object.__setattr__(self, "mu", _readonly(self.mu))
 
     @property
     def n(self) -> int:

@@ -155,8 +155,6 @@ def price_schedule(market: MarketInstance) -> PriceSchedule:
     The allocation and every pinned solve share one kernel problem, hence
     one validation and one factorization of Sigma.
     """
-    if market.mu is None:
-        raise ValueError("market must be validated before pricing")
     alloc, prices, pinned, per_ad_call = _charges(
         market_problem(market), market.pool_size, market.mu)
     per_response = np.full(market.n, np.nan)

@@ -253,21 +253,16 @@ def _project(v: np.ndarray, mass: float, caps: Optional[np.ndarray] = None,
     """Euclidean projection of v, or of each row of a stack, onto
     {sum(w) = mass, 0 <= w <= caps, w = 0 where ``pinned``}.
 
-    Capped rows go to ``_project_capped`` at full width, with an upper
-    bound of 0 at their pins.  Uncapped rows are projected on their free
-    coordinates (every row must pin as many), sort-based: a row's mass goes
-    to the largest set of coordinates whose values, less one common shift,
-    stay positive.
+    Capped rows go to ``_project_capped`` with an upper bound of 0 at
+    their pins.  Uncapped rows are projected sort-based, their pins set to
+    -inf: a row's mass goes to the largest set of coordinates whose values,
+    less one common shift, stay positive, and a pin sorts last and never
+    stays above its shift, so it gets 0.
     """
     if caps is not None:
         return _project_capped(v, mass, caps if pinned is None
                                else np.where(pinned, 0.0, caps))
-    if pinned is not None:
-        free = ~pinned
-        out = np.zeros_like(v)
-        out[free] = _project(v[free].reshape(v.shape[:-1] + (-1,)), mass).reshape(-1)
-        return out
-    rows = np.atleast_2d(v)
+    rows = np.atleast_2d(v if pinned is None else np.where(pinned, -np.inf, v))
     r, n = rows.shape
     u = np.sort(rows, axis=1)[:, ::-1]
     # the shift that spreads the mass over the top j + 1 coordinates
@@ -676,8 +671,9 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     from the greedy vertex moved by one projected-gradient step of length
     1 / ``lipschitz``, an upper bound on H's largest eigenvalue.  Each pass
     solves the bordered KKT system for the step to the optimum of the face
-    left free by the working set; a singular face takes ``_lstsq_step``.  A
-    face optimum may keep a multiplier error of ``KKT_TOL``.
+    left free by the working set; a singular face, or a step that does not
+    move a bound just released off it, takes ``_lstsq_step``.  A face
+    optimum may keep a multiplier error of ``KKT_TOL``.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
@@ -688,6 +684,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     at_cap = (w >= upper) & ~at_zero
     if np.all(at_zero | at_cap):
         at_cap[:] = False   # a vertex: let its positive coordinates move
+    back = None   # a bound just released: (coordinate, 1 from zero, -1 from a cap)
 
     for changes in range(MAX_ITERATIONS + 1):
         idx = np.flatnonzero(~(at_zero | at_cap))
@@ -700,14 +697,16 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         limit = 1.0
         try:
             sol = np.linalg.solve(A, rhs)
-            # on a numerically singular face LU can return a huge downhill step
+            # on a numerically singular face LU can return a huge downhill
+            # step, or one that puts the bound just released straight back
             usable = bool(np.all(np.isfinite(sol))) and \
-                float(g[idx] @ sol[:k]) >= -KKT_TOL * float(np.abs(sol[:k]).sum())
+                float(g[idx] @ sol[:k]) >= -KKT_TOL * float(np.abs(sol[:k]).sum()) \
+                and (back is None or back[1] * sol[np.searchsorted(idx, back[0])] > 0.0)
         except np.linalg.LinAlgError:
             usable = False
         if not usable:
             sol, limit = _lstsq_step(A, rhs, k)
-        d = sol[:k]
+        d, back = sol[:k], None
 
         if k > 1:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -732,6 +731,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         if not np.any(wrong):
             return w, changes
         i = int(np.argmax(wrong))
+        back = (i, 1.0 if at_zero[i] else -1.0)
         at_zero[i] = at_cap[i] = False
     raise SolverConvergenceError(
         f"active set still changing after {MAX_ITERATIONS} working-set changes"
@@ -744,20 +744,16 @@ def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
     where pinned), from the point ``warm``.
 
     The start keeps the warm working set: clip, then spread the missing
-    mass over the warm face (coordinates strictly inside their bounds), by
-    room to the cap or evenly when uncapped, so the start stays inside it;
+    mass over the warm face (coordinates strictly inside their bounds) by
+    room to the bound, lowered to the mass, so the start stays inside it;
     only mass the face cannot take is handed out greedily by gradient.
     """
     W = np.minimum(np.maximum(warm, 0.0), upper)
     W *= mass / np.maximum(W.sum(axis=1, keepdims=True), mass)
     missing = np.maximum(mass - W.sum(axis=1, keepdims=True), 0.0)
     face = (W > 0.0) & (W < upper)
-    room = np.where(face, upper - W, 0.0)
+    room = np.where(face, np.minimum(upper, mass) - W, 0.0)
     spread = room.sum(axis=1, keepdims=True)
-    if np.isinf(spread).any():
-        # uncapped: each face coordinate could take the whole mass, equal shares
-        room = face * mass
-        spread = room.sum(axis=1, keepdims=True)
     take = np.minimum(missing, spread)
     W += room * (take / np.maximum(spread, np.finfo(float).tiny))
     short = (missing - take)[:, 0]
@@ -840,8 +836,9 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     are padded to the largest C and solved in one batch.
 
     Returns the rows and which of them finished: a singular K or Schur
-    complement, a downhill step or more than ``MAX_ITERATIONS`` changes
-    leaves a row unfinished.
+    complement, a downhill step, a step that does not move a bound just
+    released off it, or more than ``MAX_ITERATIONS`` changes leaves a row
+    unfinished.
     """
     R, n = upper.shape
     W = _warm_start(l, H, mass, upper, warm)
@@ -874,8 +871,7 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     # +1 at a zero bound, -1 at a cap, 0 when free or pinned: a bound is
     # released while sign * (g - lambda) > KKT_TOL
     sign = (at_zero & ~pinned) - at_cap * 1.0
-    Z = np.zeros((n, k + 1))
-    Z[F] = Yt[F]   # K^-1 [g_F; 0] = g Z
+    leave = np.zeros((R, n))   # +1 / -1 where a row just released zero / a cap
     G = l - W @ H.T
     out, ids = W.copy(), np.arange(R)
     for _ in range(MAX_ITERATIONS + 1):
@@ -894,7 +890,8 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
             - Bc @ Yc.transpose(0, 2, 1)
         # an identity block on the padding: S's diagonals, flattened
         S.reshape(ids.size, -1)[:, ::C.shape[1] + 1] += C == n
-        U = G @ Z + (mass - W.sum(axis=1))[:, None] * border
+        # K^-1 [g_F; 0] = g_F Yt[F], plus the mass residual's border column
+        U = G[:, F] @ Yt[F] + (mass - W.sum(axis=1))[:, None] * border
         rhs = np.where(out_c, G[rows[:, None], Cn], 0.0) \
             - np.einsum("rck,rk->rc", Bc, U)
         try:
@@ -912,6 +909,8 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         # on a numerically singular face the step can be huge and downhill;
         # a step of rounding noise (a face of one coordinate) is not
         usable = np.einsum("ij,ij->i", G, D) >= -KKT_TOL * (np.abs(D).sum(axis=1) + mass)
+        # as is one that puts the bound just released straight back
+        usable &= (np.einsum("ij,ij->i", leave, D) > 0.0) | ~leave.any(axis=1)
         D[~usable] = 0.0
 
         room = np.divide(np.where(D < 0.0, -W, upper - W), D,
@@ -931,11 +930,13 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         settled = usable & ~blocked
         release = settled & wrong.any(axis=1)
         r, i = rows[release], np.argmax(wrong[release], axis=1)
+        leave[:] = 0.0
+        leave[r, i] = sign[r, i]
         free[r, i], sign[r, i] = True, 0.0
         stop = settled & ~release
         out[ids[stop]], finished[ids[stop]] = W[stop], True
         keep = blocked | release
         if not np.all(keep):
-            W, G, free, sign, upper, ids = (
-                a[keep] for a in (W, G, free, sign, upper, ids))
+            W, G, free, sign, leave, upper, ids = (
+                a[keep] for a in (W, G, free, sign, leave, upper, ids))
     return out, finished

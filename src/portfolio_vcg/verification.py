@@ -88,16 +88,6 @@ class _ReportBuilder:
     def skip(self) -> None:
         self.skipped += 1
 
-    def merge(self, report: PropertyReport) -> None:
-        """Fold a sub-report's trials, violations and examples into this one."""
-        self.trials += report.trials
-        self.violations += report.violations
-        self.skipped += report.skipped
-        self.restriction_violations += report.restriction_violations
-        self.worst = min(self.worst, report.worst_margin)
-        self.examples.extend(
-            report.counterexamples[:MAX_RETAINED - len(self.examples)])
-
     def check_restriction(self, schedule: PriceSchedule) -> None:
         gaps = schedule.allocation.objective_value - schedule.restricted_objectives
         if float(np.min(gaps, initial=0.0)) < -RESTRICTION_TOL:
@@ -237,11 +227,18 @@ def check_second_price_limit(market: MarketInstance,
     if market.q != 0.0:
         raise ValueError(f"second-price limit requires q = 0, got q={market.q}")
     builder = _ReportBuilder("second_price_limit", eps)
+    _record_second_price(builder, market)
+    return builder.build()
+
+
+def _record_second_price(builder: _ReportBuilder, market: MarketInstance) -> None:
+    """Record one second-price trial of a q = 0 market, or skip it when its
+    top expected value is tied."""
     order = np.argsort(-market.mu, kind="stable")
     winner, runner_up = int(order[0]), int(order[1])
     if market.mu[winner] - market.mu[runner_up] <= TIE_TOL:
         builder.skip()
-        return builder.build()
+        return
 
     schedule = price_schedule(market)
     builder.check_restriction(schedule)
@@ -260,7 +257,6 @@ def check_second_price_limit(market: MarketInstance,
         "winner_price": float(schedule.offer_prices[winner]),
         "second_mu": float(market.mu[runner_up]),
     })
-    return builder.build()
 
 
 @functools.lru_cache(maxsize=8)
@@ -396,8 +392,7 @@ def run_second_price_suite(trials: int = 500, seed: int = 42,
     rng = np.random.default_rng(seed)
     builder = _ReportBuilder("second_price_limit", eps, seed=seed)
     while builder.trials < trials:
-        market = random_market(rng, q=0.0)
-        builder.merge(check_second_price_limit(market, eps=eps))
+        _record_second_price(builder, random_market(rng, q=0.0))
     return builder.build()
 
 

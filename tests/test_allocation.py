@@ -86,11 +86,17 @@ class TestAllocate:
             assert np.all(diffs <= 1e-9)
 
     def test_unvalidated_market_rejected(self):
-        from portfolio_vcg import MarketInstance, Offer
+        # the one check is the problem builder's, whatever the entry point
+        from portfolio_vcg import (MarketInstance, Offer, price_offer,
+                                   price_schedule)
         raw = MarketInstance(offers=(Offer("a", 1.0), Offer("b", 1.0)),
                              sigma=np.eye(2), q=0.5, pool_size=10)
-        with pytest.raises(ValueError, match="validated"):
-            allocate(raw)
+        alloc = allocate(market_from_mu([1.0, 1.0], np.eye(2), 0.5, 10))
+        for call in (lambda: allocate(raw), lambda: price_schedule(raw),
+                     lambda: price_offer(raw, alloc, 0),
+                     lambda: market_problem(raw)):
+            with pytest.raises(ValueError, match="MarketInstance must be validated"):
+                call()
 
     def test_problem_builders_take_no_pins(self):
         # A pin passed to the builders must fail loudly rather than be
@@ -223,6 +229,18 @@ class TestQmapAllocate:
         with pytest.raises(QmapValidationError):
             validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
                                        c_vector=np.array([1.0, 1.0]), q=1.0, m=0))
+        with pytest.raises(QmapValidationError) as err:
+            validate_qmap(QmapInstance(a_matrix=np.zeros((0, 0)),
+                                       b_vector=np.zeros(0),
+                                       c_vector=np.zeros(0), q=1.0, m=1))
+        assert err.value.diagnostics == [("empty_instance",
+                                          "c_vector must be nonempty")]
+        with pytest.raises(QmapValidationError) as err:
+            validate_qmap(QmapInstance(a_matrix=np.ones((2, 3)),
+                                       b_vector=np.zeros(2),
+                                       c_vector=np.array([1.0, 1.0]), q=1.0, m=1))
+        assert err.value.diagnostics == [
+            ("dimension_mismatch", "A shape (2, 3) does not match 2 offers")]
 
 
     @pytest.mark.parametrize("field, value, name", [
@@ -237,6 +255,13 @@ class TestQmapAllocate:
             validate_qmap(QmapInstance(**data))
         assert err.value.diagnostics == [("non_finite_data",
                                           f"{name} entries must be finite")]
+
+    def test_unvalidated_instance_has_no_problem(self):
+        inst = QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
+                            c_vector=np.array([1.0, 0.8]), q=0.5, m=10)
+        with pytest.raises(ValueError, match="QmapInstance must be validated"):
+            qmap_problem(inst)
+        assert qmap_problem(validate_qmap(inst)).dimension == 2
 
     def test_validated_once(self):
         inst = validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),

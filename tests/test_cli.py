@@ -28,6 +28,10 @@ FIXTURE_DOC = {
 }
 
 
+QMAP_DOC = {"a_matrix": [[1.0, 0.0], [0.0, 1.0]], "b_vector": [0.0, 0.0],
+            "c_vector": [1.0, 0.8], "q": 2.0, "m": 10}
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -109,9 +113,34 @@ class TestAllocateCommand:
         path.write_text('{"offers": [')
         assert main(["allocate", "--input", str(path)]) == 2
 
-    def test_missing_field_exits_2(self, tmp_path, capsys):
-        path = write_json(tmp_path / "incomplete.json", {"offers": []})
-        assert main(["allocate", "--input", str(path)]) == 2
+    @pytest.mark.parametrize("command, doc, message", [
+        ("allocate", {"offers": []}, "missing required field"),
+        ("allocate", [FIXTURE_DOC], "must be a JSON object"),
+        ("allocate", dict(FIXTURE_DOC, offers={"a": 1.0}), "must be a list"),
+        ("allocate", dict(FIXTURE_DOC, offers=["a"]), "must be an object"),
+        ("allocate", dict(FIXTURE_DOC, offers=[{"id": "a", "bid": "x"}]),
+         "bad offer entry"),
+        ("allocate", dict(FIXTURE_DOC, pool_size=10.5), "must be an integer"),
+        ("allocate", dict(FIXTURE_DOC, pool_size=True), "must be an integer"),
+        ("allocate", dict(FIXTURE_DOC, covariance=[[1.0, "z"], [0.0, 1.0]]),
+         "malformed market document"),
+        ("allocate", dict(FIXTURE_DOC, caps={"a": 1.0}),
+         "caps has no entry for offer 'b'"),
+        ("qmap", [1.0], "must be a JSON object"),
+        ("qmap", dict(QMAP_DOC, m=2.5), "must be an integer"),
+        ("qmap", dict(QMAP_DOC, a_matrix=[[1.0, "y"], [0.0, 1.0]]),
+         "malformed qmap document"),
+    ], ids=["missing_field", "market_not_object", "offers_not_list",
+            "offer_not_object", "bid_not_number", "pool_size_float",
+            "pool_size_bool", "covariance_entry", "caps_missing_id",
+            "qmap_not_object", "m_float", "a_matrix_entry"])
+    def test_missing_field_exits_2(self, tmp_path, capsys, command, doc,
+                                   message):
+        path = write_json(tmp_path / "malformed.json", doc)
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error: ")
+        assert message in err[0]
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["allocate", "--input", "/nonexistent/market.json"]) == 2

@@ -174,6 +174,26 @@ class TestValidateMarket:
             market.mu[0] = 5.0
         assert isinstance(market.offers, tuple)
 
+    def test_mu_is_set_only_by_validation(self):
+        offers = (Offer("a", 1.0), Offer("b", 0.8))
+        with pytest.raises(TypeError):
+            MarketInstance(offers=offers, sigma=np.eye(2), q=0.5,
+                           pool_size=100, mu=np.array([5.0, 5.0]))
+        raw = MarketInstance(offers=offers, sigma=np.eye(2), q=0.5, pool_size=100)
+        assert raw.mu is None
+        np.testing.assert_array_equal(validate_market(raw).mu, [1.0, 0.8])
+
+    @pytest.mark.parametrize("sigma, caps, code", [
+        ([[1.0, np.nan], [np.nan, 1.0]], None, "non_finite_covariance"),
+        (np.eye(2), [1.0, 1.0, 1.0], "caps_dimension_mismatch"),
+        (np.eye(2), [1.0, -0.5], "invalid_caps"),
+        (np.eye(2), [1.0, np.inf], "invalid_caps")])
+    def test_bad_covariance_or_caps_named(self, sigma, caps, code):
+        with pytest.raises(MarketValidationError) as err:
+            make_market([Offer("a", 1.0), Offer("b", 1.0)], sigma, 0.5, 100,
+                        caps=caps)
+        assert [c for c, _ in err.value.diagnostics] == [code]
+
 
 class TestReplaceOffer:
     def test_matches_a_rebuilt_market(self):

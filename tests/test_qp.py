@@ -12,7 +12,8 @@ from portfolio_vcg import (
     project_to_simplex,
     solve,
 )
-from portfolio_vcg import qp
+from portfolio_vcg import QmapInstance, qmap_allocate, qmap_prices, qp
+from portfolio_vcg.allocation import qmap_problem
 from portfolio_vcg.qp import (
     _detect_degenerate,
     _project,
@@ -125,6 +126,17 @@ class TestSolve:
                     affine_linear=np.zeros(2), risk=0.5, mass=10.0)
         data[field] = np.full_like(data[field], np.nan)
         with pytest.raises(QpValidationError, match="finite"):
+            solve(QpProblem(**data))
+
+    @pytest.mark.parametrize("field, value", [
+        ("risk", -1.0), ("risk", np.nan), ("mass", 0.0), ("mass", np.inf),
+        ("caps", np.ones(3)), ("caps", np.array([1.0, -0.5])),
+        ("caps", np.array([1.0, np.inf])), ("affine_linear", np.zeros(3))])
+    def test_bad_scalar_or_bound_rejected(self, field, value):
+        data = dict(linear=np.array([1.0, 0.8]), quadratic=np.eye(2),
+                    risk=0.5, mass=1.0)
+        data[field] = value
+        with pytest.raises(QpValidationError):
             solve(QpProblem(**data))
 
     def test_scalar_linear_term_rejected(self):
@@ -373,6 +385,61 @@ class TestPinnedWarmStart:
         np.testing.assert_allclose(qp._warm_start(l, H, mass, upper, full.weights),
                                    [[0.0, 0.3, 0.3, 0.3, 0.1]], atol=1e-12)
         assert assert_matches_cold(problem, 0, full.weights)[0] == 0.0
+
+
+def rank_deficient_instance(seed: int) -> QmapInstance:
+    """A call-count instance with A = G'G, G of r <= n rows, so A is
+    often rank deficient and a face of it singular."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    r = int(rng.integers(1, n + 1))
+    g = rng.standard_normal((r, n))
+    c = rng.uniform(0, 5, n)
+    rng.uniform(0, 1, n)   # drawn with the instance, unused
+    q = float(np.exp(rng.uniform(np.log(1e-3), np.log(100))))
+    return QmapInstance(a_matrix=g.T @ g, b_vector=np.zeros(n), c_vector=c,
+                        q=q, m=5000)
+
+
+class TestReleasedBoundCycling:
+    # a bound released with a multiplier wrong by rounding opens a singular
+    # face whose step sends it straight back; the same working set then
+    # repeated until the budget was spent
+
+    @pytest.mark.parametrize("seed", [33, 243, 245])
+    def test_rank_deficient_allocation_finishes(self, seed, monkeypatch):
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 3000)
+        inst = rank_deficient_instance(seed)
+        alloc = qmap_allocate(inst)
+        assert alloc.iterations < 300   # of the 3000 allowed
+        assert check_kkt(qmap_problem(inst), alloc.weights).passed
+
+    def test_family_rows_stop_cycling(self, monkeypatch):
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 3000)
+        inst = rank_deficient_instance(243)
+        solves, passes = [0], []
+        real_solve, real_family = np.linalg.solve, qp._face_family
+
+        def counted_solve(*args, **kwargs):
+            solves[0] += 1
+            return real_solve(*args, **kwargs)
+
+        def counted_family(*args):
+            before = solves[0]
+            out = real_family(*args)
+            passes.append(solves[0] - before)
+            return out
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(qp, "_face_family", counted_family)
+        schedule = qmap_prices(inst)
+        assert len(passes) == 1 and passes[0] < 100   # of the 3000 allowed
+        # both routes are certified to KKT_TOL on a face with flat directions
+        scale = float(np.max(inst.c_vector)) * inst.m
+        problem = qmap_problem(inst)
+        for i in np.flatnonzero(schedule.allocation.weights):
+            assert abs(schedule.restricted_objectives[i]
+                       - solve(problem.pinned(i)).objective_value) \
+                <= qp.KKT_TOL * scale
 
 
 class TestDegenerateFlag:
@@ -734,6 +801,26 @@ class TestRowProjection:
                     np.testing.assert_array_equal(W[row], _project(
                         V[row], mass, None if route_caps is None else caps[row],
                         None if route_pins is None else pinned[row]))
+
+    def test_pins_match_the_free_coordinates_projection(self):
+        # an uncapped row is projected with its pins at -inf: bit for bit
+        # the projection of its free coordinates, with zeros at the pins,
+        # whatever the number of pins in each row
+        rng = np.random.default_rng(211)
+        for _ in range(300):
+            r, n = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+            mass = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e4))))
+            V = np.round(rng.normal(0, 2, (r, n)), 1) * mass   # ties are common
+            pinned = rng.uniform(size=(r, n)) < rng.uniform(0.0, 0.9)
+            pinned[np.arange(r), rng.integers(0, n, r)] = False   # one free
+            W = _project(V, mass, None, pinned)
+            for row in range(r):
+                free = ~pinned[row]
+                expected = np.zeros(n)
+                expected[free] = _project(V[row][free], mass)
+                np.testing.assert_array_equal(W[row], expected)
+                np.testing.assert_array_equal(
+                    _project(V[row], mass, None, pinned[row]), expected)
 
     def test_caps_that_sum_to_the_mass(self):
         rng = np.random.default_rng(101)
