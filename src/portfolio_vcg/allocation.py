@@ -149,7 +149,8 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
     if not np.isfinite(instance.q) or instance.q < 0:
         problems.append(("negative_risk_parameter",
                          f"q must be >= 0, got {instance.q}"))
-    if not isinstance(instance.m, (int, np.integer)) or instance.m <= 0:
+    if (not isinstance(instance.m, (int, np.integer))
+            or isinstance(instance.m, bool) or instance.m <= 0):
         problems.append(("invalid_pool_size",
                          f"m must be a positive integer, got {instance.m!r}"))
     if problems:
@@ -163,9 +164,11 @@ def apportion(weights, total: int) -> np.ndarray:
 
     Deterministic and total-preserving: floors first, then hands the
     leftover units to the largest fractional remainders (lowest index on
-    ties).  ``weights`` need not be normalized.
+    ties).  ``weights`` need not be normalized but must be finite.
     """
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     w = np.maximum(w, 0.0)
     total = int(total)
     if total < 0:

@@ -38,7 +38,7 @@ from .market import MarketInstance, MarketValidationError, Offer, make_market
 from .pricing import PriceSchedule, QmapPricingError, price_schedule, qmap_prices
 from . import qp
 from .qp import InfeasibleProblemError, QpValidationError, SolverConvergenceError
-from .verification import EPS_PRICE, run_property_suite
+from .verification import run_property_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -298,8 +298,7 @@ def cmd_qmap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_property_suite(args.property, trials=args.trials,
-                                 seed=args.seed, eps=args.eps_price)
+    reports = run_property_suite(args.property, trials=args.trials, seed=args.seed)
     result = {
         "input_digest": None,
         "seed": args.seed,
@@ -320,14 +319,6 @@ def _add_common(sub: argparse.ArgumentParser, needs_input: bool) -> None:
         sub.add_argument("--input", required=True, help="path to the JSON instance")
     sub.add_argument("--output", default=None,
                      help="write the JSON result here instead of stdout")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        # a NaN or infinite tolerance makes every margin test pass or fail
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
 
 
 def _nonnegative_int(text: str) -> int:
@@ -359,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run property suites")
     _add_common(verify, needs_input=False)
-    verify.add_argument("--eps-price", type=_finite_float, default=EPS_PRICE,
-                        help="price tolerance for property checks")
     verify.add_argument("--seed", type=_nonnegative_int, default=42)
     verify.add_argument("--trials", type=_nonnegative_int, default=1000)
     verify.add_argument("--property", default="all",

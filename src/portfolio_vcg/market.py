@@ -195,7 +195,8 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     if not np.isfinite(raw.q) or raw.q < 0:
         problems.append(("negative_risk_parameter",
                          f"risk parameter q must be >= 0, got {raw.q}"))
-    if not isinstance(raw.pool_size, (int, np.integer)) or raw.pool_size <= 0:
+    if (not isinstance(raw.pool_size, (int, np.integer))
+            or isinstance(raw.pool_size, bool) or raw.pool_size <= 0):
         problems.append(("invalid_pool_size",
                          f"pool_size must be a positive integer, "
                          f"got {raw.pool_size!r}"))
@@ -236,6 +237,8 @@ def replace_offer(market: MarketInstance, i: int, offer: Offer) -> MarketInstanc
     its id): Sigma, q, the pool and the caps stay as validated, and the
     market keeps what its validation found of Sigma.
     """
+    if not 0 <= i < market.n:
+        raise IndexError(f"offer index {i} out of range for {market.n} offers")
     if any(other.id == offer.id for j, other in enumerate(market.offers) if j != i):
         raise MarketValidationError([("duplicate_offer_id",
                                       f"offer id {offer.id!r} appears more than once")])

@@ -236,13 +236,15 @@ def project_to_simplex(point, mass: float = 1.0) -> np.ndarray:
     """Exact Euclidean projection onto {w >= 0, sum(w) = mass}.
 
     Already-feasible input is returned unchanged; anything else goes
-    through ``_project``.
+    through ``_project``.  A non-finite entry or mass raises ValueError.
     """
-    if mass <= 0:
-        raise ValueError(f"projection mass must be positive, got {mass}")
+    if not 0 < mass < math.inf:
+        raise ValueError(f"projection mass must be positive and finite, got {mass}")
     v = np.asarray(point, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("point must be a nonempty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("point entries must be finite")
     if np.all(v >= 0.0) and float(v.sum()) == mass:
         return v.copy()
     return _project(v, mass)

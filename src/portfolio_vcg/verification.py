@@ -41,9 +41,10 @@ class PropertyReport:
     """Outcome of one property check or randomized suite.
 
     ``worst_margin`` is the most negative slack observed; every margin is
-    oriented so the property holds iff margin >= -eps (so a comfortable
-    pass has a large positive worst_margin).  ``skipped`` counts trials
-    excluded by preconditions (e.g. tied q=0 markets);
+    oriented so the property holds iff margin >= -EPS_PRICE (the oracle
+    suite's own ``tol`` in its place), so a comfortable pass has a large
+    positive worst_margin.  ``skipped`` counts trials excluded by
+    preconditions (e.g. tied q=0 markets);
     ``restriction_violations`` counts failures of the side condition that
     the full optimum dominates every pinned optimum.  ``counterexamples``
     retains up to a handful of violating instances for reproduction.
@@ -151,21 +152,20 @@ def _with_reported_value(market: MarketInstance, i: int,
 
 def check_truthfulness(market: MarketInstance, i: int,
                        deltas: Sequence[float],
-                       schedule: Optional[PriceSchedule] = None,
-                       eps: float = EPS_PRICE) -> PropertyReport:
+                       schedule: Optional[PriceSchedule] = None) -> PropertyReport:
     """Compare bidder i's truthful payoff against each reporting deviation.
 
     For each delta, the market is re-run with offer i reporting
     mu_i + delta while everyone else stays truthful; the bidder's payoff
     under the deviated outcome is evaluated at the TRUE mu_i.  A violation
-    is a deviation that beats truth-telling by more than eps.  Every delta
+    is a deviation that beats truth-telling by more than EPS_PRICE.  Every delta
     must keep the reported value nonnegative.  A deviated market keeps the
     market's validated Sigma and its eigenvalue bound, so pricing it
     factors nothing again.
     """
     if schedule is None:
         schedule = price_schedule(market)
-    builder = _ReportBuilder("truthfulness", eps)
+    builder = _ReportBuilder("truthfulness", EPS_PRICE)
     builder.check_restriction(schedule)
     _record_deviations(builder, market, schedule, int(i), deltas)
     return builder.build()
@@ -197,13 +197,13 @@ def _record_deviations(builder: _ReportBuilder, market: MarketInstance,
         })
 
 
-def check_individual_rationality(market: MarketInstance,
-                                 schedule: Optional[PriceSchedule] = None,
-                                 eps: float = EPS_PRICE) -> PropertyReport:
-    """Assert every offer's payoff from participating is >= -eps."""
+def check_individual_rationality(
+        market: MarketInstance,
+        schedule: Optional[PriceSchedule] = None) -> PropertyReport:
+    """Assert every offer's payoff from participating is >= -EPS_PRICE."""
     if schedule is None:
         schedule = price_schedule(market)
-    builder = _ReportBuilder("individual_rationality", eps)
+    builder = _ReportBuilder("individual_rationality", EPS_PRICE)
     builder.check_restriction(schedule)
     for i in range(market.n):
         builder.record(utility(market, schedule, i), lambda: {
@@ -214,19 +214,18 @@ def check_individual_rationality(market: MarketInstance,
     return builder.build()
 
 
-def check_second_price_limit(market: MarketInstance,
-                             eps: float = EPS_PRICE) -> PropertyReport:
+def check_second_price_limit(market: MarketInstance) -> PropertyReport:
     """With q = 0: winner-take-all at the second-highest expected value.
 
     Requires a risk-neutral market; markets whose top expected value is
     tied (within TIE_TOL) are skipped and counted, since the limit is
     stated for a unique maximum.  Margins are the negated deviations from
     the predicted schedule, so the check passes iff every deviation is at
-    most eps.
+    most EPS_PRICE.
     """
     if market.q != 0.0:
         raise ValueError(f"second-price limit requires q = 0, got q={market.q}")
-    builder = _ReportBuilder("second_price_limit", eps)
+    builder = _ReportBuilder("second_price_limit", EPS_PRICE)
     _record_second_price(builder, market)
     return builder.build()
 
@@ -321,9 +320,9 @@ def brute_force_allocate(market: MarketInstance, step: float) -> Allocation:
 
 
 def random_market(rng: np.random.Generator, n: Optional[int] = None,
-                  q: Optional[float] = None, pool_size: int = 1000,
+                  q: Optional[float] = None,
                   normalize_sigma: bool = False) -> MarketInstance:
-    """Draw a market: mu ~ U[0,5], Sigma = G'G + 1e-6 I, q log-uniform.
+    """Draw a market: mu ~ U[0,5], Sigma = G'G + 1e-6 I, q log-uniform, 1000 calls.
 
     With ``normalize_sigma`` the covariance is scaled to unit spectral
     norm, which keeps the objective's curvature commensurate with grid
@@ -338,11 +337,10 @@ def random_market(rng: np.random.Generator, n: Optional[int] = None,
         sigma = sigma / float(np.linalg.eigvalsh(sigma)[-1])
     if q is None:
         q = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
-    return market_from_mu(mu, sigma, q, pool_size)
+    return market_from_mu(mu, sigma, q)
 
 
-def run_truthfulness_suite(trials: int = 1000, seed: int = 42,
-                           eps: float = EPS_PRICE) -> PropertyReport:
+def run_truthfulness_suite(trials: int = 1000, seed: int = 42) -> PropertyReport:
     """Randomized (market, bidder, delta) trials of dominant-strategy truth-telling.
 
     Deviations are drawn from [-mu_i, +5], so reported values stay valid
@@ -350,7 +348,7 @@ def run_truthfulness_suite(trials: int = 1000, seed: int = 42,
     pipeline.
     """
     rng = np.random.default_rng(seed)
-    builder = _ReportBuilder("truthfulness", eps, seed=seed)
+    builder = _ReportBuilder("truthfulness", EPS_PRICE, seed=seed)
     while builder.trials < trials:
         market = random_market(rng)
         schedule = price_schedule(market)
@@ -363,15 +361,14 @@ def run_truthfulness_suite(trials: int = 1000, seed: int = 42,
     return builder.build()
 
 
-def run_ir_suite(trials: int = 1000, seed: int = 42,
-                 eps: float = EPS_PRICE) -> PropertyReport:
+def run_ir_suite(trials: int = 1000, seed: int = 42) -> PropertyReport:
     """Randomized individual-rationality trials; one market per trial.
 
-    Each trial asserts every offer's payoff >= -eps and, additionally,
-    that the risk participant's charge is >= -eps.
+    Each trial asserts every offer's payoff >= -EPS_PRICE and,
+    additionally, that the risk participant's charge is >= -EPS_PRICE.
     """
     rng = np.random.default_rng(seed)
-    builder = _ReportBuilder("individual_rationality", eps, seed=seed)
+    builder = _ReportBuilder("individual_rationality", EPS_PRICE, seed=seed)
     for _ in range(trials):
         market = random_market(rng)
         schedule = price_schedule(market)
@@ -386,11 +383,10 @@ def run_ir_suite(trials: int = 1000, seed: int = 42,
     return builder.build()
 
 
-def run_second_price_suite(trials: int = 500, seed: int = 42,
-                           eps: float = EPS_PRICE) -> PropertyReport:
+def run_second_price_suite(trials: int = 500, seed: int = 42) -> PropertyReport:
     """Randomized q = 0 markets against the direct second-price computation."""
     rng = np.random.default_rng(seed)
-    builder = _ReportBuilder("second_price_limit", eps, seed=seed)
+    builder = _ReportBuilder("second_price_limit", EPS_PRICE, seed=seed)
     while builder.trials < trials:
         _record_second_price(builder, random_market(rng, q=0.0))
     return builder.build()
@@ -428,8 +424,7 @@ SUITES = {
 }
 
 
-def run_property_suite(name: str, trials: int, seed: int = 42,
-                       eps: float = EPS_PRICE) -> list[PropertyReport]:
+def run_property_suite(name: str, trials: int, seed: int = 42) -> list[PropertyReport]:
     """Run one named suite, or all of them, returning the reports.
 
     The grid-search suite is capped at 200 trials regardless of the
@@ -444,11 +439,6 @@ def run_property_suite(name: str, trials: int, seed: int = 42,
             f"unknown property {name!r}; choose from "
             f"{sorted(SUITES)} or 'all'"
         )
-    reports = []
-    for key in names:
-        runner = SUITES[key]
-        if key == "oracle":
-            reports.append(runner(trials=min(trials, 200), seed=seed))
-        else:
-            reports.append(runner(trials=trials, seed=seed, eps=eps))
-    return reports
+    return [SUITES[key](trials=min(trials, 200) if key == "oracle" else trials,
+                        seed=seed)
+            for key in names]

@@ -144,6 +144,13 @@ class TestApportion:
         with pytest.raises(ValueError):
             apportion([0.0, 0.0], 10)
 
+    def test_non_finite_weights_rejected(self):
+        # NaN would floor to the most negative int64, so the counts would
+        # not sum to the total
+        for w in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                apportion(w, 10)
+
 
 class TestQmapTransform:
     def test_matrices_carried_and_risk_inverted(self):
@@ -226,9 +233,13 @@ class TestQmapAllocate:
         with pytest.raises(QmapValidationError):
             validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
                                        c_vector=np.array([1.0, 1.0]), q=-1.0, m=1))
-        with pytest.raises(QmapValidationError):
-            validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
-                                       c_vector=np.array([1.0, 1.0]), q=1.0, m=0))
+        for m in (0, True):
+            with pytest.raises(QmapValidationError) as err:
+                validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
+                                           c_vector=np.array([1.0, 1.0]), q=1.0,
+                                           m=m))
+            assert [code for code, _ in err.value.diagnostics] == [
+                "invalid_pool_size"], m
         with pytest.raises(QmapValidationError) as err:
             validate_qmap(QmapInstance(a_matrix=np.zeros((0, 0)),
                                        b_vector=np.zeros(0),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import portfolio_vcg
-from portfolio_vcg import Offer, make_market, qp, random_market
+from portfolio_vcg import Offer, make_market, qp, random_market, verification
 from portfolio_vcg.cli import (
     EXIT_OUTPUT,
     EXIT_SOLVER,
@@ -160,12 +160,15 @@ class TestPriceCommand:
         assert prices["per_response"][1] == pytest.approx(0.004, abs=1e-6)
 
     def test_eps_price_is_verify_only(self, fixture_file):
-        # and the solver takes no flags: its tolerance and budget are fixed
+        # no command takes a tolerance: the solver's tolerance and budget
+        # and the property checks' price tolerance are fixed
         for flag, value in (("--eps-price", "1e-3"), ("--kkt-tol", "1e-3"),
                             ("--max-iter", "10")):
-            with pytest.raises(SystemExit) as exit_:
-                main(["price", "--input", fixture_file, flag, value])
-            assert exit_.value.code == 2, flag
+            for argv in (["price", "--input", fixture_file],
+                         ["verify", "--trials", "0"]):
+                with pytest.raises(SystemExit) as exit_:
+                    main(argv + [flag, value])
+                assert exit_.value.code == 2, (argv[0], flag)
 
     def test_spent_iteration_budget_exits_4(self, tmp_path, capsys,
                                             monkeypatch):
@@ -368,19 +371,18 @@ class TestVerifyCommand:
         result = json.loads(capsys.readouterr().out)
         assert all(rep["trials"] == 0 for rep in result["reports"])
 
-    def test_impossible_tolerance_exits_5(self, capsys):
-        # a negative eps makes every finite margin a violation, which
+    def test_impossible_tolerance_exits_5(self, capsys, monkeypatch):
+        # a negative tolerance makes every finite margin a violation, which
         # exercises the failure exit path deterministically
+        monkeypatch.setattr(verification, "EPS_PRICE", -1.0)
         code = main(["verify", "--property", "ir", "--trials", "3",
-                     "--seed", "7", "--eps-price", "-1.0"])
+                     "--seed", "7"])
         assert code == 5
         result = json.loads(capsys.readouterr().out)
         assert result["reports"][0]["violations"] > 0
         assert result["reports"][0]["counterexamples"]
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--eps-price", "nan"), ("--eps-price", "inf"),   # every check passes
-        ("--seed", "-1"), ("--trials", "-4")])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--trials", "-4")])
     def test_out_of_range_flag_exits_2(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["verify", "--property", "ir", "--trials", "3", flag, value])

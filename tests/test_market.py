@@ -97,9 +97,13 @@ class TestValidateMarket:
                    for code, _ in err.value.diagnostics)
 
     def test_bad_pool_size_rejected(self):
-        with pytest.raises(MarketValidationError) as err:
-            make_market([Offer("a", 1.0), Offer("b", 1.0)], np.eye(2), 0.5, 0)
-        assert any(code == "invalid_pool_size" for code, _ in err.value.diagnostics)
+        # a bool is an int to isinstance, but True is no pool of one call
+        for pool_size in (0, True):
+            with pytest.raises(MarketValidationError) as err:
+                make_market([Offer("a", 1.0), Offer("b", 1.0)], np.eye(2), 0.5,
+                            pool_size)
+            assert [code for code, _ in err.value.diagnostics] == [
+                "invalid_pool_size"], pool_size
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(MarketValidationError) as err:
@@ -218,6 +222,14 @@ class TestReplaceOffer:
         with pytest.raises(MarketValidationError) as err:
             replace_offer(market, 0, Offer("offer_1", 1.0))
         assert [code for code, _ in err.value.diagnostics] == ["duplicate_offer_id"]
+
+    def test_index_out_of_range_raises(self):
+        market = market_from_mu([1.0, 0.8], np.eye(2), 0.5, 100)
+        # a negative index does not wrap: -1 would compare the new offer
+        # with itself and report its own id as a duplicate
+        for i in (-1, 2):
+            with pytest.raises(IndexError, match="out of range"):
+                replace_offer(market, i, Offer("offer_1", 2.0))
 
 
 # Sigma of a three-offer market in unit 1; a market in currency unit u has

@@ -914,8 +914,13 @@ class TestProjection:
         assert w.sum() == pytest.approx(3.0, abs=1e-12)
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            project_to_simplex(np.array([1.0, 2.0]), mass=0.0)
+        for mass in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mass"):
+                project_to_simplex(np.array([1.0, 2.0]), mass=mass)
+        # a non-finite entry would come back as NaN weights, not an error
+        for point in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                project_to_simplex(np.array(point))
 
     def test_projection_agrees_with_qp_route(self):
         # projecting v equals maximizing 2v'w - w'w over the same set
