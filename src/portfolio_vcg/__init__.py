@@ -41,7 +41,6 @@ from .allocation import (
     portfolio_objective,
     qmap_allocate,
     qmap_objective,
-    qmap_transform,
     validate_qmap,
 )
 from .pricing import (
@@ -109,7 +108,6 @@ __all__ = [
     "qmap_allocate",
     "qmap_objective",
     "qmap_prices",
-    "qmap_transform",
     "random_market",
     "run_ir_suite",
     "run_oracle_suite",

@@ -70,7 +70,8 @@ class Allocation:
 
     @property
     def iterations(self) -> int:
-        """The solve's working-set changes (0 without one)."""
+        """The solve's face solves after its first, each a working-set change
+        of one or more bounds (0 without a solve)."""
         return 0 if self.solution is None else self.solution.iterations
 
     @property
@@ -85,7 +86,7 @@ class QmapInstance:
 
     A and b express uncertainty and randomness, c the expected revenue per
     ad call.  In max form the objective is c'k - q (k'Ak + b'k); the min
-    form k'Ak + b'k - q c'k is accepted only through ``qmap_transform``.
+    form k'Ak + b'k - q c'k enters through ``min_form_to_max_form``.
     """
 
     a_matrix: np.ndarray
@@ -285,12 +286,3 @@ def min_form_to_max_form(min_form: QmapInstance) -> QmapInstance:
     max_form = copy.copy(min_form)   # the same A, b and c, checked once
     object.__setattr__(max_form, "q", 1.0 / min_form.q)
     return max_form
-
-
-def qmap_transform(min_form: QmapInstance) -> QpProblem:
-    """Kernel problem for the max form equivalent to a min-form instance.
-
-    Raises TransformUndefinedError when the min form carries q = 0.  The
-    returned problem's optimizer set equals the min form's.
-    """
-    return qmap_problem(min_form_to_max_form(min_form))

@@ -15,10 +15,12 @@ which on a market where most offers carry weight lands near the optimum's
 face and on a sparse one stays next to the vertex.  A working set fixes
 coordinates at zero or at their cap; on the remaining face the bordered
 KKT system is solved exactly, a ratio test adds the lowest-index blocking
-bound, and at the face optimum the lowest-index bound with a wrong-signed
-multiplier is released.  The objective is concave (Q PSD, q >= 0), so the
-KKT point it stops at is a global maximizer; a projected-gradient
-certificate on the result confirms it.
+bound, and at the face optimum every bound with a wrong-signed multiplier
+is released at once (a primal-dual active-set update, Hintermuller, Ito &
+Kunisch, SIAM J. Optim. 13, 2002), so one face solve can free many
+coordinates.  The objective is concave (Q PSD, q >= 0), so the KKT point
+it stops at is a global maximizer; a projected-gradient certificate on the
+result confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
@@ -28,8 +30,9 @@ optimum's free face once; pinning a coordinate of that face is one more
 border of K, so each row's first step is closed form (the optimum falls
 by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
 working-set change borders K again, solved through the row's small Schur
-complement.  A row the factorization cannot serve (a singular system or
-a downhill step) is solved by ``solve``.  Both run the method on the
+complement.  A family row releases one bound per pass, the lowest-index
+one.  A row the factorization cannot serve (a singular system or a
+downhill step) is solved by ``solve``.  Both run the method on the
 problem divided by its gradient scale, so their steps do not depend on
 the currency unit.
 
@@ -73,8 +76,9 @@ FAMILY_MIN_ROWS = 3
 # is wrong by more than KKT_TOL, so the path it takes, where it stops and
 # the certificate it meets do not depend on the currency unit
 KKT_TOL = 1e-9
-# working-set changes a solve may make (``QpSolution.iterations``, counted
-# per row in a pinned family) before it raises SolverConvergenceError
+# face solves after the first that a solve may make (``QpSolution.iterations``,
+# each of which may change several bounds; counted per row in a pinned
+# family, one bound per pass) before it raises SolverConvergenceError
 MAX_ITERATIONS = 100_000
 
 
@@ -87,8 +91,8 @@ class InfeasibleProblemError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """More than MAX_ITERATIONS working-set changes, or the result misses
-    KKT_TOL."""
+    """More than MAX_ITERATIONS face solves after the first, or the result
+    misses KKT_TOL."""
 
 
 def _readonly(arr) -> np.ndarray:
@@ -161,12 +165,15 @@ class QpProblem:
 class QpSolution:
     """A feasible point together with its optimality certificate.
 
-    ``iterations`` counts the active-set method's working-set changes from
-    its start, one projected-gradient step from the greedy vertex; it is 0
-    when the start's face already holds the optimum and on the exact linear
-    and single-coordinate paths.  ``problem`` is the solve's input;
-    ``degenerate`` is computed from it on first read, so a solve whose
-    caller only wants the optimum does not pay for it.
+    ``iterations`` counts the active-set method's face solves after its
+    first, from its start one projected-gradient step from the greedy
+    vertex.  Each changed the working set: it added a blocking bound,
+    released every bound with a wrong-signed multiplier (several in one
+    solve), or bound again the released ones its step would send straight
+    back.  It is 0 when the start's face already holds the optimum and on
+    the exact linear and single-coordinate paths.  ``problem`` is the
+    solve's input; ``degenerate`` is computed from it on first read, so a
+    solve whose caller only wants the optimum does not pay for it.
     """
 
     weights: np.ndarray
@@ -624,7 +631,7 @@ def solve(problem: QpProblem) -> QpSolution:
     toward the lower index.  Raises InfeasibleProblemError when pins or
     caps empty the feasible set, QpValidationError for malformed data, and
     SolverConvergenceError if the active set needs more than
-    ``MAX_ITERATIONS`` working-set changes or the result misses
+    ``MAX_ITERATIONS`` face solves after its first or the result misses
     ``KKT_TOL``.
     """
     lam_bound = _validate_problem(problem)
@@ -669,13 +676,19 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
                 lipschitz: float) -> tuple[np.ndarray, int]:
     """Maximize l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= caps}.
 
-    Returns the maximizer and the number of working-set changes.  It starts
-    from the greedy vertex moved by one projected-gradient step of length
-    1 / ``lipschitz``, an upper bound on H's largest eigenvalue.  Each pass
-    solves the bordered KKT system for the step to the optimum of the face
-    left free by the working set; a singular face, or a step that does not
-    move a bound just released off it, takes ``_lstsq_step``.  A face
-    optimum may keep a multiplier error of ``KKT_TOL``.
+    Returns the maximizer and the number of face solves after the first.
+    It starts from the greedy vertex moved by one projected-gradient step
+    of length 1 / ``lipschitz``, an upper bound on H's largest eigenvalue.
+    Each pass solves the bordered KKT system for the step to the optimum of
+    the face left free by the working set, and a singular face takes
+    ``_lstsq_step``.  A face optimum may keep a multiplier error of
+    ``KKT_TOL``; every bound wrong by more is released.  The next step must
+    move each released coordinate off its bound: the ones it would send
+    straight back are bound again and the face solved once more, and when
+    none is left, only the lowest-index release is kept, whose failure
+    takes ``_lstsq_step``.  After a least-squares step only the
+    lowest-index wrong bound is released, so singular faces release one
+    bound at a time.  The gradient is recomputed only when w moves.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
@@ -686,12 +699,14 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     at_cap = (w >= upper) & ~at_zero
     if np.all(at_zero | at_cap):
         at_cap[:] = False   # a vertex: let its positive coordinates move
-    back = None   # a bound just released: (coordinate, 1 from zero, -1 from a cap)
+    g = l - H @ w
+    # the bounds released at the last face optimum, lowest index first, 1
+    # where from zero and -1 where from a cap, and which of them stay free
+    back = sign = live = None
 
     for changes in range(MAX_ITERATIONS + 1):
         idx = np.flatnonzero(~(at_zero | at_cap))
         k = idx.size
-        g = l - H @ w
         A = np.zeros((k + 1, k + 1))
         A[:k, :k] = H[np.ix_(idx, idx)]
         A[:k, k] = A[k, :k] = 1.0
@@ -699,13 +714,22 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         limit = 1.0
         try:
             sol = np.linalg.solve(A, rhs)
-            # on a numerically singular face LU can return a huge downhill
-            # step, or one that puts the bound just released straight back
+            # on a numerically singular face LU can return a huge downhill step
             usable = bool(np.all(np.isfinite(sol))) and \
-                float(g[idx] @ sol[:k]) >= -KKT_TOL * float(np.abs(sol[:k]).sum()) \
-                and (back is None or back[1] * sol[np.searchsorted(idx, back[0])] > 0.0)
+                float(g[idx] @ sol[:k]) >= -KKT_TOL * float(np.abs(sol[:k]).sum())
         except np.linalg.LinAlgError:
             usable = False
+        if back is not None:
+            # or one that sends bounds just released straight back
+            moves = np.zeros_like(live)
+            if usable:
+                moves[live] = sign[live] * sol[np.searchsorted(idx, back[live])] > 0.0
+            if not np.array_equal(moves, live):
+                if live.sum() > 1 or not live[0]:
+                    live = moves if moves.any() else np.arange(back.size) == 0
+                    at_zero[back], at_cap[back] = ~live & (sign > 0), ~live & (sign < 0)
+                    continue
+                usable = False
         if not usable:
             sol, limit = _lstsq_step(A, rhs, k)
         d, back = sol[:k], None
@@ -723,6 +747,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
                 else:
                     w[i], at_cap[i] = upper[i], True
                 np.clip(w, 0.0, upper, out=w)
+                g = l - H @ w
                 continue
         w[idx] += d
         np.clip(w, 0.0, upper, out=w)
@@ -732,11 +757,13 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         wrong = (at_zero & (g - lam > KKT_TOL)) | (at_cap & (lam - g > KKT_TOL))
         if not np.any(wrong):
             return w, changes
-        i = int(np.argmax(wrong))
-        back = (i, 1.0 if at_zero[i] else -1.0)
-        at_zero[i] = at_cap[i] = False
+        # every wrong-signed bound, or after a least-squares step the lowest
+        back = np.flatnonzero(wrong)[:None if usable else 1]
+        sign = np.where(at_zero[back], 1.0, -1.0)
+        live = np.ones(back.size, dtype=bool)
+        at_zero[back] = at_cap[back] = False
     raise SolverConvergenceError(
-        f"active set still changing after {MAX_ITERATIONS} working-set changes"
+        f"active set still changing after {MAX_ITERATIONS} face solves"
     )
 
 
@@ -822,12 +849,12 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
 
     Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}
     with the coordinates ``pinned[r]`` never released; it starts at
-    ``_warm_start``'s point, then steps, blocks and releases as
-    ``_active_set`` does, one working-set change per pass.  Let F be the
-    coordinates strictly inside ``caps`` at ``warm`` (at a vertex, its
-    largest coordinate instead), K = [[H_FF, 1], [1', 0]] its bordered KKT
-    matrix, and B the column [e_j; 0] for j in F and [H_Fj; 1] for j
-    outside.  A row's face differs from F in a few coordinates C (its pin
+    ``_warm_start``'s point, then steps and blocks as ``_active_set`` does
+    but releases only the lowest-index wrong-signed bound: one working-set
+    change per pass.  Let F be the coordinates strictly inside ``caps`` at
+    ``warm`` (at a vertex, its largest coordinate instead), K =
+    [[H_FF, 1], [1', 0]] its bordered KKT matrix, and B the column [e_j; 0]
+    for j in F and [H_Fj; 1] for j outside.  A row's face differs from F in a few coordinates C (its pin
     and the bounds it added in F, the coordinates it released outside F),
     so its bordered KKT system is K bordered by B_C: one solve of K against
     B serves every row, and each row solves only its Schur complement

@@ -13,7 +13,6 @@ from portfolio_vcg import (
     portfolio_objective,
     qmap_allocate,
     qmap_objective,
-    qmap_transform,
     validate_qmap,
 )
 from portfolio_vcg import qp
@@ -166,8 +165,9 @@ class TestQmapTransform:
     def test_zero_quadratic_becomes_linear_problem(self):
         inst = QmapInstance(a_matrix=np.zeros((2, 2)), b_vector=np.zeros(2),
                             c_vector=np.array([2.0, 1.0]), q=1.0, m=1)
-        problem = qmap_transform(inst)
-        alloc = qmap_allocate(min_form_to_max_form(inst))
+        max_form = min_form_to_max_form(inst)
+        problem = qmap_problem(max_form)
+        alloc = qmap_allocate(max_form)
         np.testing.assert_allclose(alloc.weights, [1.0, 0.0], atol=0)
         assert problem.mass == 1.0
 
@@ -175,7 +175,7 @@ class TestQmapTransform:
         inst = QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
                             c_vector=np.array([1.0, 0.8]), q=0.0, m=1)
         with pytest.raises(TransformUndefinedError, match="max form"):
-            qmap_transform(inst)
+            qmap_problem(min_form_to_max_form(inst))
 
     def test_optimizers_agree_on_a_shared_grid(self):
         rng = np.random.default_rng(29)

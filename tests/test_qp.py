@@ -23,6 +23,7 @@ from portfolio_vcg.qp import (
     quadratic_scan,
     solve_pinned_family,
 )
+from test_face_oracle import face_oracle
 
 
 def grid_maximum(problem: QpProblem, step: float) -> float:
@@ -440,6 +441,72 @@ class TestReleasedBoundCycling:
             assert abs(schedule.restricted_objectives[i]
                        - solve(problem.pinned(i)).objective_value) \
                 <= qp.KKT_TOL * scale
+
+    def test_rank_deficient_seeds_allocate_and_price(self, monkeypatch):
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 3000)
+        for seed in range(150):
+            inst = rank_deficient_instance(seed)
+            assert qmap_allocate(inst).kkt_residual <= qp.KKT_TOL
+            qmap_prices(inst)
+
+
+def factor_market(seed: int, n: int) -> QpProblem:
+    """A capped market with a rank-3 factor covariance, mu ~ U[4, 5] and
+    q = 100: nearly every offer carries weight and about a third sit at
+    their cap of 1.5 / n."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n, 3)) * (2.0 / np.sqrt(n))
+    sigma = f @ f.T + np.diag(rng.uniform(0.5, 1.5, n))
+    sigma /= np.linalg.eigvalsh(sigma)[-1]
+    return QpProblem(linear=rng.uniform(4.0, 5.0, n), quadratic=sigma,
+                     risk=100.0, caps=np.full(n, 1.5 / n))
+
+
+class TestReleaseEveryWrongBound:
+    # at a face optimum the active set releases every bound whose multiplier
+    # has the wrong sign, and bounds again those the next step sends back
+
+    @staticmethod
+    def face_rhs(monkeypatch) -> list:
+        """The right sides of the face systems solved from now on."""
+        seen, real = [], np.linalg.solve
+
+        def recording(A, b):
+            seen.append(np.array(b))
+            return real(A, b)
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        return seen
+
+    def test_one_pass_releases_every_wrong_bound(self, monkeypatch):
+        problem = factor_market(7, 60)
+        seen = self.face_rhs(monkeypatch)
+        sol = solve(problem)
+        assert check_kkt(problem, sol.weights).passed
+        # the face grows by every bound one face optimum releases
+        assert max(np.diff([b.size for b in seen])) >= 5
+        # one release per pass took 18 passes on this market
+        assert sol.iterations <= 9
+
+    def test_bounds_sent_straight_back_are_bound_again(self, monkeypatch):
+        g = np.array([[-0.24, 0.82, 0.5, -0.71, -0.47, 1.2],
+                      [-0.07, -0.34, 0.42, -1.94, 0.1, -0.31],
+                      [-0.64, -0.62, 0.25, -1.42, -0.13, -2.39],
+                      [0.36, -0.66, 1.24, 1.11, 0.07, -1.76],
+                      [0.55, -0.46, 0.81, 0.89, 0.19, 0.59],
+                      [-0.86, 1.14, 0.31, -0.92, 0.07, -1.42]])
+        problem = QpProblem(linear=np.array([4.26, 4.03, 4.94, 2.96, 2.39, 2.43]),
+                            quadratic=g.T @ g, risk=0.904)
+        seen = self.face_rhs(monkeypatch)
+        sol = solve(problem)
+        # the first face optimum releases offers 0, 3 and 4 from zero, and
+        # the step on that face would take 3 and 4 below zero: the next face
+        # system is solved at the same point with both bound again, so its
+        # right side is the last one's less those two entries
+        assert any(b.size == a.size - 2 and b[-1] == a[-1]
+                   and np.isin(b[:-1], a[:-1]).all()
+                   for a, b in zip(seen, seen[1:]))
+        assert sol.weights[0] > 0.0 and not sol.weights[3:].any()
+        assert abs(sol.objective_value - face_oracle(problem)) <= 1e-12 * 4.94
 
 
 class TestDegenerateFlag:
