@@ -296,31 +296,31 @@ def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
     broadcasts against it.
     """
     rows = np.atleast_2d(v)
-    caps = np.minimum(np.broadcast_to(caps, rows.shape), mass)
     r, n = rows.shape
+    caps = np.minimum(caps, np.full((r, n), mass))
     breaks = np.concatenate([rows, rows - caps], axis=1)
     # tied breakpoints add nothing to the total, so their order does not matter
     order = np.argsort(-breaks, axis=1)
-    breaks = np.take_along_axis(breaks, order, axis=1)
+    at = np.arange(r)
+    breaks = breaks.take(order + (2 * n) * at[:, None])
     # coordinates strictly inside their bounds just below each breakpoint
     slope = np.cumsum(np.where(order < n, 1.0, -1.0), axis=1)
     totals = np.zeros((r, 2 * n))
     np.cumsum(slope[:, :-1] * (breaks[:, :-1] - breaks[:, 1:]), axis=1,
               out=totals[:, 1:])
     m = np.argmax(totals >= mass, axis=1)   # 0 where the total stays short
-    at = np.arange(r)
     prev = np.maximum(m - 1, 0)   # the first breakpoint opens a coordinate
     tau = np.where(m > 0, breaks[at, prev]
                    - (mass - totals[at, prev]) / slope[at, prev],
                    breaks[:, -1])
-    w = np.clip(rows - tau[:, None], 0.0, caps)
+    w = np.minimum(np.maximum(rows - tau[:, None], 0.0), caps)
     # one correction step on the active segment guards against roundoff
     count = np.count_nonzero((w > 0.0) & (w < caps), axis=1)
     gap = w.sum(axis=1) - mass
     fix = (count > 0) & (gap != 0.0)
     if np.any(fix):
         tau[fix] += gap[fix] / count[fix]
-        w[fix] = np.clip(rows[fix] - tau[fix, None], 0.0, caps[fix])
+        w[fix] = np.minimum(np.maximum(rows[fix] - tau[fix, None], 0.0), caps[fix])
     return w.reshape(np.shape(v))
 
 
@@ -548,42 +548,35 @@ def check_kkt(problem: QpProblem, candidate) -> KktReport:
     )
 
 
-def _greedy_linear(l: np.ndarray, mass: float,
+def _greedy_linear(l: np.ndarray, mass: float | np.ndarray,
                    caps: Optional[np.ndarray]) -> np.ndarray:
-    """Exact maximizer of l'w over the (capped) simplex: fill best first."""
-    w = np.zeros_like(l)
+    """Exact maximizer of l'w over the (capped) simplex, filled best first:
+    in the stable order of -l each coordinate takes min(max(mass - the caps
+    before it, 0), its cap).  Capped, l may be a stack and mass a column."""
     if caps is None:
+        w = np.zeros_like(l)
         w[int(np.argmax(l))] = mass
         return w
-    remaining = mass
-    for i in np.argsort(-l, kind="stable"):
-        take = min(float(caps[i]), remaining)
-        w[i] = take
-        remaining -= take
-        if remaining <= 0.0:
-            break
+    order = np.argsort(-l, axis=-1, kind="stable")
+    u = np.take_along_axis(np.broadcast_to(caps, l.shape), order, axis=-1)
+    before = np.zeros_like(u)   # the caps filled before each coordinate
+    np.cumsum(u[..., :-1], axis=-1, out=before[..., 1:])
+    w = np.empty_like(u)
+    np.put_along_axis(w, order, np.minimum(np.maximum(mass - before, 0.0), u),
+                      axis=-1)
     return w
-
-
-def _sum_zero_basis(k: int) -> np.ndarray:
-    """Orthonormal basis (k x k-1) of the sum-zero directions in R^k.
-
-    The Householder reflector I - v v'/v_0 with v = 1/sqrt(k) + e_0 maps
-    the unit ones vector to -e_0, so its other k - 1 columns are
-    orthonormal and orthogonal to the ones vector.
-    """
-    v = np.full(k, 1.0 / np.sqrt(k))
-    v[0] += 1.0
-    return np.eye(k)[:, 1:] - np.outer(v, v[1:] / v[0])
 
 
 def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     """True when the maximizer is non-unique within tolerance.
 
     The optimal set is a face of the feasible polytope; the maximizer is
-    unique iff the quadratic form has positive curvature on that face's
+    unique iff the quadratic form H has positive curvature on that face's
     sum-zero directions.  The face contains every non-pinned coordinate
-    that carries weight or whose bound multiplier vanishes.
+    that carries weight or whose bound multiplier vanishes.  The smallest
+    such curvature is the smallest eigenvalue of P H P + max|H| 11', P =
+    I - 11'/k: the ones direction, 0 under P, is lifted to k max|H|, which
+    is at least H's largest eigenvalue.
     """
     g = gradient(problem, w)
     tol = DEGENERATE_TOL * problem._scale
@@ -605,11 +598,11 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
         return False
     if problem.risk == 0.0:
         return True
-    H = 2.0 * problem.risk * problem.quadratic[np.ix_(idx, idx)]
-    basis = _sum_zero_basis(idx.size)
-    reduced = basis.T @ H @ basis
-    lo = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
-    return lo <= DEGENERATE_TOL * float(np.max(np.abs(H)))
+    H = problem.quadratic[np.ix_(idx, idx)]
+    H = problem.risk * (H + H.T)
+    peak, col = float(np.max(np.abs(H))), H.mean(axis=0)
+    centered = H - col - col[:, None] + (col.mean() + peak)
+    return float(np.linalg.eigvalsh(centered)[0]) <= DEGENERATE_TOL * peak
 
 
 def _shifted_linear(problem: QpProblem) -> np.ndarray:
@@ -707,10 +700,10 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     for changes in range(MAX_ITERATIONS + 1):
         idx = np.flatnonzero(~(at_zero | at_cap))
         k = idx.size
-        A = np.zeros((k + 1, k + 1))
-        A[:k, :k] = H[np.ix_(idx, idx)]
-        A[:k, k] = A[k, :k] = 1.0
-        rhs = np.append(g[idx], mass - w.sum())
+        A = np.ones((k + 1, k + 1))
+        A[:k, :k], A[k, k] = H.take(idx, 0).take(idx, 1), 0.0
+        rhs = np.empty(k + 1)
+        rhs[:k], rhs[k] = g[idx], mass - w.sum()
         limit = 1.0
         try:
             sol = np.linalg.solve(A, rhs)
@@ -735,9 +728,8 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         d, back = sol[:k], None
 
         if k > 1:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.where(d < 0.0, w[idx] / -d, (upper[idx] - w[idx]) / d)
-            room[d == 0.0] = np.inf
+            room = np.divide(np.where(d < 0.0, -w[idx], upper[idx] - w[idx]), d,
+                             out=np.full(k, np.inf), where=d != 0.0)
             j = int(np.argmin(room))
             if room[j] < limit:
                 w[idx] += room[j] * d
@@ -775,7 +767,8 @@ def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
     The start keeps the warm working set: clip, then spread the missing
     mass over the warm face (coordinates strictly inside their bounds) by
     room to the bound, lowered to the mass, so the start stays inside it;
-    only mass the face cannot take is handed out greedily by gradient.
+    only mass the face cannot take is handed out greedily by gradient, to
+    every such row in one stacked fill.
     """
     W = np.minimum(np.maximum(warm, 0.0), upper)
     W *= mass / np.maximum(W.sum(axis=1, keepdims=True), mass)
@@ -785,9 +778,10 @@ def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
     spread = room.sum(axis=1, keepdims=True)
     take = np.minimum(missing, spread)
     W += room * (take / np.maximum(spread, np.finfo(float).tiny))
-    short = (missing - take)[:, 0]
-    for r in np.flatnonzero(short > 0.0):
-        W[r] += _greedy_linear(l - H @ W[r], float(short[r]), upper[r] - W[r])
+    over = np.flatnonzero(missing[:, 0] > take[:, 0])
+    if over.size:
+        W[over] += _greedy_linear(l - W[over] @ H.T, (missing - take)[over],
+                                  upper[over] - W[over])
     return W
 
 
@@ -815,9 +809,10 @@ def solve_pinned_family(problem: QpProblem, pins,
     Entry r is ``solve(problem.pinned(pins[r]))``'s objective value up to
     rounding, and the family raises the errors those solves would.  A
     family of at least ``FAMILY_MIN_ROWS`` rows runs ``_face_family`` from
-    ``warm_start`` (the full optimum): every face system is solved from one
-    factorization of the warm start's face, and each row that finishes
-    there meets the same KKT certificate as a single solve.  Every other
+    ``warm_start`` (the full optimum), each pin as an upper bound of 0:
+    every face system is solved from one factorization of the warm start's
+    face, and each row that finishes there meets the same KKT certificate
+    as a single solve.  Every other
     row (a smaller family, a singular system, a downhill step, the budget
     spent or the certificate missed) is solved by ``solve``.  The pins of
     ``problem`` itself are ignored, as by ``pinned``.
@@ -833,7 +828,7 @@ def solve_pinned_family(problem: QpProblem, pins,
         s = problem._scale
         W, done = _face_family(
             _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
-            mass, caps, np.where(pinned, 0.0, caps), pinned,
+            mass, caps, np.where(pinned, 0.0, caps),
             np.asarray(warm_start, dtype=float))
         done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_bound)) <= KKT_TOL
     for r in np.flatnonzero(~done):
@@ -842,32 +837,32 @@ def solve_pinned_family(problem: QpProblem, pins,
 
 
 def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
-                 upper: np.ndarray, pinned: np.ndarray,
-                 warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 upper: np.ndarray, warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_active_set`` on a stack of rows started from ``warm``, every face
     system solved from one factorization.
 
-    Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}
-    with the coordinates ``pinned[r]`` never released; it starts at
-    ``_warm_start``'s point, then steps and blocks as ``_active_set`` does
-    but releases only the lowest-index wrong-signed bound: one working-set
-    change per pass.  Let F be the coordinates strictly inside ``caps`` at
-    ``warm`` (at a vertex, its largest coordinate instead), K =
-    [[H_FF, 1], [1', 0]] its bordered KKT matrix, and B the column [e_j; 0]
-    for j in F and [H_Fj; 1] for j outside.  A row's face differs from F in a few coordinates C (its pin
+    Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}.
+    Its pins are its zero upper bounds: a coordinate there cannot move, so
+    its bound is never released.  It starts at ``_warm_start``'s point,
+    then steps and blocks as ``_active_set`` does but releases only the
+    lowest-index wrong-signed bound: one working-set change per pass.  Let
+    F be the coordinates strictly inside ``caps`` at ``warm`` (at a vertex,
+    its largest coordinate instead), K = [[H_FF, 1], [1', 0]] its bordered
+    KKT matrix, and B the column [e_j; 0] for j in F and [H_Fj; 1] for j
+    outside.  A row's face differs from F in a few coordinates C (its pin
     and the bounds it added in F, the coordinates it released outside F),
     so its bordered KKT system is K bordered by B_C: one solve of K against
-    B serves every row, and each row solves only its Schur complement
-    S = D_CC - B_C' K^-1 B_C, where D is H on the coordinates outside F and
+    B serves every row, and each row solves only its Schur complement S =
+    D_CC - B_C' K^-1 B_C, where D is H on the coordinates outside F and
     zero elsewhere.  For a pin i in F this is the closed form: the face
     optimum moves by -K^-1 e_i w_i / P_ii, with P the top-left block of
     K^-1, and the optimum falls by w_i^2 / (2 P_ii).  The systems of a pass
     are padded to the largest C and solved in one batch.
 
     Returns the rows and which of them finished: a singular K or Schur
-    complement, a downhill step, a step that does not move a bound just
-    released off it, or more than ``MAX_ITERATIONS`` changes leaves a row
-    unfinished.
+    complement, a downhill step, a step that does not move the bound a row
+    just released (kept as an index and its old sign) off it, or more than
+    ``MAX_ITERATIONS`` changes leaves a row unfinished.
     """
     R, n = upper.shape
     W = _warm_start(l, H, mass, upper, warm)
@@ -899,8 +894,9 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     free = ~(at_zero | at_cap)
     # +1 at a zero bound, -1 at a cap, 0 when free or pinned: a bound is
     # released while sign * (g - lambda) > KKT_TOL
-    sign = (at_zero & ~pinned) - at_cap * 1.0
-    leave = np.zeros((R, n))   # +1 / -1 where a row just released zero / a cap
+    sign = (at_zero & (upper > 0.0)) - at_cap * 1.0
+    # the bound each row just released and its sign there (0: none)
+    back, back_sign = np.zeros(R, dtype=int), np.zeros(R)
     G = l - W @ H.T
     out, ids = W.copy(), np.arange(R)
     for _ in range(MAX_ITERATIONS + 1):
@@ -931,15 +927,16 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
             ok = np.linalg.det(S) != 0.0
             x[ok] = np.linalg.solve(S[ok], rhs[ok][..., None])[..., 0]
         sol = U - np.einsum("rck,rc->rk", Yc, x)
+        # sol on F, x on C outside F, 0 on C in F (held at its bound)
         step = np.zeros((ids.size, n + 1))
         step[:, F] = sol[:, :k]
-        step[rows[:, None], C] = x
-        D = np.where(free, step[:, :n], 0.0)
+        step[rows[:, None], C] = np.where(out_c, x, 0.0)
+        D = step[:, :n]
         # on a numerically singular face the step can be huge and downhill;
         # a step of rounding noise (a face of one coordinate) is not
         usable = np.einsum("ij,ij->i", G, D) >= -KKT_TOL * (np.abs(D).sum(axis=1) + mass)
         # as is one that puts the bound just released straight back
-        usable &= (np.einsum("ij,ij->i", leave, D) > 0.0) | ~leave.any(axis=1)
+        usable &= (back_sign * D[rows, back] > 0.0) | (back_sign == 0.0)
         D[~usable] = 0.0
 
         room = np.divide(np.where(D < 0.0, -W, upper - W), D,
@@ -959,13 +956,13 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         settled = usable & ~blocked
         release = settled & wrong.any(axis=1)
         r, i = rows[release], np.argmax(wrong[release], axis=1)
-        leave[:] = 0.0
-        leave[r, i] = sign[r, i]
+        back_sign[:] = 0.0
+        back[r], back_sign[r] = i, sign[r, i]
         free[r, i], sign[r, i] = True, 0.0
         stop = settled & ~release
         out[ids[stop]], finished[ids[stop]] = W[stop], True
         keep = blocked | release
         if not np.all(keep):
-            W, G, free, sign, leave, upper, ids = (
-                a[keep] for a in (W, G, free, sign, leave, upper, ids))
+            W, G, free, sign, back, back_sign, upper, ids = (
+                a[keep] for a in (W, G, free, sign, back, back_sign, upper, ids))
     return out, finished

@@ -397,3 +397,20 @@ class TestVerifyCommand:
         main(["verify", "--property", "ir", "--trials", "10", "--seed", "3",
               "--output", str(second)])
         assert first.read_text() == second.read_text()
+
+
+class TestImportCost:
+    def test_package_import_leaves_the_cli_unloaded(self):
+        # a fresh process pays for every module ``import portfolio_vcg``
+        # loads: the library needs neither the cli layer nor its argparse
+        # and hashlib
+        src = str(Path(portfolio_vcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, portfolio_vcg; print(' '.join("
+             "m for m in ('portfolio_vcg.cli', 'argparse', 'hashlib') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

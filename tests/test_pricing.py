@@ -232,6 +232,28 @@ class TestCappedMarkets:
         expected = greedy - float(schedule.allocation.weights @ market.mu)
         assert schedule.risk_charge == pytest.approx(expected, abs=1e-9)
 
+    def test_caps_that_do_not_bind_leave_prices_unchanged(self):
+        # caps of 1.5, above the mass of 1, against no caps: the capped and
+        # uncapped routes of the greedy fill, the projection, the active set,
+        # the pinned family and the degeneracy flag reach the same answer
+        rng = np.random.default_rng(233)
+        for trial in range(100):
+            n = int(rng.integers(2, 21))
+            mu = rng.uniform(0.0, 5.0, n)
+            if trial % 3 == 0:
+                mu = np.round(mu)   # ties
+            g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            sigma = g.T @ g + (1e-6 * np.eye(n) if trial % 2 else 0.0)
+            q = 0.0 if trial % 5 == 0 else \
+                float(np.exp(rng.uniform(np.log(1e-3), np.log(10))))
+            plain = price_schedule(market_from_mu(mu, sigma, q))
+            capped = price_schedule(market_from_mu(mu, sigma, q, caps=np.full(n, 1.5)))
+            tol = 1e-12 * float(np.max(mu))
+            np.testing.assert_allclose(capped.offer_prices, plain.offer_prices,
+                                       rtol=0, atol=tol)
+            assert abs(capped.risk_charge - plain.risk_charge) <= tol
+            assert capped.allocation.degenerate == plain.allocation.degenerate
+
 
 class TestQmapPrices:
     def test_linear_case_reduces_to_second_price(self):

@@ -18,7 +18,6 @@ from portfolio_vcg.qp import (
     _detect_degenerate,
     _project,
     _project_capped,
-    _sum_zero_basis,
     psd_slack,
     quadratic_scan,
     solve_pinned_family,
@@ -297,15 +296,16 @@ class TestSolve:
 
 def family_args(problem: QpProblem, pins) -> tuple:
     """``_face_family``'s arguments before ``warm`` for the rows of
-    ``problem`` pinned at ``pins``, as ``solve_pinned_family`` builds them."""
+    ``problem`` pinned at ``pins``, as ``solve_pinned_family`` builds them:
+    each row's pin is an upper bound of 0."""
     n = problem.dimension
-    pinned = np.zeros((len(pins), n), dtype=bool)
-    pinned[np.arange(len(pins)), pins] = True
     caps = np.full(n, np.inf) if problem.caps is None else problem.caps
+    upper = np.tile(caps, (len(pins), 1))
+    upper[np.arange(len(pins)), pins] = 0.0
     s = problem._scale
     return (qp._shifted_linear(problem) / s,
             (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
-            np.where(pinned, 0.0, caps), pinned)
+            upper)
 
 
 def family_changes(problem: QpProblem, pins, warm) -> np.ndarray:
@@ -382,7 +382,7 @@ class TestPinnedWarmStart:
             < full.weights[0]
         # the face fills to its caps, and only the remaining 0.1 goes
         # greedily, to offer 4
-        l, H, mass, _, upper, _ = family_args(problem, [0])
+        l, H, mass, _, upper = family_args(problem, [0])
         np.testing.assert_allclose(qp._warm_start(l, H, mass, upper, full.weights),
                                    [[0.0, 0.3, 0.3, 0.3, 0.1]], atol=1e-12)
         assert assert_matches_cold(problem, 0, full.weights)[0] == 0.0
@@ -827,6 +827,60 @@ class TestSolvePinnedFamily:
             with pytest.raises(InfeasibleProblemError, match="every coordinate"):
                 solve_pinned_family(single, pins, np.ones(1))
 
+    def test_unpinned_zero_cap(self):
+        # a cap of 0 on the offer the market values most: its bound is never
+        # released, as a pin's is not, and every row finishes in the family
+        for seed in range(4):
+            problem = factor_market(seed, 30)
+            caps = problem.caps.copy()
+            caps[int(np.argmax(problem.linear))] = 0.0
+            problem = replace(problem, caps=caps)
+            warm = solve(problem).weights
+            pins = np.flatnonzero(warm)
+            assert pins.size >= 3
+            assert qp._face_family(*family_args(problem, pins), warm)[1].all()
+            for pin in pins:
+                assert assert_matches_cold(problem, pin, warm)[caps == 0.0] == 0.0
+
+
+def greedy_reference(l: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
+    """Reference: fill one coordinate at a time, best first."""
+    w = np.zeros_like(l)
+    remaining = mass
+    for i in np.argsort(-l, kind="stable"):
+        take = min(float(caps[i]), remaining)
+        w[i] = take
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return w
+
+
+class TestGreedyFill:
+    def test_stack_matches_a_row_loop(self):
+        # ties, zero caps and infinite caps; a vector, and a stack whose rows
+        # have their own mass, as ``_warm_start`` hands them over
+        rng = np.random.default_rng(227)
+        for _ in range(300):
+            r, n = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+            mass = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), (r, 1)))
+            L = np.round(rng.normal(0, 2, (r, n)), 1)   # ties are common
+            caps = rng.uniform(0.0, 0.8, (r, n)) * mass
+            caps[rng.uniform(size=(r, n)) < 0.2] = 0.0
+            caps[rng.uniform(size=(r, n)) < 0.2] = np.inf
+            caps[:, rng.integers(n)] = np.inf   # feasible rows
+            W = qp._greedy_linear(L, mass, caps)
+            for row in range(r):
+                ref = greedy_reference(L[row], float(mass[row, 0]), caps[row])
+                tol = 1e-15 * float(mass[row, 0])
+                np.testing.assert_allclose(W[row], ref, rtol=0, atol=tol)
+                np.testing.assert_allclose(
+                    qp._greedy_linear(L[row], float(mass[row, 0]), caps[row]),
+                    ref, rtol=0, atol=tol)
+            # uncapped: the mass on the first largest entry
+            np.testing.assert_array_equal(
+                qp._greedy_linear(L[0], 1.0, None),
+                greedy_reference(L[0], 1.0, np.full(n, np.inf)))
 
 
 def bisection_projection(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
@@ -903,34 +957,40 @@ class TestRowProjection:
                                        rtol=0, atol=1e-12 * mass)
 
 
-def qr_sum_zero_basis(k: int) -> np.ndarray:
-    return np.linalg.qr(np.ones((k, 1)), mode="complete")[0][:, 1:]
+def qr_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
+    """Reference degeneracy flag: the optimal face as ``_detect_degenerate``
+    finds it, and its smallest curvature along a QR basis of its sum-zero
+    directions, the reduced Hessian B' H B."""
+    g = qp.gradient(problem, w)
+    tol = qp.DEGENERATE_TOL * problem._scale
+    n = problem.dimension
+    act_tol = 1e-8 * problem.mass / n
+    mask = np.ones(n, dtype=bool)
+    mask[list(problem.zero_set)] = False
+    carrying = mask & (w > act_tol)
+    if not carrying.any():
+        return False
+    lam = float(np.mean(g[carrying]))
+    in_face = mask & (carrying | (np.abs(g - lam) <= tol))
+    if problem.caps is not None:
+        in_face &= ~((w >= problem.caps - act_tol) & (g - lam > tol))
+    idx = np.flatnonzero(in_face)
+    if idx.size < 2:
+        return False
+    if problem.risk == 0.0:
+        return True
+    H = 2.0 * problem.risk * problem.quadratic[np.ix_(idx, idx)]
+    basis = np.linalg.qr(np.ones((idx.size, 1)), mode="complete")[0][:, 1:]
+    reduced = basis.T @ H @ basis
+    lo = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+    return lo <= qp.DEGENERATE_TOL * float(np.max(np.abs(H)))
 
 
 class TestSumZeroBasis:
-    def test_orthonormal_and_sum_zero(self):
-        for k in range(2, 40):
-            basis = _sum_zero_basis(k)
-            assert basis.shape == (k, k - 1)
-            np.testing.assert_allclose(basis.T @ basis, np.eye(k - 1),
-                                       atol=1e-14)
-            assert float(np.max(np.abs(basis.sum(axis=0)))) <= 1e-14
+    # ``_detect_degenerate`` reads the face's sum-zero curvature from the
+    # centered face Hessian instead of a basis of the sum-zero directions
 
-    def test_reduced_min_eigenvalue_matches_qr(self):
-        # faces of full-rank and rank-deficient quadratic terms
-        rng = np.random.default_rng(23)
-        for kind in np.repeat(("full", "rank_deficient"), 50):
-            n = int(rng.integers(2, 20))
-            Q = random_quadratic(rng, n, kind)
-            idx = np.sort(rng.choice(n, int(rng.integers(2, n + 1)),
-                                     replace=False))
-            H = Q[np.ix_(idx, idx)]
-            lows = [float(np.linalg.eigvalsh(b.T @ H @ b)[0])
-                    for b in (_sum_zero_basis(idx.size),
-                              qr_sum_zero_basis(idx.size))]
-            assert abs(lows[0] - lows[1]) <= 1e-12 * float(np.max(np.abs(H)))
-
-    def test_degenerate_flag_matches_qr(self, monkeypatch):
+    def test_degenerate_flag_matches_qr(self):
         # optimal faces of random problems, cap-bound and rank-deficient;
         # tied linear terms make flat faces common
         rng = np.random.default_rng(29)
@@ -943,11 +1003,10 @@ class TestSumZeroBasis:
                 risk=float(np.exp(rng.uniform(np.log(1e-3), np.log(10)))),
                 mass=1.0, caps=random_caps(rng, n, kind),
             )
-            cases.append((problem, solve(problem).weights))
+            for p in (problem, problem.pinned(int(rng.integers(n)))):
+                cases.append((p, solve(p).weights))
         flags = [_detect_degenerate(p, w) for p, w in cases]
-        monkeypatch.setattr(qp, "_sum_zero_basis", qr_sum_zero_basis)
-        assert flags == [_detect_degenerate(p, w)
-                         for p, w in cases]
+        assert flags == [qr_degenerate(p, w) for p, w in cases]
         assert set(flags) == {True, False}
         assert any(p.caps is not None and np.any(w == p.caps)
                    for p, w in cases)
