@@ -111,13 +111,13 @@ class QpProblem:
     call-count problems.
 
     A problem built by hand holds read-only copies of its arrays and is
-    validated in full on first use (``_validate_problem``).  One built from
-    a validated market or call-count instance (``market_problem``,
-    ``qmap_problem``, through ``shared_problem``) shares the instance's
-    private read-only arrays without copying them and arrives validated:
-    the instance's checks cover the data's, and it hands over the bound on
-    Q's largest eigenvalue and the max|Q| they found, so only the pins are
-    checked.
+    checked once, when it is built: malformed data raises QpValidationError
+    there.  One built from a validated market or call-count instance
+    (``market_problem``, ``qmap_problem``, through ``shared_problem``)
+    shares the instance's private read-only arrays without copying them and
+    is not checked again: the instance's checks cover the data's, and it
+    hands over the bound on Q's largest eigenvalue and the max|Q| they
+    found.  The pins and the caps' room are checked on every solve.
     """
 
     linear: np.ndarray
@@ -128,8 +128,8 @@ class QpProblem:
     caps: Optional[np.ndarray] = None
     affine_linear: Optional[np.ndarray] = None
     # an upper bound on the largest eigenvalue of ``quadratic`` and the
-    # gradient magnitude, set once the data has been validated; ``pinned``
-    # copies inherit both
+    # gradient magnitude, set when the data is checked (or by
+    # ``shared_problem``); ``pinned`` copies inherit both
     _lam_bound: Optional[float] = field(default=None, init=False, repr=False,
                                         compare=False)
     _scale: Optional[float] = field(default=None, init=False, repr=False,
@@ -143,6 +143,38 @@ class QpProblem:
             object.__setattr__(self, "caps", _readonly(self.caps))
         if self.affine_linear is not None:
             object.__setattr__(self, "affine_linear", _readonly(self.affine_linear))
+        c, Q, b = self.linear, self.quadratic, self.affine_linear
+        if c.ndim != 1 or c.size == 0:
+            raise QpValidationError("linear term must be a nonempty vector")
+        n = c.shape[0]
+        if Q.shape != (n, n):
+            raise QpValidationError(
+                f"quadratic term shape {Q.shape} does not match dimension {n}"
+            )
+        peak, gap, floor, bound = quadratic_scan(Q)
+        if math.isnan(peak) or not np.all(np.isfinite(c)) or \
+                (b is not None and not np.all(np.isfinite(b))):
+            raise QpValidationError("problem data must be finite")
+        if self.risk < 0 or not np.isfinite(self.risk):
+            raise QpValidationError(f"risk weight must be >= 0, got {self.risk}")
+        if self.mass <= 0 or not np.isfinite(self.mass):
+            raise QpValidationError(f"mass must be positive, got {self.mass}")
+        if gap > SYM_TOL * peak:
+            raise QpValidationError("quadratic term must be symmetric")
+        if floor < -psd_slack(Q):
+            raise QpValidationError(
+                f"quadratic term is not positive semidefinite "
+                f"(min eigenvalue {floor:.3e})"
+            )
+        if self.caps is not None:
+            u = self.caps
+            if u.shape != (n,):
+                raise QpValidationError("caps must match the problem dimension")
+            if np.any(u < 0) or not np.all(np.isfinite(u)):
+                raise QpValidationError("caps must be finite and nonnegative")
+        if b is not None and b.shape != (n,):
+            raise QpValidationError("affine_linear must match the problem dimension")
+        _seed(self, peak, bound)
 
     @property
     def dimension(self) -> int:
@@ -151,11 +183,10 @@ class QpProblem:
     def pinned(self, i: int) -> "QpProblem":
         """This problem with coordinate i (alone) pinned to zero.
 
-        The copy shares this problem's arrays, validation, eigenvalue bound
-        and gradient scale: a family of pinned solves scans and factors the
-        quadratic term once in all.
+        A plain copy: it shares this problem's arrays, eigenvalue bound and
+        gradient scale, so a family of pinned solves scans and factors the
+        quadratic term once in all.  Its pin is checked when it is solved.
         """
-        _validate_problem(self)
         pinned = copy.copy(self)
         object.__setattr__(pinned, "zero_set", frozenset({int(i)}))
         return pinned
@@ -328,7 +359,7 @@ def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
     """(max|M|, max|M - M'|, PSD floor, lambda_max bound) of a square matrix.
 
     The one pass over a quadratic term that every validation makes
-    (``validate_market``, ``validate_qmap``, ``_validate_problem``); each
+    (``validate_market``, ``validate_qmap``, ``QpProblem``'s); each
     tests ``max|M - M'| <= SYM_TOL * max|M|`` and ``floor >= -psd_slack(M)``
     on the result.  Floor and bound are those of the symmetric part S (M
     itself when it is exactly symmetric).
@@ -369,19 +400,9 @@ def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
     return peak, gap, floor, bound
 
 
-def _check_shapes(c: np.ndarray, Q: np.ndarray) -> None:
-    if c.ndim != 1 or c.size == 0:
-        raise QpValidationError("linear term must be a nonempty vector")
-    n = c.shape[0]
-    if Q.shape != (n, n):
-        raise QpValidationError(
-            f"quadratic term shape {Q.shape} does not match dimension {n}"
-        )
-
-
-def _seed(problem: QpProblem, peak: float, lam_bound: float) -> None:
-    """Mark ``problem`` as validated, with max|Q| and a bound on Q's largest
-    eigenvalue.
+def _seed(problem: QpProblem, peak: float, bound: float) -> None:
+    """Store on ``problem`` the bound on Q's largest eigenvalue and the
+    gradient scale computed from max|Q| (``peak``).
 
     The gradient scale it stores bounds the gradient's magnitude over the
     feasible set; it is 1 for all-zero data, whose gradient is zero.
@@ -391,65 +412,25 @@ def _seed(problem: QpProblem, peak: float, lam_bound: float) -> None:
     scale += 2.0 * problem.risk * peak * problem.mass
     if b is not None:
         scale += problem.risk * float(np.max(np.abs(b), initial=0.0))
-    object.__setattr__(problem, "_lam_bound", lam_bound)
+    object.__setattr__(problem, "_lam_bound", bound)
     object.__setattr__(problem, "_scale", scale or 1.0)
 
 
 def shared_problem(scan: tuple, **data) -> QpProblem:
-    """A problem over a validated instance's arrays, validated with it.
+    """A problem over a validated instance's arrays, checked with it.
 
     ``data`` are ``QpProblem``'s arguments, whose arrays must be the
     instance's private read-only ones: they are shared, not copied.
     ``scan`` is the (max|Q|, lambda_max bound) that the instance's
     ``quadratic_scan`` found; the gradient scale is computed from it exactly
-    as a full validation computes it.  The caller vouches that the
-    instance's checks cover every check of ``_validate_problem``.
+    as the constructor computes it, which is bypassed: the caller vouches
+    that the instance's checks cover every check of the constructor.
     """
     problem = object.__new__(QpProblem)
     for f in fields(QpProblem):
         object.__setattr__(problem, f.name, data.get(f.name, f.default))
     _seed(problem, *scan)
     return problem
-
-
-def _validate_problem(problem: QpProblem) -> float:
-    """Check the data; return a bound on the quadratic term's largest
-    eigenvalue (see ``quadratic_scan``).
-
-    A problem that carries its bound and scale (seeded from a validated
-    instance, or a pinned copy of a checked problem) has had its data
-    checked, so nothing is checked again.  The pins are checked with the
-    bounds by ``_pin_mask``, when a solve or certificate reads them.
-    """
-    c, Q, b = problem.linear, problem.quadratic, problem.affine_linear
-    if problem._scale is None:
-        _check_shapes(c, Q)
-        n = c.shape[0]
-        peak, gap, floor, lam_bound = quadratic_scan(Q)
-        if math.isnan(peak) or not np.all(np.isfinite(c)) or \
-                (b is not None and not np.all(np.isfinite(b))):
-            raise QpValidationError("problem data must be finite")
-        if problem.risk < 0 or not np.isfinite(problem.risk):
-            raise QpValidationError(f"risk weight must be >= 0, got {problem.risk}")
-        if problem.mass <= 0 or not np.isfinite(problem.mass):
-            raise QpValidationError(f"mass must be positive, got {problem.mass}")
-        if gap > SYM_TOL * peak:
-            raise QpValidationError("quadratic term must be symmetric")
-        if floor < -psd_slack(Q):
-            raise QpValidationError(
-                f"quadratic term is not positive semidefinite "
-                f"(min eigenvalue {floor:.3e})"
-            )
-        if problem.caps is not None:
-            u = problem.caps
-            if u.shape != (n,):
-                raise QpValidationError("caps must match the problem dimension")
-            if np.any(u < 0) or not np.all(np.isfinite(u)):
-                raise QpValidationError("caps must be finite and nonnegative")
-        if b is not None and b.shape != (n,):
-            raise QpValidationError("affine_linear must match the problem dimension")
-        _seed(problem, peak, lam_bound)
-    return problem._lam_bound
 
 
 def _pin_mask(problem: QpProblem, pins) -> Optional[np.ndarray]:
@@ -484,18 +465,8 @@ def _pin_mask(problem: QpProblem, pins) -> Optional[np.ndarray]:
     return pinned
 
 
-def _mapping_step(problem: QpProblem, lam_bound: float) -> float:
-    """The reciprocal of a bound on the gradient's Lipschitz constant, but
-    at most mass / gradient scale, a step that moves no coordinate by more
-    than the mass; ``lam_bound`` is at least the largest eigenvalue of the
-    quadratic term.  Both bounds shrink as the currency unit grows, so the
-    certificate's residual does not depend on it."""
-    return 1.0 / max(2.0 * problem.risk * lam_bound,
-                     problem._scale / problem.mass)
-
-
-def _kkt_terms(problem: QpProblem, W: np.ndarray, pinned: Optional[np.ndarray],
-               lam_bound: float) -> tuple:
+def _kkt_terms(problem: QpProblem, W: np.ndarray,
+               pinned: Optional[np.ndarray]) -> tuple:
     """The KKT certificate of each row of W, a vector or a stack of rows.
 
     ``pinned`` masks each row's coordinates pinned to zero (None when
@@ -503,12 +474,14 @@ def _kkt_terms(problem: QpProblem, W: np.ndarray, pinned: Optional[np.ndarray],
     excess and scaled stationarity of each row: floats for a vector, arrays
     for a stack.  The stationarity is the projected-gradient mapping norm
     max|W - P(W + eta grad)| / eta, zero exactly at KKT points, divided by
-    the gradient scale.  A row's residual is the largest of its terms; a
-    non-finite weight makes the first term non-finite, so a vector's
-    residual is not finite either.
+    the gradient scale; eta, the reciprocal of a bound on the gradient's
+    Lipschitz constant but at most mass / gradient scale, shrinks as the
+    currency unit grows, so the residual does not depend on it.  A row's
+    residual is the largest of its terms; a non-finite weight makes the
+    first term non-finite, so a vector's residual is not finite either.
     """
     mass, caps = problem.mass, problem.caps
-    eta = _mapping_step(problem, lam_bound)
+    eta = 1.0 / max(2.0 * problem.risk * problem._lam_bound, problem._scale / mass)
     mapped = _project(W + eta * gradient(problem, W), mass, caps, pinned)
     return (np.abs(W.sum(axis=-1) - mass),
             (-W).max(axis=-1, initial=0.0),
@@ -522,10 +495,9 @@ def check_kkt(problem: QpProblem, candidate) -> KktReport:
 
     ``report.passed`` is True exactly when the candidate is an approximate
     KKT point at tolerance ``KKT_TOL`` (hence, by concavity, an approximate
-    global maximizer).  Raises the errors ``solve`` raises for malformed
-    data and for pins or caps that empty the feasible set.
+    global maximizer).  Raises the errors ``solve`` raises for the pins and
+    caps, and QpValidationError for a candidate of the wrong shape.
     """
-    lam_bound = _validate_problem(problem)
     w = np.asarray(candidate, dtype=float)
     if w.shape != (problem.dimension,):
         raise QpValidationError(
@@ -533,7 +505,7 @@ def check_kkt(problem: QpProblem, candidate) -> KktReport:
             f"{problem.dimension}"
         )
     pinned = _pin_mask(problem, sorted(problem.zero_set))
-    terms = [float(t) for t in _kkt_terms(problem, w, pinned, lam_bound)]
+    terms = [float(t) for t in _kkt_terms(problem, w, pinned)]
     residual = max(terms)
     mass_error, negativity, pin_error, cap_excess, stationarity = terms
     return KktReport(
@@ -622,12 +594,12 @@ def solve(problem: QpProblem) -> QpSolution:
 
     Deterministic for fixed input; exact ties in the linear term are broken
     toward the lower index.  Raises InfeasibleProblemError when pins or
-    caps empty the feasible set, QpValidationError for malformed data, and
+    caps empty the feasible set, QpValidationError for a pin out of range
+    (and, when the problem was built, for malformed data), and
     SolverConvergenceError if the active set needs more than
     ``MAX_ITERATIONS`` face solves after its first or the result misses
     ``KKT_TOL``.
     """
-    lam_bound = _validate_problem(problem)
     pinned = _pin_mask(problem, sorted(problem.zero_set))
     mass, q = problem.mass, problem.risk
     l, Q, caps = _shifted_linear(problem), problem.quadratic, problem.caps
@@ -644,12 +616,12 @@ def solve(problem: QpProblem) -> QpSolution:
         # at unit gradient scale, whatever the currency unit
         s = problem._scale
         w, iterations = _active_set(l / s, (2.0 * q / s) * Q, mass, caps,
-                                    2.0 * q * lam_bound / s)
+                                    2.0 * q * problem._lam_bound / s)
     if pinned is not None:
         w_free, w = w, np.zeros(problem.dimension)
         w[free] = w_free
 
-    residual = float(max(_kkt_terms(problem, w, pinned, lam_bound)))
+    residual = float(max(_kkt_terms(problem, w, pinned)))
     if not residual <= KKT_TOL:
         raise SolverConvergenceError(
             f"KKT residual {residual:.3e} above tolerance "
@@ -817,7 +789,6 @@ def solve_pinned_family(problem: QpProblem, pins,
     spent or the certificate missed) is solved by ``solve``.  The pins of
     ``problem`` itself are ignored, as by ``pinned``.
     """
-    lam_bound = _validate_problem(problem)
     pins = np.asarray(pins, dtype=int).reshape(-1)
     n, mass, q = problem.dimension, problem.mass, problem.risk
     W = np.zeros((pins.size, n))
@@ -830,7 +801,7 @@ def solve_pinned_family(problem: QpProblem, pins,
             _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
             mass, caps, np.where(pinned, 0.0, caps),
             np.asarray(warm_start, dtype=float))
-        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned, lam_bound)) <= KKT_TOL
+        done &= reduce(np.maximum, _kkt_terms(problem, W, pinned)) <= KKT_TOL
     for r in np.flatnonzero(~done):
         W[r] = solve(problem.pinned(pins[r])).weights
     return objective_value(problem, W)

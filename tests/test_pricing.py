@@ -255,6 +255,42 @@ class TestCappedMarkets:
             assert capped.allocation.degenerate == plain.allocation.degenerate
 
 
+class TestAddedOffer:
+    def test_offer_without_weight_anywhere_leaves_the_other_prices(self):
+        # an uncorrelated offer worth at most half the smallest mu, with 1-10
+        # times the largest variance: where it carries no weight in the full
+        # optimum nor in any pinned one, every optimum and so every other
+        # price is unchanged.  The tie-break LEX_EPS scales with n, and each
+        # optimum is certified to KKT_TOL only, hence the bound.
+        rng = np.random.default_rng(19)
+        qualified = 0
+        for _ in range(100):
+            n = int(rng.integers(2, 11))
+            mu = rng.uniform(0.0, 5.0, n)
+            g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            sigma = g.T @ g + 1e-6 * np.eye(n)
+            q = float(np.exp(rng.uniform(np.log(1e-3), np.log(10))))
+            caps = rng.uniform(1.0 / (n - 1), 1.0, n) if rng.uniform() < 0.4 else None
+            wide_sigma = np.zeros((n + 1, n + 1))
+            wide_sigma[:n, :n] = sigma
+            wide_sigma[n, n] = rng.uniform(1.0, 10.0) * float(np.diag(sigma).max())
+            wide = market_from_mu(np.append(mu, rng.uniform(0.0, 0.5) * mu.min()),
+                                  wide_sigma, q,
+                                  caps=None if caps is None else np.append(caps, 1.0))
+            problem = market_problem(wide)
+            if solve(problem).weights[n] != 0.0 or any(
+                    solve(problem.pinned(i)).weights[n] != 0.0 for i in range(n)):
+                continue
+            qualified += 1
+            plain = price_schedule(market_from_mu(mu, sigma, q, caps=caps))
+            added = price_schedule(wide)
+            tol = qp.KKT_TOL * float(np.max(mu))
+            np.testing.assert_allclose(added.offer_prices[:n], plain.offer_prices,
+                                       rtol=0, atol=tol)
+            assert abs(added.risk_charge - plain.risk_charge) <= tol
+        assert qualified >= 50
+
+
 class TestQmapPrices:
     def test_linear_case_reduces_to_second_price(self):
         inst = QmapInstance(a_matrix=np.zeros((2, 2)), b_vector=np.zeros(2),

@@ -114,10 +114,10 @@ class TestSolve:
             solve(problem)
 
     def test_indefinite_quadratic_rejected(self):
-        problem = QpProblem(linear=np.array([1.0, 0.8]),
-                            quadratic=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                            risk=0.5, mass=1.0)
         with pytest.raises(QpValidationError, match="semidefinite"):
+            problem = QpProblem(linear=np.array([1.0, 0.8]),
+                                quadratic=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                risk=0.5, mass=1.0)
             solve(problem)
 
     @pytest.mark.parametrize("field", ["linear", "quadratic", "affine_linear"])
@@ -126,7 +126,7 @@ class TestSolve:
                     affine_linear=np.zeros(2), risk=0.5, mass=10.0)
         data[field] = np.full_like(data[field], np.nan)
         with pytest.raises(QpValidationError, match="finite"):
-            solve(QpProblem(**data))
+            QpProblem(**data)
 
     @pytest.mark.parametrize("field, value", [
         ("risk", -1.0), ("risk", np.nan), ("mass", 0.0), ("mass", np.inf),
@@ -137,11 +137,29 @@ class TestSolve:
                     risk=0.5, mass=1.0)
         data[field] = value
         with pytest.raises(QpValidationError):
-            solve(QpProblem(**data))
+            QpProblem(**data)
 
     def test_scalar_linear_term_rejected(self):
         with pytest.raises(QpValidationError, match="nonempty vector"):
-            solve(QpProblem(linear=5.0, quadratic=np.eye(1)))
+            QpProblem(linear=5.0, quadratic=np.eye(1))
+
+    def test_hand_built_problem_is_scanned_once_when_built(self, monkeypatch):
+        scans, real_scan = [], qp.quadratic_scan
+
+        def counting_scan(matrix):
+            scans.append(matrix.shape)
+            return real_scan(matrix)
+
+        monkeypatch.setattr(qp, "quadratic_scan", counting_scan)
+        problem = QpProblem(linear=np.array([1.0, 0.8, 0.3]),
+                            quadratic=np.diag([1.0, 2.0, 0.5]), risk=0.7,
+                            caps=np.full(3, 0.9))
+        assert scans == [(3, 3)]
+        full = solve(problem)
+        check_kkt(problem, full.weights)
+        solve(problem.pinned(0))
+        solve_pinned_family(problem, [0, 1, 2], full.weights)
+        assert scans == [(3, 3)]
 
     def test_hand_built_problem_copies_its_arrays(self):
         # even read-only arrays that own their data: the caller may make
@@ -189,10 +207,10 @@ class TestSolve:
             solve(problem.pinned(3))
 
     def test_pinned_copy_of_an_indefinite_problem_rejected(self):
-        problem = QpProblem(linear=np.array([1.0, 0.8]),
-                            quadratic=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                            risk=0.5, mass=1.0)
         with pytest.raises(QpValidationError, match="semidefinite"):
+            problem = QpProblem(linear=np.array([1.0, 0.8]),
+                                quadratic=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                risk=0.5, mass=1.0)
             problem.pinned(0)
 
     def test_caps_are_respected(self):
@@ -448,6 +466,23 @@ class TestReleasedBoundCycling:
             inst = rank_deficient_instance(seed)
             assert qmap_allocate(inst).kkt_residual <= qp.KKT_TOL
             qmap_prices(inst)
+
+    @pytest.mark.parametrize("seed", [434, 1685])
+    def test_seeds_that_cycled_before_every_wrong_bound_was_released(self, seed):
+        # at the shipped budget, which these used to spend in full
+        inst = rank_deficient_instance(seed)
+        assert qmap_allocate(inst).kkt_residual <= qp.KKT_TOL
+        qmap_prices(inst)
+
+    @pytest.mark.xfail(strict=True, raises=SolverConvergenceError,
+                       reason="ROADMAP item 2: finite termination on "
+                              "rank-deficient faces is still open")
+    @pytest.mark.parametrize("seed", [347, 2282])
+    def test_seeds_that_still_cycle(self, seed, monkeypatch):
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 3000)
+        inst = rank_deficient_instance(seed)
+        qmap_allocate(inst)
+        qmap_prices(inst)
 
 
 def factor_market(seed: int, n: int) -> QpProblem:
