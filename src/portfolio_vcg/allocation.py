@@ -246,16 +246,18 @@ def allocate(market: MarketInstance) -> Allocation:
 
 
 def qmap_problem(instance: QmapInstance) -> QpProblem:
-    """The max-form call-count program as a kernel problem.
+    """The max-form call-count program as a kernel problem, whose linear
+    term is c - q b, a read-only array computed here.
 
     As ``market_problem`` does for a market, the problem of an instance
-    that ``validate_qmap`` passed shares its arrays and its validation; an
-    instance it did not pass raises ValueError.
+    that ``validate_qmap`` passed shares A and its validation; an instance
+    it did not pass raises ValueError.
     """
-    return _instance_problem(instance, linear=instance.c_vector,
-                             quadratic=instance.a_matrix, risk=instance.q,
-                             mass=float(instance.m),
-                             affine_linear=instance.b_vector)
+    linear = instance.c_vector
+    if instance._scan is not None:   # fold only data the checks passed
+        linear = qp._readonly(linear - instance.q * instance.b_vector)
+    return _instance_problem(instance, linear=linear, quadratic=instance.a_matrix,
+                             risk=instance.q, mass=float(instance.m))
 
 
 def qmap_allocate(instance: QmapInstance) -> Allocation:

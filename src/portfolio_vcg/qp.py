@@ -3,7 +3,7 @@
 This is the single numerical kernel behind allocation and every pricing
 subproblem:
 
-    maximize   c'w - q * (w'Qw + b'w)
+    maximize   c'w - q * w'Qw
     subject to sum(w) = M,  w >= 0,
                w_i = 0 for pinned coordinates,
                w_i <= u_i where per-coordinate caps are given.
@@ -105,10 +105,9 @@ def _readonly(arr) -> np.ndarray:
 class QpProblem:
     """Data for one simplex-constrained concave QP.
 
-    Objective: c'w - q * (w'Qw + b'w) with c = ``linear``, Q = ``quadratic``,
-    b = ``affine_linear`` (zero when omitted).  ``mass`` is the required
-    coordinate sum: 1 for fractional portfolios, the pool size for
-    call-count problems.
+    Objective: c'w - q * w'Qw with c = ``linear`` and Q = ``quadratic``.
+    ``mass`` is the required coordinate sum: 1 for fractional portfolios,
+    the pool size for call-count problems.
 
     A problem built by hand holds read-only copies of its arrays and is
     checked once, when it is built: malformed data raises QpValidationError
@@ -117,7 +116,8 @@ class QpProblem:
     shares the instance's private read-only arrays without copying them and
     is not checked again: the instance's checks cover the data's, and it
     hands over the bound on Q's largest eigenvalue and the max|Q| they
-    found.  The pins and the caps' room are checked on every solve.
+    found; a call-count problem computes its linear term, c - q b.  The
+    pins and the caps' room are checked on every solve.
     """
 
     linear: np.ndarray
@@ -126,14 +126,15 @@ class QpProblem:
     mass: float = 1.0
     zero_set: frozenset = frozenset()
     caps: Optional[np.ndarray] = None
-    affine_linear: Optional[np.ndarray] = None
-    # an upper bound on the largest eigenvalue of ``quadratic`` and the
-    # gradient magnitude, set when the data is checked (or by
-    # ``shared_problem``); ``pinned`` copies inherit both
+    # set when the data is checked (or by ``shared_problem``) and shared by
+    # ``pinned`` copies: a bound on Q's largest eigenvalue, the gradient
+    # magnitude and the linear term the active set works with
     _lam_bound: Optional[float] = field(default=None, init=False, repr=False,
                                         compare=False)
     _scale: Optional[float] = field(default=None, init=False, repr=False,
                                     compare=False)
+    _linear: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", _readonly(self.linear))
@@ -141,9 +142,7 @@ class QpProblem:
         object.__setattr__(self, "zero_set", frozenset(self.zero_set))
         if self.caps is not None:
             object.__setattr__(self, "caps", _readonly(self.caps))
-        if self.affine_linear is not None:
-            object.__setattr__(self, "affine_linear", _readonly(self.affine_linear))
-        c, Q, b = self.linear, self.quadratic, self.affine_linear
+        c, Q = self.linear, self.quadratic
         if c.ndim != 1 or c.size == 0:
             raise QpValidationError("linear term must be a nonempty vector")
         n = c.shape[0]
@@ -152,8 +151,7 @@ class QpProblem:
                 f"quadratic term shape {Q.shape} does not match dimension {n}"
             )
         peak, gap, floor, bound = quadratic_scan(Q)
-        if math.isnan(peak) or not np.all(np.isfinite(c)) or \
-                (b is not None and not np.all(np.isfinite(b))):
+        if math.isnan(peak) or not np.all(np.isfinite(c)):
             raise QpValidationError("problem data must be finite")
         if self.risk < 0 or not np.isfinite(self.risk):
             raise QpValidationError(f"risk weight must be >= 0, got {self.risk}")
@@ -172,8 +170,6 @@ class QpProblem:
                 raise QpValidationError("caps must match the problem dimension")
             if np.any(u < 0) or not np.all(np.isfinite(u)):
                 raise QpValidationError("caps must be finite and nonnegative")
-        if b is not None and b.shape != (n,):
-            raise QpValidationError("affine_linear must match the problem dimension")
         _seed(self, peak, bound)
 
     @property
@@ -183,9 +179,9 @@ class QpProblem:
     def pinned(self, i: int) -> "QpProblem":
         """This problem with coordinate i (alone) pinned to zero.
 
-        A plain copy: it shares this problem's arrays, eigenvalue bound and
-        gradient scale, so a family of pinned solves scans and factors the
-        quadratic term once in all.  Its pin is checked when it is solved.
+        A plain copy: it shares this problem's arrays, eigenvalue bound,
+        gradient scale and working linear term, so a family of pinned solves
+        scans and factors the quadratic term once in all.  Its pin is checked when it is solved.
         """
         pinned = copy.copy(self)
         object.__setattr__(pinned, "zero_set", frozenset({int(i)}))
@@ -244,13 +240,11 @@ class KktReport:
 
 
 def objective_value(problem: QpProblem, w):
-    """Evaluate c'w - q * (w'Qw + b'w) at w, or at each row of a stack."""
+    """Evaluate c'w - q * w'Qw at w, or at each row of a stack."""
     w = np.asarray(w, dtype=float)
     # row by row dot products: a vector's is the same dot as w @ Q @ w
     quad = np.matmul((w @ problem.quadratic)[..., None, :], w[..., None])[..., 0, 0]
     val = w @ problem.linear - problem.risk * quad
-    if problem.affine_linear is not None:
-        val = val - problem.risk * (w @ problem.affine_linear)
     return float(val) if val.ndim == 0 else val
 
 
@@ -258,10 +252,7 @@ def gradient(problem: QpProblem, w) -> np.ndarray:
     """Gradient of the (maximization) objective at w, or at each row of a
     stack."""
     w = np.asarray(w, dtype=float)
-    g = problem.linear - 2.0 * problem.risk * (w @ problem.quadratic.T)
-    if problem.affine_linear is not None:
-        g = g - problem.risk * problem.affine_linear
-    return g
+    return problem.linear - 2.0 * problem.risk * (w @ problem.quadratic.T)
 
 
 def psd_slack(matrix: np.ndarray) -> float:
@@ -295,20 +286,17 @@ def _project(v: np.ndarray, mass: float, caps: Optional[np.ndarray] = None,
 
     Capped rows go to ``_project_capped`` with an upper bound of 0 at
     their pins.  Uncapped rows are projected sort-based, their pins set to
-    -inf: a row's mass goes to the largest set of coordinates whose values,
-    less one common shift, stay positive, and a pin sorts last and never
-    stays above its shift, so it gets 0.
+    -inf: the shift that spreads a row's mass over its top j coordinates,
+    (sum of the top j - mass) / j, rises while the next coordinate stays
+    above it and falls after, so the largest such shift is the
+    projection's.  A pin's shifts are -inf, so it gets 0.
     """
     if caps is not None:
         return _project_capped(v, mass, caps if pinned is None
                                else np.where(pinned, 0.0, caps))
     rows = np.atleast_2d(v if pinned is None else np.where(pinned, -np.inf, v))
-    r, n = rows.shape
     u = np.sort(rows, axis=1)[:, ::-1]
-    # the shift that spreads the mass over the top j + 1 coordinates
-    shift = (np.cumsum(u, axis=1) - mass) / np.arange(1, n + 1)
-    last = n - 1 - (u > shift)[:, ::-1].argmax(axis=1)   # still above its shift
-    tau = shift[np.arange(r), last]
+    tau = ((np.cumsum(u, axis=1) - mass) / np.arange(1, u.shape[1] + 1)).max(axis=1)
     return np.maximum(rows - tau[:, None], 0.0).reshape(np.shape(v))
 
 
@@ -401,30 +389,36 @@ def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _seed(problem: QpProblem, peak: float, bound: float) -> None:
-    """Store on ``problem`` the bound on Q's largest eigenvalue and the
-    gradient scale computed from max|Q| (``peak``).
+    """Store on ``problem`` the bound on Q's largest eigenvalue, the
+    gradient scale computed from max|Q| (``peak``), and the linear term
+    the active set works with: c plus the tie-break, over the scale.
 
-    The gradient scale it stores bounds the gradient's magnitude over the
-    feasible set; it is 1 for all-zero data, whose gradient is zero.
+    The scale bounds the gradient's magnitude over the feasible set and,
+    times the mass, the objective's: data whose bound overflows raises
+    QpValidationError.  It is 1 for all-zero data, whose gradient is zero.
     """
-    b = problem.affine_linear
-    scale = float(np.max(np.abs(problem.linear), initial=0.0))
-    scale += 2.0 * problem.risk * peak * problem.mass
-    if b is not None:
-        scale += problem.risk * float(np.max(np.abs(b), initial=0.0))
+    c, n = problem.linear, problem.dimension
+    c_scale = float(np.max(np.abs(c), initial=0.0))
+    scale = c_scale + 2.0 * problem.risk * peak * problem.mass
+    if not math.isfinite(scale * problem.mass):
+        raise QpValidationError("problem data too large: the objective's scale overflows")
+    # strictly decreasing in the original index: lower index wins exact ties
+    tie = np.arange(n, 0, -1, dtype=float) / n
     object.__setattr__(problem, "_lam_bound", bound)
     object.__setattr__(problem, "_scale", scale or 1.0)
+    object.__setattr__(problem, "_linear", (c + LEX_EPS * c_scale * tie) / problem._scale)
 
 
 def shared_problem(scan: tuple, **data) -> QpProblem:
     """A problem over a validated instance's arrays, checked with it.
 
-    ``data`` are ``QpProblem``'s arguments, whose arrays must be the
-    instance's private read-only ones: they are shared, not copied.
+    ``data`` are ``QpProblem``'s arguments, whose arrays must be private
+    and read-only, like the instance's own: they are shared, not copied.
     ``scan`` is the (max|Q|, lambda_max bound) that the instance's
-    ``quadratic_scan`` found; the gradient scale is computed from it exactly
-    as the constructor computes it, which is bypassed: the caller vouches
-    that the instance's checks cover every check of the constructor.
+    ``quadratic_scan`` found; the gradient scale and the working linear
+    term are computed from it exactly as the constructor computes them,
+    which is bypassed: the caller vouches that the instance's checks cover
+    every check of the constructor.
     """
     problem = object.__new__(QpProblem)
     for f in fields(QpProblem):
@@ -577,18 +571,6 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     return float(np.linalg.eigvalsh(centered)[0]) <= DEGENERATE_TOL * peak
 
 
-def _shifted_linear(problem: QpProblem) -> np.ndarray:
-    """The linear term the active set works with: c plus the lexicographic
-    tie-break, minus q b."""
-    n = problem.dimension
-    c_scale = float(np.max(np.abs(problem.linear), initial=0.0))
-    # strictly decreasing in the original index: lower index wins exact ties
-    l = problem.linear + LEX_EPS * c_scale * (np.arange(n, 0, -1, dtype=float) / n)
-    if problem.affine_linear is not None:
-        l = l - problem.risk * problem.affine_linear
-    return l
-
-
 def solve(problem: QpProblem) -> QpSolution:
     """Maximize the concave objective over the constrained simplex.
 
@@ -602,7 +584,7 @@ def solve(problem: QpProblem) -> QpSolution:
     """
     pinned = _pin_mask(problem, sorted(problem.zero_set))
     mass, q = problem.mass, problem.risk
-    l, Q, caps = _shifted_linear(problem), problem.quadratic, problem.caps
+    l, Q, caps = problem._linear, problem.quadratic, problem.caps
     if pinned is not None:
         free = ~pinned
         l, Q = l[free], Q[np.ix_(free, free)]
@@ -615,7 +597,7 @@ def solve(problem: QpProblem) -> QpSolution:
     else:
         # at unit gradient scale, whatever the currency unit
         s = problem._scale
-        w, iterations = _active_set(l / s, (2.0 * q / s) * Q, mass, caps,
+        w, iterations = _active_set(l, (2.0 * q / s) * Q, mass, caps,
                                     2.0 * q * problem._lam_bound / s)
     if pinned is not None:
         w_free, w = w, np.zeros(problem.dimension)
@@ -768,7 +750,7 @@ def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, flo
     """
     sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
     resid = rhs - A @ sol
-    if float(np.max(np.abs(resid[:k]))) > KKT_TOL:
+    if float(np.max(np.abs(resid[:k]), initial=0.0)) > KKT_TOL:
         return resid, np.inf
     return sol, 1.0
 
@@ -798,7 +780,7 @@ def solve_pinned_family(problem: QpProblem, pins,
         caps = np.full(n, np.inf) if problem.caps is None else problem.caps
         s = problem._scale
         W, done = _face_family(
-            _shifted_linear(problem) / s, (2.0 * q / s) * problem.quadratic,
+            problem._linear, (2.0 * q / s) * problem.quadratic,
             mass, caps, np.where(pinned, 0.0, caps),
             np.asarray(warm_start, dtype=float))
         done &= reduce(np.maximum, _kkt_terms(problem, W, pinned)) <= KKT_TOL

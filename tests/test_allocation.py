@@ -24,6 +24,9 @@ def simplex_grid(n, resolution):
     if n == 2:
         k = np.arange(resolution + 1)
         return np.stack([k, resolution - k], axis=1) / resolution
+    if n == 3:
+        i, j = np.triu_indices(resolution + 1)
+        return np.stack([i, j - i, resolution - j], axis=1) / resolution
     raise NotImplementedError
 
 
@@ -279,10 +282,36 @@ class TestQmapAllocate:
                                           c_vector=np.array([1.0, 0.8]), q=0.5, m=10))
         assert validate_qmap(inst) is inst
         problem = qmap_problem(inst)
-        for mine, theirs in ((problem.linear, inst.c_vector),
-                             (problem.quadratic, inst.a_matrix),
-                             (problem.affine_linear, inst.b_vector)):
-            assert np.shares_memory(mine, theirs)
+        assert np.shares_memory(problem.quadratic, inst.a_matrix)
+        # the linear term is c - q b, here with b = 0
+        np.testing.assert_array_equal(problem.linear, inst.c_vector)
+
+    def test_folded_linear_term_matches_the_unfolded_objective(self):
+        # c'k - q (k'Ak + b'k) is the kernel's objective with linear term
+        # c - q b; b is drawn so that q b is of c's order
+        rng = np.random.default_rng(191)
+        m = 5000
+        for _ in range(20):
+            n = int(rng.integers(2, 4))
+            g = rng.standard_normal((n, n))
+            c = rng.uniform(0.0, 5.0, n)
+            q = float(np.exp(rng.uniform(np.log(1e-5), np.log(1e-2))))
+            inst = validate_qmap(QmapInstance(
+                a_matrix=g.T @ g, b_vector=rng.uniform(0.0, 2.0, n) / q,
+                c_vector=c, q=q, m=m))
+            linear = qmap_problem(inst).linear
+            assert linear.tobytes() == (c - q * inst.b_vector).tobytes()
+            assert not linear.flags.writeable
+            alloc = qmap_allocate(inst)
+            scale = float(np.max(np.abs(c))) * m
+            assert abs(alloc.objective_value - qmap_objective(inst, alloc.weights)) \
+                <= 1e-12 * scale
+            # the grid's best point by the unfolded objective, row by row
+            grid = simplex_grid(n, 500) * m
+            values = grid @ c - q * (np.einsum("ij,jk,ik->i", grid, inst.a_matrix, grid)
+                                     + grid @ inst.b_vector)
+            best = grid[int(np.argmax(values))]
+            assert qmap_objective(inst, best) <= alloc.objective_value + 1e-9 * scale
 
     @pytest.mark.parametrize("b_vector", [[0.0], 0.0])
     def test_scalar_c_vector_is_rejected(self, b_vector):

@@ -37,6 +37,15 @@ def write_json(path, doc):
     return str(path)
 
 
+def run_cli(args, **kwargs) -> subprocess.CompletedProcess:
+    """The command in a process of its own, on this checkout's package."""
+    src = str(Path(portfolio_vcg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "portfolio_vcg.cli", *args],
+                          env=env, timeout=120, **kwargs)
+
+
 @pytest.fixture()
 def fixture_file(tmp_path):
     return write_json(tmp_path / "market.json", FIXTURE_DOC)
@@ -195,14 +204,9 @@ class TestPriceCommand:
         # ``portfolio-vcg price ... | head -c 10`` meets a large result
         read, write = os.pipe()
         os.close(read)
-        src = str(Path(portfolio_vcg.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "portfolio_vcg.cli", "price",
-                 "--input", fixture_file],
-                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+            proc = run_cli(["price", "--input", fixture_file],
+                           stdout=write, stderr=subprocess.PIPE)
         finally:
             os.close(write)
         assert proc.returncode == EXIT_OUTPUT == 6
@@ -353,6 +357,38 @@ class TestQmapCommand:
                "form": "sideways"}
         path = write_json(tmp_path / "qmap.json", doc)
         assert main(["qmap", "--input", path]) == 2
+
+
+class TestExtremeData:
+    """Finite data at the edge of the float range gets a documented exit
+    code and no traceback."""
+
+    @pytest.mark.parametrize("command, doc", [
+        ("price", dict(FIXTURE_DOC, q=1e308)),
+        ("qmap", dict(QMAP_DOC, q=1e308)),
+        ("qmap", dict(QMAP_DOC, q=1e308, b_vector=[1.0, 0.5])),
+        # the max form's risk weight 1 / q is 1e308
+        ("qmap", dict(QMAP_DOC, q=1e-308, form="min"))])
+    def test_overflowing_objective_scale_exits_3(self, tmp_path, capsys,
+                                                 command, doc):
+        path = write_json(tmp_path / "doc.json", doc)
+        assert main([command, "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: problem data too large")
+        assert captured.err.count("\n") == 1
+
+    def test_tied_bids_at_the_float_limit_price_without_traceback(self, tmp_path):
+        # the start step overflows with a RuntimeWarning, which this suite
+        # turns into an error in process, so the command runs on its own
+        doc = dict(FIXTURE_DOC, offers=[{"id": "a", "bid": 1e308},
+                                        {"id": "b", "bid": 1e308}])
+        proc = run_cli(["price", "--input", write_json(tmp_path / "tie.json", doc)],
+                       capture_output=True)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+        # the lower index wins the tie and pays the other's bid
+        assert json.loads(proc.stdout)["prices"]["offer_prices"] == [1e308, 0.0]
 
 
 class TestVerifyCommand:

@@ -21,10 +21,8 @@ ZERO, FREE, CAP = 0, 1, 2
 def face_oracle(problem: QpProblem) -> float:
     """The maximum over every face's KKT point (2^n faces uncapped, 3^n capped)."""
     n, mass, q = problem.dimension, problem.mass, problem.risk
-    c, Q = problem.linear, problem.quadratic
-    b = np.zeros(n) if problem.affine_linear is None else problem.affine_linear
-    caps = problem.caps
-    grad_scale = float(np.max(np.abs(c - q * b))) + 2.0 * q * float(np.max(np.abs(Q))) * mass
+    c, Q, caps = problem.linear, problem.quadratic, problem.caps
+    grad_scale = float(np.max(np.abs(c))) + 2.0 * q * float(np.max(np.abs(Q))) * mass
     feas_tol, kkt_tol = 1e-12 * mass, 1e-9 * grad_scale
     states = (ZERO, FREE) if caps is None else (ZERO, FREE, CAP)
     best = -np.inf
@@ -38,7 +36,7 @@ def face_oracle(problem: QpProblem) -> float:
             K = np.zeros((k + 1, k + 1))
             K[:k, :k] = 2.0 * q * Q[np.ix_(free, free)]
             K[:k, k] = K[k, :k] = 1.0
-            rhs = np.append((c - q * b - 2.0 * q * Q @ w)[free], mass - w.sum())
+            rhs = np.append((c - 2.0 * q * Q @ w)[free], mass - w.sum())
             sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
             if np.max(np.abs(K @ sol - rhs)) > kkt_tol:
                 continue   # no stationary point on the face's affine hull
@@ -47,14 +45,14 @@ def face_oracle(problem: QpProblem) -> float:
             continue
         if caps is not None and np.max(w - caps) > feas_tol:
             continue
-        g = c - q * b - 2.0 * q * Q @ w
+        g = c - 2.0 * q * Q @ w
         # a coordinate at zero may not gain, one at its cap may not lose
         lo = float(np.max(g[face == ZERO], initial=-np.inf))
         hi = float(np.min(g[at_cap], initial=np.inf))
         lam = sol[k] if k else lo
         if lo > lam + kkt_tol or hi < lam - kkt_tol:
             continue
-        best = max(best, float(c @ w - q * (w @ Q @ w + b @ w)))
+        best = max(best, float(c @ w - q * (w @ Q @ w)))
     return best
 
 
@@ -72,9 +70,10 @@ def oracle_problems(rng: np.random.Generator):
         if kind.endswith("tied"):
             linear = np.round(linear)
         if kind == "qmap":
-            yield QpProblem(linear=linear, quadratic=sigma,
-                            risk=float(np.exp(rng.uniform(np.log(1e-5), np.log(1e-1)))),
-                            mass=5000.0, affine_linear=rng.uniform(0.0, 1.0, n))
+            # c'w - q (w'Qw + b'w), b folded into the linear term
+            q = float(np.exp(rng.uniform(np.log(1e-5), np.log(1e-1))))
+            yield QpProblem(linear=linear - q * rng.uniform(0.0, 1.0, n),
+                            quadratic=sigma, risk=q, mass=5000.0)
             continue
         caps = rng.uniform(1.2, 2.5, n) / n if capped else None
         yield QpProblem(linear=linear, quadratic=sigma,

@@ -35,8 +35,6 @@ def grid_maximum(problem: QpProblem, step: float) -> float:
     W = np.stack([w1, 1.0 - w1], axis=1)
     vals = W @ problem.linear - problem.risk * np.einsum(
         "ij,jk,ik->i", W, problem.quadratic, W)
-    if problem.affine_linear is not None:
-        vals -= problem.risk * (W @ problem.affine_linear)
     return float(vals.max())
 
 
@@ -120,10 +118,10 @@ class TestSolve:
                                 risk=0.5, mass=1.0)
             solve(problem)
 
-    @pytest.mark.parametrize("field", ["linear", "quadratic", "affine_linear"])
+    @pytest.mark.parametrize("field", ["linear", "quadratic"])
     def test_non_finite_data_rejected(self, field):
         data = dict(linear=np.array([1.0, 0.8]), quadratic=np.eye(2),
-                    affine_linear=np.zeros(2), risk=0.5, mass=10.0)
+                    risk=0.5, mass=10.0)
         data[field] = np.full_like(data[field], np.nan)
         with pytest.raises(QpValidationError, match="finite"):
             QpProblem(**data)
@@ -131,7 +129,7 @@ class TestSolve:
     @pytest.mark.parametrize("field, value", [
         ("risk", -1.0), ("risk", np.nan), ("mass", 0.0), ("mass", np.inf),
         ("caps", np.ones(3)), ("caps", np.array([1.0, -0.5])),
-        ("caps", np.array([1.0, np.inf])), ("affine_linear", np.zeros(3))])
+        ("caps", np.array([1.0, np.inf]))])
     def test_bad_scalar_or_bound_rejected(self, field, value):
         data = dict(linear=np.array([1.0, 0.8]), quadratic=np.eye(2),
                     risk=0.5, mass=1.0)
@@ -276,9 +274,10 @@ class TestSolve:
 
     def test_call_count_problems_in_any_unit(self):
         # mass 5000 and a risk weight of qmap's order: in a unit s the data
-        # is c s, Q s^2, b s^2 and q / s, and the optimum scales by s.  The
-        # certificate's step must shrink with the unit, or at s = 1e-6 its
-        # rounding noise, about 5000 * eps, exceeds the tolerance
+        # is c s, Q s^2, b s^2 and q / s, so the linear term c - q b and the
+        # optimum scale by s.  The certificate's step must shrink with the
+        # unit, or at s = 1e-6 its rounding noise, about 5000 * eps, exceeds
+        # the tolerance
         rng = np.random.default_rng(137)
         for _ in range(10):
             n = int(rng.integers(5, 30))
@@ -286,9 +285,9 @@ class TestSolve:
             sigma = g.T @ g / np.linalg.eigvalsh(g.T @ g)[-1]
             c, b = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 1.0, n)
             q = float(np.exp(rng.uniform(np.log(1e-5), np.log(1e-1))))
-            values = [solve(QpProblem(linear=c * s, quadratic=sigma * s * s,
-                                      risk=q / s, mass=5000.0,
-                                      affine_linear=b * s * s)).objective_value / s
+            values = [solve(QpProblem(linear=c * s - (q / s) * (b * s * s),
+                                      quadratic=sigma * s * s, risk=q / s,
+                                      mass=5000.0)).objective_value / s
                       for s in (1e-6, 1.0, 1e6)]
             assert np.ptp(values) <= 1e-12 * 5.0 * 5000.0
 
@@ -320,10 +319,8 @@ def family_args(problem: QpProblem, pins) -> tuple:
     caps = np.full(n, np.inf) if problem.caps is None else problem.caps
     upper = np.tile(caps, (len(pins), 1))
     upper[np.arange(len(pins)), pins] = 0.0
-    s = problem._scale
-    return (qp._shifted_linear(problem) / s,
-            (2.0 * problem.risk / s) * problem.quadratic, problem.mass, caps,
-            upper)
+    return (problem._linear, (2.0 * problem.risk / problem._scale) * problem.quadratic,
+            problem.mass, caps, upper)
 
 
 def family_changes(problem: QpProblem, pins, warm) -> np.ndarray:
@@ -658,9 +655,11 @@ def family_problems(rng: np.random.Generator, kind: str):
         n = int(rng.integers(4, 40))
         if kind == "qmap":
             g = rng.standard_normal((n, n))
-            yield QpProblem(linear=rng.uniform(0, 5, n), quadratic=g.T @ g,
-                            risk=float(rng.uniform(0.01, 1.0)) / 5000, mass=5000.0,
-                            affine_linear=rng.uniform(0, 1, n))
+            c = rng.uniform(0, 5, n)
+            q = float(rng.uniform(0.01, 1.0)) / 5000
+            # the call-count objective c'w - q (w'Qw + b'w), b folded into c
+            yield QpProblem(linear=c - q * rng.uniform(0, 1, n), quadratic=g.T @ g,
+                            risk=q, mass=5000.0)
         elif kind == "capped":
             # close values and strong risk aversion: most offers carry
             # weight and many sit at their cap
@@ -1223,11 +1222,9 @@ def reference_report(problem: QpProblem, w: np.ndarray) -> dict:
     """check_kkt's fields from their definitions, the projection by
     bisection."""
     c, Q, q, mass = problem.linear, problem.quadratic, problem.risk, problem.mass
-    b = np.zeros_like(c) if problem.affine_linear is None else problem.affine_linear
     caps = np.full(c.size, np.inf) if problem.caps is None else problem.caps
     pins = sorted(problem.zero_set)
-    scale = (float(np.max(np.abs(c))) + 2.0 * q * float(np.max(np.abs(Q))) * mass
-             + q * float(np.max(np.abs(b)))) or 1.0
+    scale = (float(np.max(np.abs(c))) + 2.0 * q * float(np.max(np.abs(Q))) * mass) or 1.0
     # the kernel's bound on the largest eigenvalue: Gershgorin's, the largest
     # absolute row sum of the symmetric part
     sym = 0.5 * (Q + Q.T)
@@ -1237,7 +1234,7 @@ def reference_report(problem: QpProblem, w: np.ndarray) -> dict:
     free[pins] = False
     mapped = np.zeros(c.size)
     mapped[free] = bisection_projection(
-        (w + eta * (c - 2.0 * q * Q @ w - q * b))[free], mass, caps[free])
+        (w + eta * (c - 2.0 * q * Q @ w))[free], mass, caps[free])
     fields = dict(mass_error=abs(float(w.sum()) - mass),
                   negativity=max(0.0, -float(w.min())),
                   pin_error=float(np.max(np.abs(w[pins]), initial=0.0)),
