@@ -14,11 +14,11 @@ gradient step from the greedy vertex (the maximizer of the linear term),
 which on a market where most offers carry weight lands near the optimum's
 face and on a sparse one stays next to the vertex.  A working set fixes
 coordinates at zero or at their cap; on the remaining face the bordered
-KKT system is solved exactly, a ratio test adds the lowest-index blocking
-bound, and at the face optimum every bound with a wrong-signed multiplier
-is released at once (a primal-dual active-set update, Hintermuller, Ito &
-Kunisch, SIAM J. Optim. 13, 2002), so one face solve can free many
-coordinates.  The objective is concave (Q PSD, q >= 0), so the KKT point
+KKT system is solved with a proximal term that keeps it regular on a
+singular face, a ratio test adds the lowest-index blocking bound, and at
+the face optimum every bound with a wrong-signed multiplier is released
+at once (a primal-dual active-set update, Hintermuller, Ito & Kunisch,
+SIAM J. Optim. 13, 2002), so one face solve can free many coordinates.  The objective is concave (Q PSD, q >= 0), so the KKT point
 it stops at is a global maximizer; a projected-gradient certificate on the
 result confirms it.
 
@@ -80,6 +80,11 @@ KKT_TOL = 1e-9
 # each of which may change several bounds; counted per row in a pinned
 # family, one bound per pass) before it raises SolverConvergenceError
 MAX_ITERATIONS = 100_000
+# proximal term of ``_active_set``'s face systems, relative to the larger
+# of the Lipschitz bound and 1 / mass at unit gradient scale (the floor
+# keeps it from vanishing when the quadratic's share of the scale is
+# tiny): it keeps every face system regular, singular faces included
+PROX_TOL = 1e-14
 
 
 class QpValidationError(ValueError):
@@ -194,10 +199,10 @@ class QpSolution:
 
     ``iterations`` counts the active-set method's face solves after its
     first, from its start one projected-gradient step from the greedy
-    vertex.  Each changed the working set: it added a blocking bound,
-    released every bound with a wrong-signed multiplier (several in one
-    solve), or bound again the released ones its step would send straight
-    back.  It is 0 when the start's face already holds the optimum and on
+    vertex.  Each added a blocking bound, released every bound with a
+    wrong-signed multiplier (several in one solve), bound again the
+    released ones its step would send straight back, or solved the same
+    face again to shed the proximal term's error.  It is 0 when the start's face already holds the optimum and on
     the exact linear and single-coordinate paths.  ``problem`` is the
     solve's input; ``degenerate`` is computed from it on first read, so a
     solve whose caller only wants the optimum does not pay for it.
@@ -544,8 +549,7 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     I - 11'/k: the ones direction, 0 under P, is lifted to k max|H|, which
     is at least H's largest eigenvalue.
     """
-    g = gradient(problem, w)
-    tol = DEGENERATE_TOL * problem._scale
+    g = gradient(problem, w) / problem._scale
     n = problem.dimension
     act_tol = 1e-8 * problem.mass / max(n, 1)
 
@@ -555,10 +559,10 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     if not np.any(carrying):
         return False
     lam = float(np.mean(g[carrying]))
-    in_face = mask & (carrying | (np.abs(g - lam) <= tol))
+    in_face = mask & (carrying | (np.abs(g - lam) <= DEGENERATE_TOL))
     if problem.caps is not None:
         at_cap = w >= problem.caps - act_tol
-        in_face &= ~(at_cap & (g - lam > tol))
+        in_face &= ~(at_cap & (g - lam > DEGENERATE_TOL))
     idx = np.flatnonzero(in_face)
     if idx.size < 2:
         return False
@@ -625,22 +629,27 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
 
     Returns the maximizer and the number of face solves after the first.
     It starts from the greedy vertex moved by one projected-gradient step
-    of length 1 / ``lipschitz``, an upper bound on H's largest eigenvalue.
-    Each pass solves the bordered KKT system for the step to the optimum of
-    the face left free by the working set, and a singular face takes
-    ``_lstsq_step``.  A face optimum may keep a multiplier error of
-    ``KKT_TOL``; every bound wrong by more is released.  The next step must
-    move each released coordinate off its bound: the ones it would send
-    straight back are bound again and the face solved once more, and when
-    none is left, only the lowest-index release is kept, whose failure
-    takes ``_lstsq_step``.  After a least-squares step only the
-    lowest-index wrong bound is released, so singular faces release one
-    bound at a time.  The gradient is recomputed only when w moves.
+    of length 1 / ``lipschitz`` (an upper bound on H's largest eigenvalue),
+    shortened so that no entry moves by more than the mass.  Each pass
+    solves the bordered KKT system of the face left free by the working
+    set with a proximal term delta I added to H (Rockafellar, SIAM J.
+    Control Optim. 14, 1976), so the system is regular on every face,
+    singular or not: along a flat ascent direction the step is long, and
+    the ratio test stops it at the first bound.  A full step leaves the
+    face's stationarity off by delta times the step, so the face is solved
+    again while that exceeds ``KKT_TOL``.  A face optimum may keep a
+    multiplier error of ``KKT_TOL``; every bound wrong by more is released.
+    The next step must move each released coordinate off its bound: the
+    ones it would send straight back are bound again and the face solved
+    once more, and when none is left, only the lowest-index release is
+    kept.  The gradient is recomputed only when w moves.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
+    delta = PROX_TOL * max(lipschitz, 1.0 / mass)
     w = _greedy_linear(l, mass, caps)
-    w += (l - H @ w) / lipschitz
+    g = l - H @ w
+    w += g / max(lipschitz, float(np.abs(g).max()) / mass)
     w = _project(w, mass, caps)
     at_zero = w <= 0.0
     at_cap = (w >= upper) & ~at_zero
@@ -656,36 +665,25 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         k = idx.size
         A = np.ones((k + 1, k + 1))
         A[:k, :k], A[k, k] = H.take(idx, 0).take(idx, 1), 0.0
+        A.flat[:k * (k + 2):k + 2] += delta   # on the face block's diagonal
         rhs = np.empty(k + 1)
         rhs[:k], rhs[k] = g[idx], mass - w.sum()
-        limit = 1.0
-        try:
-            sol = np.linalg.solve(A, rhs)
-            # on a numerically singular face LU can return a huge downhill step
-            usable = bool(np.all(np.isfinite(sol))) and \
-                float(g[idx] @ sol[:k]) >= -KKT_TOL * float(np.abs(sol[:k]).sum())
-        except np.linalg.LinAlgError:
-            usable = False
+        sol = np.linalg.solve(A, rhs)
         if back is not None:
-            # or one that sends bounds just released straight back
+            # a step that sends bounds just released straight back
             moves = np.zeros_like(live)
-            if usable:
-                moves[live] = sign[live] * sol[np.searchsorted(idx, back[live])] > 0.0
-            if not np.array_equal(moves, live):
-                if live.sum() > 1 or not live[0]:
-                    live = moves if moves.any() else np.arange(back.size) == 0
-                    at_zero[back], at_cap[back] = ~live & (sign > 0), ~live & (sign < 0)
-                    continue
-                usable = False
-        if not usable:
-            sol, limit = _lstsq_step(A, rhs, k)
+            moves[live] = sign[live] * sol[np.searchsorted(idx, back[live])] > 0.0
+            if not np.array_equal(moves, live) and (live.sum() > 1 or not live[0]):
+                live = moves if moves.any() else np.arange(back.size) == 0
+                at_zero[back], at_cap[back] = ~live & (sign > 0), ~live & (sign < 0)
+                continue
         d, back = sol[:k], None
 
         if k > 1:
             room = np.divide(np.where(d < 0.0, -w[idx], upper[idx] - w[idx]), d,
                              out=np.full(k, np.inf), where=d != 0.0)
             j = int(np.argmin(room))
-            if room[j] < limit:
+            if room[j] < 1.0:
                 w[idx] += room[j] * d
                 i = idx[j]
                 if d[j] < 0.0:
@@ -699,12 +697,13 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         np.clip(w, 0.0, upper, out=w)
 
         g = l - H @ w
+        if delta * float(np.abs(d).max()) > KKT_TOL:
+            continue   # the proximal term's error: solve the face again
         lam = sol[k]
         wrong = (at_zero & (g - lam > KKT_TOL)) | (at_cap & (lam - g > KKT_TOL))
         if not np.any(wrong):
             return w, changes
-        # every wrong-signed bound, or after a least-squares step the lowest
-        back = np.flatnonzero(wrong)[:None if usable else 1]
+        back = np.flatnonzero(wrong)
         sign = np.where(at_zero[back], 1.0, -1.0)
         live = np.ones(back.size, dtype=bool)
         at_zero[back] = at_cap[back] = False
@@ -737,22 +736,6 @@ def _warm_start(l: np.ndarray, H: np.ndarray, mass: float, upper: np.ndarray,
         W[over] += _greedy_linear(l - W[over] @ H.T, (missing - take)[over],
                                   upper[over] - W[over])
     return W
-
-
-def _lstsq_step(A: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Step and step limit for a face system that LU cannot use.
-
-    A consistent singular system gives its least-squares solution (limit
-    1).  An inconsistent one has no face optimum; its least-squares
-    residual r = [d; s] satisfies A r = 0, so d is a zero-curvature ascent
-    direction (d'Hd = 0, g'd = |r|^2), followed to the first blocking bound
-    (limit inf).
-    """
-    sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    resid = rhs - A @ sol
-    if float(np.max(np.abs(resid[:k]), initial=0.0)) > KKT_TOL:
-        return resid, np.inf
-    return sol, 1.0
 
 
 def solve_pinned_family(problem: QpProblem, pins,

@@ -378,17 +378,33 @@ class TestExtremeData:
         assert captured.err.startswith("validation error: problem data too large")
         assert captured.err.count("\n") == 1
 
-    def test_tied_bids_at_the_float_limit_price_without_traceback(self, tmp_path):
-        # the start step overflows with a RuntimeWarning, which this suite
-        # turns into an error in process, so the command runs on its own
+    def test_tied_bids_at_the_float_limit_price_without_traceback(self, tmp_path,
+                                                                   capsys, recwarn):
         doc = dict(FIXTURE_DOC, offers=[{"id": "a", "bid": 1e308},
                                         {"id": "b", "bid": 1e308}])
-        proc = run_cli(["price", "--input", write_json(tmp_path / "tie.json", doc)],
-                       capture_output=True)
-        assert proc.returncode == 0
-        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+        assert main(["price", "--input", write_json(tmp_path / "tie.json", doc)]) == 0
         # the lower index wins the tie and pays the other's bid
-        assert json.loads(proc.stdout)["prices"]["offer_prices"] == [1e308, 0.0]
+        prices = json.loads(capsys.readouterr().out)["prices"]
+        assert prices["offer_prices"] == [1e308, 0.0]
+        assert not recwarn.list
+
+    def test_capped_bids_at_the_float_limit_price_without_warning(self, tmp_path,
+                                                                  capsys, recwarn):
+        # at this scale a start step of the gradient over the Lipschitz bound,
+        # and a mean of the unscaled gradient in the degeneracy test, overflow
+        doc = dict(FIXTURE_DOC, caps=[0.5, 0.5, 0.5],
+                   covariance=np.eye(3).tolist(),
+                   offers=[{"id": "a", "bid": 1e308}, {"id": "b", "bid": 0.9e308},
+                           {"id": "c", "bid": 0.8e308}])
+        assert main(["price", "--input", write_json(tmp_path / "caps.json", doc)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        # without a, b and c fill the caps; without b, a and c: each of a and
+        # b displaces half of c's 0.8e308
+        np.testing.assert_allclose(result["prices"]["offer_prices"],
+                                   [4e307, 4e307, 0.0], rtol=1e-12)
+        assert result["prices"]["publisher_revenue"] == pytest.approx(8e307, rel=1e-12)
+        assert result["diagnostics"]["degenerate"] is False
+        assert not recwarn.list
 
 
 class TestVerifyCommand:

@@ -12,7 +12,8 @@ from portfolio_vcg import (
     project_to_simplex,
     solve,
 )
-from portfolio_vcg import QmapInstance, qmap_allocate, qmap_prices, qp
+from portfolio_vcg import (
+    QmapInstance, market_from_mu, price_schedule, qmap_allocate, qmap_prices, qp)
 from portfolio_vcg.allocation import qmap_problem
 from portfolio_vcg.qp import (
     _detect_degenerate,
@@ -464,22 +465,81 @@ class TestReleasedBoundCycling:
             assert qmap_allocate(inst).kkt_residual <= qp.KKT_TOL
             qmap_prices(inst)
 
-    @pytest.mark.parametrize("seed", [434, 1685])
+    @pytest.mark.parametrize("seed", [347, 434, 1685, 2282])
     def test_seeds_that_cycled_before_every_wrong_bound_was_released(self, seed):
         # at the shipped budget, which these used to spend in full
         inst = rank_deficient_instance(seed)
-        assert qmap_allocate(inst).kkt_residual <= qp.KKT_TOL
+        alloc = qmap_allocate(inst)
+        assert alloc.kkt_residual <= qp.KKT_TOL
+        assert alloc.iterations < 300
         qmap_prices(inst)
 
-    @pytest.mark.xfail(strict=True, raises=SolverConvergenceError,
-                       reason="ROADMAP item 2: finite termination on "
-                              "rank-deficient faces is still open")
-    @pytest.mark.parametrize("seed", [347, 2282])
-    def test_seeds_that_still_cycle(self, seed, monkeypatch):
-        monkeypatch.setattr(qp, "MAX_ITERATIONS", 3000)
-        inst = rank_deficient_instance(seed)
-        qmap_allocate(inst)
-        qmap_prices(inst)
+
+def record_singular_faces(monkeypatch) -> list:
+    """Spy on ``_active_set``'s face solves: the returned list gets, per
+    face system, whether its face block without the proximal term is
+    singular (smallest singular value at most 1e-10 of the largest)."""
+    singular, delta = [], []
+    real_solve, real_active = np.linalg.solve, qp._active_set
+
+    def recording_solve(A, b):
+        if delta:
+            k = A.shape[0] - 1
+            sv = np.linalg.svd(A[:k, :k] - delta[0] * np.eye(k), compute_uv=False)
+            singular.append(bool(sv[-1] <= 1e-10 * sv[0]))
+        return real_solve(A, b)
+
+    def recording_active(l, H, mass, caps, lipschitz):
+        delta.append(qp.PROX_TOL * max(lipschitz, 1.0 / mass))
+        try:
+            return real_active(l, H, mass, caps, lipschitz)
+        finally:
+            delta.clear()
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(qp, "_active_set", recording_active)
+    return singular
+
+
+class TestProximalFaceSolve:
+    # every face system of a single solve carries a proximal term, which
+    # keeps it regular on singular faces
+
+    @pytest.mark.parametrize("values", ([3.0, 2.0], [2.0, 2.0]), ids=("ray", "flat"))
+    @pytest.mark.parametrize("q, prices", [(1e-3, [1.19991, 0.59991, 0.20001]),
+                                           (1.0, [1.11, 0.51, 0.21]),
+                                           (100.0, [-7.8, -8.4, 1.2])])
+    def test_priced_without_least_squares(self, values, q, prices, monkeypatch):
+        # two riskless offers beside a risky one that carries weight 0.1: a
+        # face where both riskless offers are free has zero curvature.  With
+        # different values its slope along the flat direction makes an
+        # ascent ray, stopped at a bound; with equal values the face is flat
+        def refuse(*args, **kwargs):
+            raise AssertionError("least-squares step")
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        singular = record_singular_faces(monkeypatch)
+        market = market_from_mu([*values, 2.0 + 0.2 * q], np.diag([0.0, 0.0, 1.0]),
+                                q, caps=np.full(3, 0.6))
+        schedule = price_schedule(market)
+        assert any(singular)
+        assert schedule.allocation.kkt_residual <= qp.KKT_TOL
+        # at q = 1e-3 the curvature is weak, and KKT_TOL leaves 5e-10 of room
+        np.testing.assert_allclose(schedule.allocation.weights, [0.6, 0.3, 0.1],
+                                   rtol=0, atol=1e-8)
+        # the hand-computed VCG charges
+        np.testing.assert_allclose(schedule.offer_prices, prices, rtol=0, atol=1e-9)
+
+    def test_face_solved_again_while_the_proximal_error_shows(self, monkeypatch):
+        # a proximal term 1e8 times the shipped one leaves a full step short
+        # of the face optimum by more than KKT_TOL, so the face is solved
+        # again (a proximal point iteration) until it reaches the optimum
+        problem = factor_market(0, 60)
+        shipped = solve(problem)
+        monkeypatch.setattr(qp, "PROX_TOL", 1e-6)
+        proximal = solve(problem)
+        assert proximal.iterations > shipped.iterations
+        assert proximal.kkt_residual <= qp.KKT_TOL
+        assert np.abs(proximal.weights - shipped.weights).max() <= 1e-9
 
 
 def factor_market(seed: int, n: int) -> QpProblem:
@@ -693,19 +753,15 @@ class TestSolvePinnedFamily:
     @pytest.mark.parametrize("kind", ("uncapped", "capped", "rank_deficient",
                                       "degenerate", "qmap", "small", "linear"))
     def test_matches_single_pinned_solves(self, kind, monkeypatch):
-        steps, finished = [], []
-        real, real_family = qp._lstsq_step, qp._face_family
-
-        def recording(*args):
-            steps.append(real(*args)[1])
-            return real(*args)
+        finished = []
+        real_family = qp._face_family
+        singular = record_singular_faces(monkeypatch)
 
         def recording_family(*args):
             W, done = real_family(*args)
             finished.extend(done)
             return W, done
 
-        monkeypatch.setattr(qp, "_lstsq_step", recording)
         monkeypatch.setattr(qp, "_face_family", recording_family)
         rng = np.random.default_rng(83)
         short_faces = 0
@@ -720,8 +776,8 @@ class TestSolvePinnedFamily:
         if kind == "capped":
             assert short_faces > 0
         if kind == "rank_deficient":
-            # singular faces: some row followed a zero-curvature ray
-            assert np.inf in steps
+            # singular faces, solved through the same proximal system
+            assert any(singular)
         if kind == "linear":
             # the family finished rows without curvature, and the rows it
             # did not finish were solved alone
