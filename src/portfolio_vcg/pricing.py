@@ -24,10 +24,10 @@ Pinning an offer i on that face borders its KKT matrix K once more, so
 the pinned optimum is often closed form, f* - w_i^2 / (2 P_ii) with P
 the top-left block of K^-1: an offer that hedges the others' risk is
 costly to remove, has a small P_ii and pays less.  Rows that need more
-working-set changes solve small Schur complements of K, and a row the
-factorization cannot serve, or a family of one or two rows, is solved
-by ``qp.solve``; every row reaches the optimum that solve reaches and
-meets the same certificate.
+working-set changes solve small Schur complements of K, singular faces
+included; a row the family does not finish, or a family of one or two
+rows, is solved by ``qp.solve``.  Every row reaches the optimum that
+solve reaches and meets the same certificate.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ KKT system is solved with a proximal term that keeps it regular on a
 singular face, a ratio test adds the lowest-index blocking bound, and at
 the face optimum every bound with a wrong-signed multiplier is released
 at once (a primal-dual active-set update, Hintermuller, Ito & Kunisch,
-SIAM J. Optim. 13, 2002), so one face solve can free many coordinates.  The objective is concave (Q PSD, q >= 0), so the KKT point
-it stops at is a global maximizer; a projected-gradient certificate on the
-result confirms it.
+SIAM J. Optim. 13, 2002), so one face solve can free many coordinates.
+The objective is concave (Q PSD, q >= 0), so the KKT point it stops at is
+a global maximizer; a projected-gradient certificate on the result
+confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
@@ -30,11 +31,11 @@ optimum's free face once; pinning a coordinate of that face is one more
 border of K, so each row's first step is closed form (the optimum falls
 by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
 working-set change borders K again, solved through the row's small Schur
-complement.  A family row releases one bound per pass, the lowest-index
-one.  A row the factorization cannot serve (a singular system or a
-downhill step) is solved by ``solve``.  Both run the method on the
-problem divided by its gradient scale, so their steps do not depend on
-the currency unit.
+complement; K and each complement carry the same proximal term, so they
+are regular on singular faces too.  A family row releases one bound per
+pass, the lowest-index one.  A row that the family does not finish is
+solved by ``solve``.  Both run the method on the problem divided by its
+gradient scale, so their steps do not depend on the currency unit.
 
 The helpers work on a vector or on a stack of rows, and a single solve is
 their one-row case: one check of the pins and bounds (``_pin_mask``), one
@@ -72,18 +73,21 @@ FAMILY_MIN_ROWS = 3
 # KKT tolerance, relative: a point is accepted once its KKT residual (see
 # ``check_kkt``) is at most KKT_TOL, the stationarity part already divided
 # by the problem's gradient scale.  The active-set method works on the
-# problem divided by that scale and releases a bound while its multiplier
-# is wrong by more than KKT_TOL, so the path it takes, where it stops and
-# the certificate it meets do not depend on the currency unit
+# problem divided by that scale: its path does not depend on the currency unit
 KKT_TOL = 1e-9
+# the active-set method releases a bound while its scaled multiplier is
+# wrong by more than RELEASE_TOL: on a flat face, stopping with one wrong by
+# e loses up to e times the gradient scale per unit of weight moved, and at
+# KKT_TOL that reached 1e-4 of max|c| times the mass on call-count markets
+RELEASE_TOL = 1e-3 * KKT_TOL
 # face solves after the first that a solve may make (``QpSolution.iterations``,
 # each of which may change several bounds; counted per row in a pinned
 # family, one bound per pass) before it raises SolverConvergenceError
 MAX_ITERATIONS = 100_000
-# proximal term of ``_active_set``'s face systems, relative to the larger
-# of the Lipschitz bound and 1 / mass at unit gradient scale (the floor
-# keeps it from vanishing when the quadratic's share of the scale is
-# tiny): it keeps every face system regular, singular faces included
+# proximal term of ``_active_set``'s and ``_face_family``'s face systems,
+# relative to the larger of the Lipschitz bound and 1 / mass at unit
+# gradient scale (the floor keeps it from vanishing when the quadratic's
+# share of the scale is tiny): it keeps every face system regular
 PROX_TOL = 1e-14
 
 
@@ -186,7 +190,8 @@ class QpProblem:
 
         A plain copy: it shares this problem's arrays, eigenvalue bound,
         gradient scale and working linear term, so a family of pinned solves
-        scans and factors the quadratic term once in all.  Its pin is checked when it is solved.
+        scans and factors the quadratic term once in all.  Its pin is
+        checked when it is solved.
         """
         pinned = copy.copy(self)
         object.__setattr__(pinned, "zero_set", frozenset({int(i)}))
@@ -202,10 +207,11 @@ class QpSolution:
     vertex.  Each added a blocking bound, released every bound with a
     wrong-signed multiplier (several in one solve), bound again the
     released ones its step would send straight back, or solved the same
-    face again to shed the proximal term's error.  It is 0 when the start's face already holds the optimum and on
-    the exact linear and single-coordinate paths.  ``problem`` is the
-    solve's input; ``degenerate`` is computed from it on first read, so a
-    solve whose caller only wants the optimum does not pay for it.
+    face again to shed the proximal term's error.  It is 0 when the start's
+    face already holds the optimum and on the exact linear and
+    single-coordinate paths.  ``problem`` is the solve's input;
+    ``degenerate`` is computed from it on first read, so a solve whose
+    caller only wants the optimum does not pay for it.
     """
 
     weights: np.ndarray
@@ -638,11 +644,11 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     the ratio test stops it at the first bound.  A full step leaves the
     face's stationarity off by delta times the step, so the face is solved
     again while that exceeds ``KKT_TOL``.  A face optimum may keep a
-    multiplier error of ``KKT_TOL``; every bound wrong by more is released.
-    The next step must move each released coordinate off its bound: the
-    ones it would send straight back are bound again and the face solved
-    once more, and when none is left, only the lowest-index release is
-    kept.  The gradient is recomputed only when w moves.
+    multiplier error of ``RELEASE_TOL``; every bound wrong by more is
+    released.  The next step must move each released coordinate off its
+    bound: the ones it would send straight back are bound again and the
+    face solved once more, and when none is left, only the lowest-index
+    release is kept.  The gradient is recomputed only when w moves.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
@@ -700,7 +706,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         if delta * float(np.abs(d).max()) > KKT_TOL:
             continue   # the proximal term's error: solve the face again
         lam = sol[k]
-        wrong = (at_zero & (g - lam > KKT_TOL)) | (at_cap & (lam - g > KKT_TOL))
+        wrong = (at_zero * 1.0 - at_cap) * (g - lam) > RELEASE_TOL
         if not np.any(wrong):
             return w, changes
         back = np.flatnonzero(wrong)
@@ -749,10 +755,10 @@ def solve_pinned_family(problem: QpProblem, pins,
     ``warm_start`` (the full optimum), each pin as an upper bound of 0:
     every face system is solved from one factorization of the warm start's
     face, and each row that finishes there meets the same KKT certificate
-    as a single solve.  Every other
-    row (a smaller family, a singular system, a downhill step, the budget
-    spent or the certificate missed) is solved by ``solve``.  The pins of
-    ``problem`` itself are ignored, as by ``pinned``.
+    as a single solve.  Every other row (a smaller family, a row that
+    ``_face_family`` leaves unfinished or that misses the certificate) is
+    solved by ``solve``.  The pins of ``problem`` itself are ignored, as by
+    ``pinned``.
     """
     pins = np.asarray(pins, dtype=int).reshape(-1)
     n, mass, q = problem.dimension, problem.mass, problem.risk
@@ -761,10 +767,10 @@ def solve_pinned_family(problem: QpProblem, pins,
     if pins.size >= FAMILY_MIN_ROWS:
         pinned = _pin_mask(problem, pins[:, None])
         caps = np.full(n, np.inf) if problem.caps is None else problem.caps
-        s = problem._scale
+        curvature = 2.0 * q / problem._scale   # at unit gradient scale
         W, done = _face_family(
-            problem._linear, (2.0 * q / s) * problem.quadratic,
-            mass, caps, np.where(pinned, 0.0, caps),
+            problem._linear, curvature * problem.quadratic, mass, caps,
+            np.where(pinned, 0.0, caps), curvature * problem._lam_bound,
             np.asarray(warm_start, dtype=float))
         done &= reduce(np.maximum, _kkt_terms(problem, W, pinned)) <= KKT_TOL
     for r in np.flatnonzero(~done):
@@ -773,36 +779,37 @@ def solve_pinned_family(problem: QpProblem, pins,
 
 
 def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
-                 upper: np.ndarray, warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 upper: np.ndarray, lipschitz: float,
+                 warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_active_set`` on a stack of rows started from ``warm``, every face
     system solved from one factorization.
 
     Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}.
     Its pins are its zero upper bounds: a coordinate there cannot move, so
-    its bound is never released.  It starts at ``_warm_start``'s point,
-    then steps and blocks as ``_active_set`` does but releases only the
-    lowest-index wrong-signed bound: one working-set change per pass.  Let
-    F be the coordinates strictly inside ``caps`` at ``warm`` (at a vertex,
-    its largest coordinate instead), K = [[H_FF, 1], [1', 0]] its bordered
-    KKT matrix, and B the column [e_j; 0] for j in F and [H_Fj; 1] for j
-    outside.  A row's face differs from F in a few coordinates C (its pin
-    and the bounds it added in F, the coordinates it released outside F),
-    so its bordered KKT system is K bordered by B_C: one solve of K against
-    B serves every row, and each row solves only its Schur complement S =
-    D_CC - B_C' K^-1 B_C, where D is H on the coordinates outside F and
-    zero elsewhere.  For a pin i in F this is the closed form: the face
-    optimum moves by -K^-1 e_i w_i / P_ii, with P the top-left block of
-    K^-1, and the optimum falls by w_i^2 / (2 P_ii).  The systems of a pass
-    are padded to the largest C and solved in one batch.
+    its bound is never released.  It starts at ``_warm_start``'s point, then
+    steps and blocks as ``_active_set`` does but releases only the
+    lowest-index wrong-signed bound: one working-set change per pass.  Let F
+    be the coordinates strictly inside ``caps`` at ``warm`` (at a vertex,
+    its largest coordinate instead), K = [[H_FF + delta I, 1], [1', 0]] its
+    bordered KKT matrix with ``_active_set``'s proximal term, and B the
+    column [e_j; 0] for j in F and [H_Fj; 1] for j outside.  A row's face
+    differs from F in a few coordinates C (its pin and the bounds it added
+    in F, the coordinates it released outside F), so its bordered KKT system
+    is K bordered by B_C: one solve of K against B serves every row, and
+    each row solves only its Schur complement S = D_CC - B_C' K^-1 B_C,
+    where D is H + delta I on the coordinates outside F and zero
+    elsewhere.  For a pin i in F this is the closed form: the face optimum
+    moves by -K^-1 e_i w_i / P_ii, with P the top-left block of K^-1, and
+    the optimum falls by w_i^2 / (2 P_ii).  The systems of a pass are padded
+    to the largest C and solved in one batch.
 
-    Returns the rows and which of them finished: a singular K or Schur
-    complement, a downhill step, a step that does not move the bound a row
-    just released (kept as an index and its old sign) off it, or more than
-    ``MAX_ITERATIONS`` changes leaves a row unfinished.
+    Returns the rows and which of them finished: a step that does not move
+    the bound a row just released (kept as an index and its old sign) off
+    it, or more than ``MAX_ITERATIONS`` changes, leaves a row unfinished.
     """
     R, n = upper.shape
+    delta = PROX_TOL * max(lipschitz, 1.0 / mass)
     W = _warm_start(l, H, mass, upper, warm)
-    finished = np.zeros(R, dtype=bool)
     base = (warm > 0.0) & (warm < caps)
     if not base.any():
         # a vertex with every weighted coordinate at its cap: K would be
@@ -814,12 +821,10 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     Bt = np.zeros((n + 1, k + 1))
     Bt[:n, :k], Bt[:n, k] = H[F].T, 1.0
     K = np.append(Bt[F], [np.append(np.ones(k), 0.0)], axis=0)
+    K.flat[:k * (k + 2):k + 2] += delta   # on the face block's diagonal
     Bt[F] = np.eye(k + 1)[:k]
-    try:
-        # K^-1 B, and K^-1's border column for each row's mass residual
-        Y = np.linalg.solve(K, np.column_stack([Bt[:n].T, np.eye(k + 1)[k]]))
-    except np.linalg.LinAlgError:
-        return W, finished
+    # K^-1 B, and K^-1's border column for each row's mass residual
+    Y = np.linalg.solve(K, np.column_stack([Bt[:n].T, np.eye(k + 1)[k]]))
     Yt = np.zeros((n + 1, k + 1))
     Yt[:n], border = Y[:, :n].T, Y[:, n]
     outside = np.append(~base, False)
@@ -829,12 +834,12 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     at_cap[np.all(at_zero | at_cap, axis=1)] = False   # vertices: let them move
     free = ~(at_zero | at_cap)
     # +1 at a zero bound, -1 at a cap, 0 when free or pinned: a bound is
-    # released while sign * (g - lambda) > KKT_TOL
+    # released while sign * (g - lambda) > RELEASE_TOL
     sign = (at_zero & (upper > 0.0)) - at_cap * 1.0
     # the bound each row just released and its sign there (0: none)
     back, back_sign = np.zeros(R, dtype=int), np.zeros(R)
     G = l - W @ H.T
-    out, ids = W.copy(), np.arange(R)
+    out, ids, finished = W.copy(), np.arange(R), np.zeros(R, dtype=bool)
     for _ in range(MAX_ITERATIONS + 1):
         if ids.size == 0:
             break
@@ -849,37 +854,27 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         S = np.where(out_c[:, :, None] & out_c[:, None, :],
                      H[Cn[:, :, None], Cn[:, None, :]], 0.0) \
             - Bc @ Yc.transpose(0, 2, 1)
-        # an identity block on the padding: S's diagonals, flattened
-        S.reshape(ids.size, -1)[:, ::C.shape[1] + 1] += C == n
+        # S's diagonals: 1 on the padding, delta on C outside F (C in F is fixed)
+        S.reshape(ids.size, -1)[:, ::C.shape[1] + 1] += (C == n) + delta * out_c
         # K^-1 [g_F; 0] = g_F Yt[F], plus the mass residual's border column
         U = G[:, F] @ Yt[F] + (mass - W.sum(axis=1))[:, None] * border
         rhs = np.where(out_c, G[rows[:, None], Cn], 0.0) \
             - np.einsum("rck,rk->rc", Bc, U)
-        try:
-            x = np.linalg.solve(S, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular complement fails the batch: drop its row
-            x = np.full_like(rhs, np.nan)
-            ok = np.linalg.det(S) != 0.0
-            x[ok] = np.linalg.solve(S[ok], rhs[ok][..., None])[..., 0]
+        x = np.linalg.solve(S, rhs[..., None])[..., 0]
         sol = U - np.einsum("rck,rc->rk", Yc, x)
         # sol on F, x on C outside F, 0 on C in F (held at its bound)
         step = np.zeros((ids.size, n + 1))
         step[:, F] = sol[:, :k]
         step[rows[:, None], C] = np.where(out_c, x, 0.0)
-        D = step[:, :n]
-        # on a numerically singular face the step can be huge and downhill;
-        # a step of rounding noise (a face of one coordinate) is not
-        usable = np.einsum("ij,ij->i", G, D) >= -KKT_TOL * (np.abs(D).sum(axis=1) + mass)
-        # as is one that puts the bound just released straight back
-        usable &= (back_sign * D[rows, back] > 0.0) | (back_sign == 0.0)
-        D[~usable] = 0.0
+        # a step that puts the bound just released straight back ends its row
+        usable = (back_sign * step[rows, back] > 0.0) | (back_sign == 0.0)
+        D = np.where(usable[:, None], step[:, :n], 0.0)
 
         room = np.divide(np.where(D < 0.0, -W, upper - W), D,
                          out=np.full_like(D, np.inf), where=D != 0.0)
         j = np.argmin(room, axis=1)
         length = room[rows, j]
-        blocked = usable & (length < 1.0) & (free.sum(axis=1) > 1)
+        blocked = (length < 1.0) & (free.sum(axis=1) > 1)
         W += np.where(blocked, length, 1.0)[:, None] * D
         b, jb = rows[blocked], j[blocked]
         down = D[b, jb] < 0.0
@@ -888,7 +883,7 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         np.clip(W, 0.0, upper, out=W)
 
         G = l - W @ H.T
-        wrong = sign * (G - sol[:, k, None]) > KKT_TOL
+        wrong = sign * (G - sol[:, k, None]) > RELEASE_TOL
         settled = usable & ~blocked
         release = settled & wrong.any(axis=1)
         r, i = rows[release], np.argmax(wrong[release], axis=1)

@@ -315,13 +315,15 @@ class TestSolve:
 def family_args(problem: QpProblem, pins) -> tuple:
     """``_face_family``'s arguments before ``warm`` for the rows of
     ``problem`` pinned at ``pins``, as ``solve_pinned_family`` builds them:
-    each row's pin is an upper bound of 0."""
+    each row's pin is an upper bound of 0, and the Lipschitz bound comes
+    last."""
     n = problem.dimension
     caps = np.full(n, np.inf) if problem.caps is None else problem.caps
     upper = np.tile(caps, (len(pins), 1))
     upper[np.arange(len(pins)), pins] = 0.0
-    return (problem._linear, (2.0 * problem.risk / problem._scale) * problem.quadratic,
-            problem.mass, caps, upper)
+    curvature = 2.0 * problem.risk / problem._scale
+    return (problem._linear, curvature * problem.quadratic, problem.mass, caps,
+            upper, curvature * problem._lam_bound)
 
 
 def family_changes(problem: QpProblem, pins, warm) -> np.ndarray:
@@ -398,7 +400,7 @@ class TestPinnedWarmStart:
             < full.weights[0]
         # the face fills to its caps, and only the remaining 0.1 goes
         # greedily, to offer 4
-        l, H, mass, _, upper = family_args(problem, [0])
+        l, H, mass, _, upper, _ = family_args(problem, [0])
         np.testing.assert_allclose(qp._warm_start(l, H, mass, upper, full.weights),
                                    [[0.0, 0.3, 0.3, 0.3, 0.1]], atol=1e-12)
         assert assert_matches_cold(problem, 0, full.weights)[0] == 0.0
@@ -464,6 +466,30 @@ class TestReleasedBoundCycling:
             inst = rank_deficient_instance(seed)
             assert qmap_allocate(inst).kkt_residual <= qp.KKT_TOL
             qmap_prices(inst)
+
+    @pytest.mark.parametrize("seed", [347, 982, 1782])
+    def test_flat_face_rows_reach_the_optimum(self, seed, monkeypatch):
+        # a multiplier wrong by e at unit gradient scale loses up to e times
+        # that scale per unit of weight moved along a flat face; releasing
+        # bounds only past KKT_TOL left rows 982/3 and 1782/28 apart by up
+        # to 9.9e-5 of max c * m across the two routes, and row 347/25 short
+        # of its optimum by 1.1e-4 of it in both
+        inst = rank_deficient_instance(seed)
+        weighted = np.flatnonzero(qmap_allocate(inst).weights)
+        problem = qmap_problem(inst)
+        tol = qp.KKT_TOL * float(np.max(inst.c_vector)) * inst.m
+
+        def both_routes():
+            family = qmap_prices(inst).restricted_objectives[weighted]
+            cold = [solve(problem.pinned(i)).objective_value for i in weighted]
+            return family, np.array(cold)
+        family, cold = both_routes()
+        assert np.max(np.abs(family - cold)) <= tol
+        monkeypatch.setattr(qp, "RELEASE_TOL", 1e-14)
+        reference = both_routes()
+        for values in (family, cold):
+            for exact in reference:
+                assert np.max(np.abs(values - exact)) <= tol
 
     @pytest.mark.parametrize("seed", [347, 434, 1685, 2282])
     def test_seeds_that_cycled_before_every_wrong_bound_was_released(self, seed):
@@ -686,10 +712,9 @@ def family_problems(rng: np.random.Generator, kind: str):
     if kind == "linear":
         # rows with no curvature, which the family serves with the rest: q = 0
         # and Sigma = 0 under caps, and one risky offer among riskless ones.
-        # Here the optimum is [0.1, 0.4, 0, 0.5, 0]; the family finishes
-        # none of its three rows, whose faces come to hold two riskless
-        # offers (a singular system), and the rows pinning offers 1 and 3
-        # stop short of their optima: a single solve takes each row
+        # Here the optimum is [0.1, 0.4, 0, 0.5, 0]; the faces of its three
+        # rows come to hold two riskless offers, whose systems the proximal
+        # term keeps regular, so the family finishes every row
         yield QpProblem(linear=np.array([1.9, 1.5, 0.1, 2.5, 0.2]),
                         quadratic=np.diag([1.0, 0.0, 0.0, 0.0, 0.0]), risk=2.0,
                         mass=1.0, caps=np.full(5, 0.5))
@@ -779,9 +804,8 @@ class TestSolvePinnedFamily:
             # singular faces, solved through the same proximal system
             assert any(singular)
         if kind == "linear":
-            # the family finished rows without curvature, and the rows it
-            # did not finish were solved alone
-            assert any(finished) and not all(finished)
+            # the family finishes every row, those without curvature too
+            assert all(finished)
 
     def test_one_factorization_of_the_face(self, monkeypatch):
         # the face's bordered KKT matrix is factored once; each later pass
