@@ -208,8 +208,8 @@ class QpSolution:
     wrong-signed multiplier (several in one solve), bound again the
     released ones its step would send straight back, or solved the same
     face again to shed the proximal term's error.  It is 0 when the start's
-    face already holds the optimum and on the exact linear and
-    single-coordinate paths.  ``problem`` is the solve's input;
+    face already holds the optimum and on the exact linear path, which
+    also serves a single free coordinate.  ``problem`` is the solve's input;
     ``degenerate`` is computed from it on first read, so a solve whose
     caller only wants the optimum does not pay for it.
     """
@@ -562,8 +562,6 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     mask = np.ones(n, dtype=bool)
     mask[list(problem.zero_set)] = False
     carrying = mask & (w > act_tol)
-    if not np.any(carrying):
-        return False
     lam = float(np.mean(g[carrying]))
     in_face = mask & (carrying | (np.abs(g - lam) <= DEGENERATE_TOL))
     if problem.caps is not None:
@@ -600,9 +598,7 @@ def solve(problem: QpProblem) -> QpSolution:
         l, Q = l[free], Q[np.ix_(free, free)]
         caps = caps[free] if caps is not None else None
 
-    if l.size == 1:
-        w, iterations = np.array([mass]), 0
-    elif q == 0.0 or not Q.any():
+    if l.size == 1 or q == 0.0 or not Q.any():
         w, iterations = _greedy_linear(l, mass, caps), 0
     else:
         # at unit gradient scale, whatever the currency unit
@@ -636,19 +632,21 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     Returns the maximizer and the number of face solves after the first.
     It starts from the greedy vertex moved by one projected-gradient step
     of length 1 / ``lipschitz`` (an upper bound on H's largest eigenvalue),
-    shortened so that no entry moves by more than the mass.  Each pass
-    solves the bordered KKT system of the face left free by the working
-    set with a proximal term delta I added to H (Rockafellar, SIAM J.
+    shortened so that no entry moves by more than the mass.  The working
+    set is ``_face_family``'s ``sign`` array: +1 at a zero bound, -1 at a
+    cap, 0 on the face.  Each pass solves the bordered KKT system of the
+    face with a proximal term delta I added to H (Rockafellar, SIAM J.
     Control Optim. 14, 1976), so the system is regular on every face,
-    singular or not: along a flat ascent direction the step is long, and
-    the ratio test stops it at the first bound.  A full step leaves the
-    face's stationarity off by delta times the step, so the face is solved
-    again while that exceeds ``KKT_TOL``.  A face optimum may keep a
-    multiplier error of ``RELEASE_TOL``; every bound wrong by more is
+    singular or not, and takes one step: the full step, or the step to the
+    ratio test's nearest bound (lowest index first), which joins the
+    working set.  A full step leaves the face's stationarity off by delta
+    times the step, so the face is solved again while that exceeds
+    ``KKT_TOL``.  A face optimum may keep a multiplier error of
+    ``RELEASE_TOL``: every bound with sign * (g - lambda) above it is
     released.  The next step must move each released coordinate off its
     bound: the ones it would send straight back are bound again and the
     face solved once more, and when none is left, only the lowest-index
-    release is kept.  The gradient is recomputed only when w moves.
+    release is kept.  The gradient is recomputed once per step.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
@@ -657,17 +655,16 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     g = l - H @ w
     w += g / max(lipschitz, float(np.abs(g).max()) / mass)
     w = _project(w, mass, caps)
-    at_zero = w <= 0.0
-    at_cap = (w >= upper) & ~at_zero
-    if np.all(at_zero | at_cap):
-        at_cap[:] = False   # a vertex: let its positive coordinates move
+    sign = np.where(w <= 0.0, 1.0, -1.0 * (w >= upper))
+    if sign.all():
+        sign[sign < 0.0] = 0.0   # a vertex: let its caps move
     g = l - H @ w
-    # the bounds released at the last face optimum, lowest index first, 1
-    # where from zero and -1 where from a cap, and which of them stay free
-    back = sign = live = None
+    # the bounds released at the last face optimum, lowest index first, and
+    # their signs before the release
+    back = old = None
 
     for changes in range(MAX_ITERATIONS + 1):
-        idx = np.flatnonzero(~(at_zero | at_cap))
+        idx = np.flatnonzero(sign == 0)
         k = idx.size
         A = np.ones((k + 1, k + 1))
         A[:k, :k], A[k, k] = H.take(idx, 0).take(idx, 1), 0.0
@@ -677,42 +674,35 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         sol = np.linalg.solve(A, rhs)
         if back is not None:
             # a step that sends bounds just released straight back
+            live = sign[back] == 0
             moves = np.zeros_like(live)
-            moves[live] = sign[live] * sol[np.searchsorted(idx, back[live])] > 0.0
+            moves[live] = old[live] * sol[np.searchsorted(idx, back[live])] > 0.0
             if not np.array_equal(moves, live) and (live.sum() > 1 or not live[0]):
-                live = moves if moves.any() else np.arange(back.size) == 0
-                at_zero[back], at_cap[back] = ~live & (sign > 0), ~live & (sign < 0)
+                keep = moves if moves.any() else np.arange(back.size) == 0
+                sign[back] = np.where(keep, 0.0, old)
                 continue
         d, back = sol[:k], None
 
+        t = 1.0
         if k > 1:
             room = np.divide(np.where(d < 0.0, -w[idx], upper[idx] - w[idx]), d,
                              out=np.full(k, np.inf), where=d != 0.0)
             j = int(np.argmin(room))
-            if room[j] < 1.0:
-                w[idx] += room[j] * d
-                i = idx[j]
-                if d[j] < 0.0:
-                    w[i], at_zero[i] = 0.0, True
-                else:
-                    w[i], at_cap[i] = upper[i], True
-                np.clip(w, 0.0, upper, out=w)
-                g = l - H @ w
-                continue
-        w[idx] += d
+            t = min(room[j], 1.0)
+        w[idx] += t * d
+        if t < 1.0:
+            i = idx[j]
+            w[i], sign[i] = (0.0, 1.0) if d[j] < 0.0 else (upper[i], -1.0)
         np.clip(w, 0.0, upper, out=w)
-
         g = l - H @ w
-        if delta * float(np.abs(d).max()) > KKT_TOL:
-            continue   # the proximal term's error: solve the face again
-        lam = sol[k]
-        wrong = (at_zero * 1.0 - at_cap) * (g - lam) > RELEASE_TOL
+        if t < 1.0 or delta * float(np.abs(d).max()) > KKT_TOL:
+            continue   # a bound added, or the proximal term's error: solve again
+        wrong = sign * (g - sol[k]) > RELEASE_TOL
         if not np.any(wrong):
             return w, changes
         back = np.flatnonzero(wrong)
-        sign = np.where(at_zero[back], 1.0, -1.0)
-        live = np.ones(back.size, dtype=bool)
-        at_zero[back] = at_cap[back] = False
+        old = sign[back]
+        sign[back] = 0.0
     raise SolverConvergenceError(
         f"active set still changing after {MAX_ITERATIONS} face solves"
     )
@@ -829,13 +819,12 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     Yt[:n], border = Y[:, :n].T, Y[:, n]
     outside = np.append(~base, False)
 
-    at_zero = W <= 0.0
-    at_cap = (W >= upper) & ~at_zero
-    at_cap[np.all(at_zero | at_cap, axis=1)] = False   # vertices: let them move
-    free = ~(at_zero | at_cap)
-    # +1 at a zero bound, -1 at a cap, 0 when free or pinned: a bound is
-    # released while sign * (g - lambda) > RELEASE_TOL
-    sign = (at_zero & (upper > 0.0)) - at_cap * 1.0
+    # +1 at a zero bound, -1 at a cap, 0 when free or pinned, as in
+    # ``_active_set``
+    sign = np.where(W <= 0.0, 1.0, -1.0 * (W >= upper))
+    sign[(sign < 0.0) & sign.all(axis=1, keepdims=True)] = 0.0   # vertices
+    free = sign == 0
+    sign[upper == 0.0] = 0.0
     # the bound each row just released and its sign there (0: none)
     back, back_sign = np.zeros(R, dtype=int), np.zeros(R)
     G = l - W @ H.T

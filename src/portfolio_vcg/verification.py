@@ -260,7 +260,7 @@ def _record_second_price(builder: _ReportBuilder, market: MarketInstance) -> Non
 
 @functools.lru_cache(maxsize=8)
 def _simplex_lattice(n: int, resolution: int) -> np.ndarray:
-    """All integer vectors of length n summing to ``resolution``.
+    """All integer vectors of length n >= 2 summing to ``resolution``.
 
     Built once per (n, resolution) and shared, so the array is read-only:
     the oracle suite's n = 3 trials reuse one 501,501-point lattice.
@@ -270,9 +270,7 @@ def _simplex_lattice(n: int, resolution: int) -> np.ndarray:
         raise ValueError(
             f"lattice would hold {count} points; coarsen the step"
         )
-    if n == 1:
-        lattice = np.array([[resolution]], dtype=np.int64)
-    elif n == 2:
+    if n == 2:
         k = np.arange(resolution + 1, dtype=np.int64)
         lattice = np.stack([k, resolution - k], axis=1)
     else:

@@ -291,6 +291,40 @@ class TestAddedOffer:
         assert qualified >= 50
 
 
+def permuted_market(seed: int) -> tuple:
+    """(mu, sigma, q, caps, permutation) of a market of 2-50 offers with a
+    low-rank factor covariance plus a diagonal and q log-uniform on
+    [1e-3, 100]; odd seeds are capped, with every pinned market feasible."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 51))
+    mu = rng.uniform(0.0, 5.0, n)
+    g = rng.standard_normal((max(1, n // 3), n)) / np.sqrt(n)
+    sigma = g.T @ g + np.diag(rng.uniform(0.05, 1.0, n))
+    q = float(np.exp(rng.uniform(np.log(1e-3), np.log(100.0))))
+    caps = None
+    if seed % 2:
+        caps = rng.uniform(1.5 / n, 4.0 / n, n)
+        caps *= max(1.0, 1.05 / (caps.sum() - caps.max()))
+    return mu, sigma, q, caps, rng.permutation(n)
+
+
+class TestOfferOrder:
+    def test_permuting_the_offers_permutes_the_prices(self):
+        # the optima agree to rounding; the gap, up to 1.2e-10 of max mu on
+        # flat small-q optima, is the tie-break's index-keyed tilt LEX_EPS
+        # moving the weights of a flat optimum by about 1e-10
+        for seed in range(300):
+            mu, sigma, q, caps, perm = permuted_market(seed)
+            plain = price_schedule(market_from_mu(mu, sigma, q, caps=caps))
+            moved = price_schedule(market_from_mu(
+                mu[perm], sigma[np.ix_(perm, perm)], q,
+                caps=None if caps is None else caps[perm]))
+            tol = 1e-9 * float(np.max(mu))
+            np.testing.assert_allclose(moved.offer_prices, plain.offer_prices[perm],
+                                       rtol=0, atol=tol, err_msg=f"seed {seed}")
+            assert abs(moved.risk_charge - plain.risk_charge) <= tol
+
+
 class TestQmapPrices:
     def test_linear_case_reduces_to_second_price(self):
         inst = QmapInstance(a_matrix=np.zeros((2, 2)), b_vector=np.zeros(2),

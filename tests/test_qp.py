@@ -626,6 +626,19 @@ class TestReleaseEveryWrongBound:
         assert sol.weights[0] > 0.0 and not sol.weights[3:].any()
         assert abs(sol.objective_value - face_oracle(problem)) <= 1e-12 * 4.94
 
+    def test_certificate_refuses_a_short_stop(self, monkeypatch):
+        # with a release tolerance of 1e-3 the active set stops while some
+        # multipliers are still wrong: the KKT certificate refuses the point
+        # (residual about 8e-4), alone and in a family, whose rows that
+        # miss it fall back to the same single solve
+        problem = factor_market(7, 60)
+        warm = solve(problem).weights
+        monkeypatch.setattr(qp, "RELEASE_TOL", 1e-3)
+        with pytest.raises(SolverConvergenceError, match="KKT residual"):
+            solve(problem)
+        with pytest.raises(SolverConvergenceError, match="KKT residual"):
+            solve_pinned_family(problem, np.flatnonzero(warm), warm)
+
 
 class TestDegenerateFlag:
     def test_computed_on_first_read(self, monkeypatch):
