@@ -17,7 +17,7 @@ Every charge takes one route, ``_vcg_prices``: a single offer's price
 (``price_schedule``) and the call-count (``qmap_prices``) one, which
 share one assembly of the allocation, the charges and the price per ad
 call.  The pinned subproblems are independent pure computations with the
-same solver tolerances and tie-breaking.  Zero-weight offers are
+same solver tolerances and no tie-break.  Zero-weight offers are
 priced at 0 without a solve, and the weighted offers from one
 factorization of the full optimum's face (``qp.solve_pinned_family``).
 Pinning an offer i on that face borders its KKT matrix K once more, so

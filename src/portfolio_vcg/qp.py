@@ -19,9 +19,10 @@ singular face, a ratio test adds the lowest-index blocking bound, and at
 the face optimum every bound with a wrong-signed multiplier is released
 at once (a primal-dual active-set update, Hintermuller, Ito & Kunisch,
 SIAM J. Optim. 13, 2002), so one face solve can free many coordinates.
-The objective is concave (Q PSD, q >= 0), so the KKT point it stops at is
-a global maximizer; a projected-gradient certificate on the result
-confirms it.
+On a flat face (its optimum not unique) a step also takes the face
+solution of an index ramp, so ties fill the lower index first.  The
+objective is concave (Q PSD, q >= 0), so the KKT point it stops at is a
+global maximizer; a projected-gradient certificate confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
@@ -33,9 +34,10 @@ by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
 working-set change borders K again, solved through the row's small Schur
 complement; K and each complement carry the same proximal term, so they
 are regular on singular faces too.  A family row releases one bound per
-pass, the lowest-index one.  A row that the family does not finish is
-solved by ``solve``.  Both run the method on the problem divided by its
-gradient scale, so their steps do not depend on the currency unit.
+pass, the lowest-index one, and breaks no ties: only its value is read.
+A row that the family does not finish is solved by ``solve``.  Both run
+the method on the problem divided by its gradient scale, so their steps
+do not depend on the currency unit.
 
 The helpers work on a vector or on a stack of rows, and a single solve is
 their one-row case: one check of the pins and bounds (``_pin_mask``), one
@@ -56,10 +58,8 @@ import numpy as np
 
 SYM_TOL = 1e-10   # symmetry tolerance for Q, relative to max|Q|
 PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
-# size of the lexicographic perturbation that breaks ties deterministically
-# toward lower indices, relative to the largest linear coefficient; it is
-# keyed to the original coordinate index, so the pinned subproblems of one
-# market all share the same tie-break
+# size of ``_active_set``'s push toward lower indices on a flat face (one
+# whose optimum is not unique), at unit gradient scale
 LEX_EPS = 1e-12
 # multiplier tolerance (relative to the gradient scale) and curvature
 # tolerance (relative to the face's largest curvature entry) of the
@@ -136,14 +136,11 @@ class QpProblem:
     zero_set: frozenset = frozenset()
     caps: Optional[np.ndarray] = None
     # set when the data is checked (or by ``shared_problem``) and shared by
-    # ``pinned`` copies: a bound on Q's largest eigenvalue, the gradient
-    # magnitude and the linear term the active set works with
+    # ``pinned`` copies: Q's largest-eigenvalue bound and the gradient scale
     _lam_bound: Optional[float] = field(default=None, init=False, repr=False,
                                         compare=False)
     _scale: Optional[float] = field(default=None, init=False, repr=False,
                                     compare=False)
-    _linear: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", _readonly(self.linear))
@@ -188,10 +185,9 @@ class QpProblem:
     def pinned(self, i: int) -> "QpProblem":
         """This problem with coordinate i (alone) pinned to zero.
 
-        A plain copy: it shares this problem's arrays, eigenvalue bound,
-        gradient scale and working linear term, so a family of pinned solves
-        scans and factors the quadratic term once in all.  Its pin is
-        checked when it is solved.
+        A plain copy: it shares this problem's arrays, eigenvalue bound and
+        gradient scale, so a family of pinned solves scans and factors the
+        quadratic term once in all.  Its pin is checked when it is solved.
         """
         pinned = copy.copy(self)
         object.__setattr__(pinned, "zero_set", frozenset({int(i)}))
@@ -400,24 +396,19 @@ def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _seed(problem: QpProblem, peak: float, bound: float) -> None:
-    """Store on ``problem`` the bound on Q's largest eigenvalue, the
-    gradient scale computed from max|Q| (``peak``), and the linear term
-    the active set works with: c plus the tie-break, over the scale.
+    """Store on ``problem`` the bound on Q's largest eigenvalue and the
+    gradient scale computed from max|Q| (``peak``).
 
     The scale bounds the gradient's magnitude over the feasible set and,
     times the mass, the objective's: data whose bound overflows raises
     QpValidationError.  It is 1 for all-zero data, whose gradient is zero.
     """
-    c, n = problem.linear, problem.dimension
-    c_scale = float(np.max(np.abs(c), initial=0.0))
-    scale = c_scale + 2.0 * problem.risk * peak * problem.mass
+    scale = float(np.max(np.abs(problem.linear), initial=0.0)) \
+        + 2.0 * problem.risk * peak * problem.mass
     if not math.isfinite(scale * problem.mass):
         raise QpValidationError("problem data too large: the objective's scale overflows")
-    # strictly decreasing in the original index: lower index wins exact ties
-    tie = np.arange(n, 0, -1, dtype=float) / n
     object.__setattr__(problem, "_lam_bound", bound)
     object.__setattr__(problem, "_scale", scale or 1.0)
-    object.__setattr__(problem, "_linear", (c + LEX_EPS * c_scale * tie) / problem._scale)
 
 
 def shared_problem(scan: tuple, **data) -> QpProblem:
@@ -426,10 +417,10 @@ def shared_problem(scan: tuple, **data) -> QpProblem:
     ``data`` are ``QpProblem``'s arguments, whose arrays must be private
     and read-only, like the instance's own: they are shared, not copied.
     ``scan`` is the (max|Q|, lambda_max bound) that the instance's
-    ``quadratic_scan`` found; the gradient scale and the working linear
-    term are computed from it exactly as the constructor computes them,
-    which is bypassed: the caller vouches that the instance's checks cover
-    every check of the constructor.
+    ``quadratic_scan`` found; the gradient scale is computed from it
+    exactly as the constructor computes it, which is bypassed: the caller
+    vouches that the instance's checks cover every check of the
+    constructor.
     """
     problem = object.__new__(QpProblem)
     for f in fields(QpProblem):
@@ -529,18 +520,17 @@ def _greedy_linear(l: np.ndarray, mass: float | np.ndarray,
                    caps: Optional[np.ndarray]) -> np.ndarray:
     """Exact maximizer of l'w over the (capped) simplex, filled best first:
     in the stable order of -l each coordinate takes min(max(mass - the caps
-    before it, 0), its cap).  Capped, l may be a stack and mass a column."""
-    if caps is None:
-        w = np.zeros_like(l)
-        w[int(np.argmax(l))] = mass
-        return w
+    before it, 0), its cap), inf if uncapped.  l may be a stack, mass a
+    column; caps are None or of l's shape."""
+    n = l.shape[-1]
     order = np.argsort(-l, axis=-1, kind="stable")
-    u = np.take_along_axis(np.broadcast_to(caps, l.shape), order, axis=-1)
-    before = np.zeros_like(u)   # the caps filled before each coordinate
-    np.cumsum(u[..., :-1], axis=-1, out=before[..., 1:])
-    w = np.empty_like(u)
-    np.put_along_axis(w, order, np.minimum(np.maximum(mass - before, 0.0), u),
-                      axis=-1)
+    order += n * np.arange(l.size // n).reshape(l.shape[:-1] + (1,))   # flat indices
+    # the sorted caps after a 0: the caps before each coordinate are one cumsum
+    u = np.zeros(l.shape[:-1] + (n + 1,))
+    u[..., 1:] = np.inf if caps is None else caps.take(order)
+    w = np.empty_like(l)
+    w.put(order, np.minimum(np.maximum(mass - u.cumsum(axis=-1)[..., :-1], 0.0),
+                            u[..., 1:]))
     return w
 
 
@@ -582,17 +572,17 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
 def solve(problem: QpProblem) -> QpSolution:
     """Maximize the concave objective over the constrained simplex.
 
-    Deterministic for fixed input; exact ties in the linear term are broken
-    toward the lower index.  Raises InfeasibleProblemError when pins or
-    caps empty the feasible set, QpValidationError for a pin out of range
-    (and, when the problem was built, for malformed data), and
-    SolverConvergenceError if the active set needs more than
-    ``MAX_ITERATIONS`` face solves after its first or the result misses
-    ``KKT_TOL``.
+    Deterministic for fixed input; where the maximizer is not unique, the
+    lower index is filled first (``_greedy_linear``, ``_active_set``).
+    Raises InfeasibleProblemError when pins or caps empty the feasible set,
+    QpValidationError for a pin out of range (and, when the problem was
+    built, for malformed data), and SolverConvergenceError if the active
+    set needs more than ``MAX_ITERATIONS`` face solves after its first or
+    the result misses ``KKT_TOL``.
     """
     pinned = _pin_mask(problem, sorted(problem.zero_set))
     mass, q = problem.mass, problem.risk
-    l, Q, caps = problem._linear, problem.quadratic, problem.caps
+    l, Q, caps = problem.linear / problem._scale, problem.quadratic, problem.caps
     if pinned is not None:
         free = ~pinned
         l, Q = l[free], Q[np.ix_(free, free)]
@@ -639,18 +629,23 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     Control Optim. 14, 1976), so the system is regular on every face,
     singular or not, and takes one step: the full step, or the step to the
     ratio test's nearest bound (lowest index first), which joins the
-    working set.  A full step leaves the face's stationarity off by delta
-    times the step, so the face is solved again while that exceeds
-    ``KKT_TOL``.  A face optimum may keep a multiplier error of
-    ``RELEASE_TOL``: every bound with sign * (g - lambda) above it is
-    released.  The next step must move each released coordinate off its
-    bound: the ones it would send straight back are bound again and the
-    face solved once more, and when none is left, only the lowest-index
-    release is kept.  The gradient is recomputed once per step.
+    working set.  A second right side, the ramp ``LEX_EPS`` (n, ..., 1)/n,
+    breaks ties: where the proximal term, not the face's curvature, sets
+    its solution x (delta max|x| > ``LEX_EPS`` ``KKT_TOL``), the face is
+    flat and the step adds x, which pushes weight toward lower indices.  A
+    full step leaves the face's stationarity off by delta times the step,
+    so the face is solved again while that exceeds ``KKT_TOL``.  A face
+    optimum may keep a multiplier error of ``RELEASE_TOL``: every bound
+    with sign * (g - lambda) above it is released.  The next step must move
+    each released coordinate off its bound: the ones it would send straight
+    back are bound again and the face solved once more, and when none is
+    left, only the lowest-index release is kept.  The gradient is
+    recomputed once per step.
     """
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
     delta = PROX_TOL * max(lipschitz, 1.0 / mass)
+    ramp = LEX_EPS * np.arange(n, 0, -1) / n   # the tie-break's right side
     w = _greedy_linear(l, mass, caps)
     g = l - H @ w
     w += g / max(lipschitz, float(np.abs(g).max()) / mass)
@@ -669,19 +664,22 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         A = np.ones((k + 1, k + 1))
         A[:k, :k], A[k, k] = H.take(idx, 0).take(idx, 1), 0.0
         A.flat[:k * (k + 2):k + 2] += delta   # on the face block's diagonal
-        rhs = np.empty(k + 1)
-        rhs[:k], rhs[k] = g[idx], mass - w.sum()
-        sol = np.linalg.solve(A, rhs)
+        rhs = np.zeros((k + 1, 2))
+        rhs[:k, 0], rhs[k, 0], rhs[:k, 1] = g[idx], mass - w.sum(), ramp[idx]
+        sol, x = np.linalg.solve(A, rhs).T
+        d = sol[:k]
+        if delta * float(np.abs(x[:k]).max()) > LEX_EPS * KKT_TOL:
+            d = d + x[:k]   # a flat face: push its weight toward lower indices
         if back is not None:
             # a step that sends bounds just released straight back
             live = sign[back] == 0
             moves = np.zeros_like(live)
-            moves[live] = old[live] * sol[np.searchsorted(idx, back[live])] > 0.0
+            moves[live] = old[live] * d[np.searchsorted(idx, back[live])] > 0.0
             if not np.array_equal(moves, live) and (live.sum() > 1 or not live[0]):
                 keep = moves if moves.any() else np.arange(back.size) == 0
                 sign[back] = np.where(keep, 0.0, old)
                 continue
-        d, back = sol[:k], None
+        back = None
 
         t = 1.0
         if k > 1:
@@ -759,8 +757,8 @@ def solve_pinned_family(problem: QpProblem, pins,
         caps = np.full(n, np.inf) if problem.caps is None else problem.caps
         curvature = 2.0 * q / problem._scale   # at unit gradient scale
         W, done = _face_family(
-            problem._linear, curvature * problem.quadratic, mass, caps,
-            np.where(pinned, 0.0, caps), curvature * problem._lam_bound,
+            problem.linear / problem._scale, curvature * problem.quadratic, mass,
+            caps, np.where(pinned, 0.0, caps), curvature * problem._lam_bound,
             np.asarray(warm_start, dtype=float))
         done &= reduce(np.maximum, _kkt_terms(problem, W, pinned)) <= KKT_TOL
     for r in np.flatnonzero(~done):
@@ -777,8 +775,8 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     Row r maximizes l'w - w'Hw/2 over {sum(w) = mass, 0 <= w <= upper[r]}.
     Its pins are its zero upper bounds: a coordinate there cannot move, so
     its bound is never released.  It starts at ``_warm_start``'s point, then
-    steps and blocks as ``_active_set`` does but releases only the
-    lowest-index wrong-signed bound: one working-set change per pass.  Let F
+    steps and blocks as ``_active_set`` does, with no tie-break, releasing
+    only the lowest-index wrong-signed bound: one change per pass.  Let F
     be the coordinates strictly inside ``caps`` at ``warm`` (at a vertex,
     its largest coordinate instead), K = [[H_FF + delta I, 1], [1', 0]] its
     bordered KKT matrix with ``_active_set``'s proximal term, and B the

@@ -322,8 +322,8 @@ def family_args(problem: QpProblem, pins) -> tuple:
     upper = np.tile(caps, (len(pins), 1))
     upper[np.arange(len(pins)), pins] = 0.0
     curvature = 2.0 * problem.risk / problem._scale
-    return (problem._linear, curvature * problem.quadratic, problem.mass, caps,
-            upper, curvature * problem._lam_bound)
+    return (problem.linear / problem._scale, curvature * problem.quadratic,
+            problem.mass, caps, upper, curvature * problem._lam_bound)
 
 
 def family_changes(problem: QpProblem, pins, warm) -> np.ndarray:
@@ -586,11 +586,12 @@ class TestReleaseEveryWrongBound:
 
     @staticmethod
     def face_rhs(monkeypatch) -> list:
-        """The right sides of the face systems solved from now on."""
+        """The gradient columns of the right sides of the face systems
+        solved from now on (the second column is the tie-break's)."""
         seen, real = [], np.linalg.solve
 
         def recording(A, b):
-            seen.append(np.array(b))
+            seen.append(np.array(b)[:, 0])
             return real(A, b)
         monkeypatch.setattr(np.linalg, "solve", recording)
         return seen
