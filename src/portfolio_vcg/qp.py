@@ -19,10 +19,10 @@ singular face, a ratio test adds the lowest-index blocking bound, and at
 the face optimum every bound with a wrong-signed multiplier is released
 at once (a primal-dual active-set update, Hintermuller, Ito & Kunisch,
 SIAM J. Optim. 13, 2002), so one face solve can free many coordinates.
-On a flat face (its optimum not unique) a step also takes the face
-solution of an index ramp, so ties fill the lower index first.  The
-objective is concave (Q PSD, q >= 0), so the KKT point it stops at is a
-global maximizer; a projected-gradient certificate confirms it.
+On a flat face a step also takes the face solution of an index ramp, so
+ties fill the lower index first.  The objective is concave (Q PSD,
+q >= 0), so the KKT point it stops at is a global maximizer; a
+projected-gradient certificate on the result confirms it.
 
 ``solve`` runs one problem.  ``solve_pinned_family`` runs the same method
 on a family of copies of one problem that differ only in the coordinate
@@ -34,10 +34,10 @@ by w_i^2 / (2 P_ii), P the top-left block of K^-1), and every later
 working-set change borders K again, solved through the row's small Schur
 complement; K and each complement carry the same proximal term, so they
 are regular on singular faces too.  A family row releases one bound per
-pass, the lowest-index one, and breaks no ties: only its value is read.
-A row that the family does not finish is solved by ``solve``.  Both run
-the method on the problem divided by its gradient scale, so their steps
-do not depend on the currency unit.
+pass, the lowest-index one, and breaks no ties.  A row that the family
+does not finish is solved by ``solve``.  Both run the method on the
+problem divided by its gradient scale, so their steps do not depend on
+the currency unit.
 
 The helpers work on a vector or on a stack of rows, and a single solve is
 their one-row case: one check of the pins and bounds (``_pin_mask``), one
@@ -59,12 +59,12 @@ import numpy as np
 SYM_TOL = 1e-10   # symmetry tolerance for Q, relative to max|Q|
 PSD_TOL = 1e-8    # PSD slack, relative to the largest diagonal entry
 # size of ``_active_set``'s push toward lower indices on a flat face (one
-# whose optimum is not unique), at unit gradient scale
+# whose optimum is not unique), relative to the largest linear coefficient
 LEX_EPS = 1e-12
 # multiplier tolerance (relative to the gradient scale) and curvature
 # tolerance (relative to the face's largest curvature entry) of the
-# degeneracy test; neither has an absolute floor, so the test does not
-# depend on the currency unit
+# degeneracy test, the latter also ``_active_set``'s bound for a flat face;
+# neither has an absolute floor, so neither depends on the currency unit
 DEGENERATE_TOL = 1e-9
 # a family of fewer rows is solved one row at a time: on markets of 2 to 6
 # offers one or two single solves take less time than one factorization
@@ -520,17 +520,18 @@ def _greedy_linear(l: np.ndarray, mass: float | np.ndarray,
                    caps: Optional[np.ndarray]) -> np.ndarray:
     """Exact maximizer of l'w over the (capped) simplex, filled best first:
     in the stable order of -l each coordinate takes min(max(mass - the caps
-    before it, 0), its cap), inf if uncapped.  l may be a stack, mass a
-    column; caps are None or of l's shape."""
-    n = l.shape[-1]
+    before it, 0), its cap).  Capped, l may be a stack and mass a column."""
+    if caps is None:
+        w = np.zeros_like(l)
+        w[int(np.argmax(l))] = mass
+        return w
     order = np.argsort(-l, axis=-1, kind="stable")
-    order += n * np.arange(l.size // n).reshape(l.shape[:-1] + (1,))   # flat indices
-    # the sorted caps after a 0: the caps before each coordinate are one cumsum
-    u = np.zeros(l.shape[:-1] + (n + 1,))
-    u[..., 1:] = np.inf if caps is None else caps.take(order)
-    w = np.empty_like(l)
-    w.put(order, np.minimum(np.maximum(mass - u.cumsum(axis=-1)[..., :-1], 0.0),
-                            u[..., 1:]))
+    u = np.take_along_axis(np.broadcast_to(caps, l.shape), order, axis=-1)
+    before = np.zeros_like(u)   # the caps filled before each coordinate
+    np.cumsum(u[..., :-1], axis=-1, out=before[..., 1:])
+    w = np.empty_like(u)
+    np.put_along_axis(w, order, np.minimum(np.maximum(mass - before, 0.0), u),
+                      axis=-1)
     return w
 
 
@@ -629,12 +630,13 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     Control Optim. 14, 1976), so the system is regular on every face,
     singular or not, and takes one step: the full step, or the step to the
     ratio test's nearest bound (lowest index first), which joins the
-    working set.  A second right side, the ramp ``LEX_EPS`` (n, ..., 1)/n,
-    breaks ties: where the proximal term, not the face's curvature, sets
-    its solution x (delta max|x| > ``LEX_EPS`` ``KKT_TOL``), the face is
-    flat and the step adds x, which pushes weight toward lower indices.  A
-    full step leaves the face's stationarity off by delta times the step,
-    so the face is solved again while that exceeds ``KKT_TOL``.  A face
+    working set.  A second right side, minus the index, breaks ties: where
+    H's curvature along its solution x, -x'index / x'x - delta, is at most
+    ``DEGENERATE_TOL`` times the face's largest entry (plus delta), the
+    face is flat and the step adds ``LEX_EPS`` max|l| / n times x, the face
+    solution of the ramp ``LEX_EPS`` max|l| (n, ..., 1) / n.  A full step
+    leaves the face's stationarity off by delta times the step, so the
+    face is solved again while that exceeds ``KKT_TOL``.  A face
     optimum may keep a multiplier error of ``RELEASE_TOL``: every bound
     with sign * (g - lambda) above it is released.  The next step must move
     each released coordinate off its bound: the ones it would send straight
@@ -645,7 +647,7 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
     n = l.shape[0]
     upper = np.full(n, np.inf) if caps is None else caps
     delta = PROX_TOL * max(lipschitz, 1.0 / mass)
-    ramp = LEX_EPS * np.arange(n, 0, -1) / n   # the tie-break's right side
+    push = LEX_EPS * float(np.abs(l).max()) / n   # the tie-break's size
     w = _greedy_linear(l, mass, caps)
     g = l - H @ w
     w += g / max(lipschitz, float(np.abs(g).max()) / mass)
@@ -665,11 +667,11 @@ def _active_set(l: np.ndarray, H: np.ndarray, mass: float,
         A[:k, :k], A[k, k] = H.take(idx, 0).take(idx, 1), 0.0
         A.flat[:k * (k + 2):k + 2] += delta   # on the face block's diagonal
         rhs = np.zeros((k + 1, 2))
-        rhs[:k, 0], rhs[k, 0], rhs[:k, 1] = g[idx], mass - w.sum(), ramp[idx]
+        rhs[:k, 0], rhs[k, 0], rhs[:k, 1] = g[idx], mass - w.sum(), -idx
         sol, x = np.linalg.solve(A, rhs).T
-        d = sol[:k]
-        if delta * float(np.abs(x[:k]).max()) > LEX_EPS * KKT_TOL:
-            d = d + x[:k]   # a flat face: push its weight toward lower indices
+        d, x, peak = sol[:k], x[:k], A.diagonal()[:k].max()
+        if x @ rhs[:k, 1] <= (DEGENERATE_TOL * peak + 2.0 * delta) * (x @ x):
+            d += push * x   # a flat face: push its weight toward lower indices
         if back is not None:
             # a step that sends bounds just released straight back
             live = sign[back] == 0
@@ -776,7 +778,8 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
     Its pins are its zero upper bounds: a coordinate there cannot move, so
     its bound is never released.  It starts at ``_warm_start``'s point, then
     steps and blocks as ``_active_set`` does, with no tie-break, releasing
-    only the lowest-index wrong-signed bound: one change per pass.  Let F
+    only the lowest-index wrong-signed bound (one change per pass), and
+    spreads the mass a step lost over its face.  Let F
     be the coordinates strictly inside ``caps`` at ``warm`` (at a vertex,
     its largest coordinate instead), K = [[H_FF + delta I, 1], [1', 0]] its
     bordered KKT matrix with ``_active_set``'s proximal term, and B the
@@ -867,6 +870,8 @@ def _face_family(l: np.ndarray, H: np.ndarray, mass: float, caps: np.ndarray,
         down = D[b, jb] < 0.0
         W[b, jb] = np.where(down, 0.0, upper[b, jb])
         free[b, jb], sign[b, jb] = False, np.where(down, 1.0, -1.0)
+        # a step keeps the mass only as well as K is conditioned
+        W += free * ((mass - W.sum(axis=1)) / free.sum(axis=1))[:, None]
         np.clip(W, 0.0, upper, out=W)
 
         G = l - W @ H.T

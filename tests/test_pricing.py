@@ -313,7 +313,7 @@ class TestOfferOrder:
         # the optima agree to rounding, and so do the weights: the tie-break
         # acts only on a flat face, where the optimum is not unique, so it
         # does not move a unique optimum with the offers' order (worst gap
-        # 1.5e-14 of max mu)
+        # 4.6e-15 of max mu)
         for seed in range(300):
             mu, sigma, q, caps, perm = permuted_market(seed)
             plain = price_schedule(market_from_mu(mu, sigma, q, caps=caps))
@@ -324,6 +324,22 @@ class TestOfferOrder:
             np.testing.assert_allclose(moved.offer_prices, plain.offer_prices[perm],
                                        rtol=0, atol=tol, err_msg=f"seed {seed}")
             assert abs(moved.risk_charge - plain.risk_charge) <= tol
+
+    def test_near_collinear_tied_offers_pay_alike(self):
+        # two offers with tied mu whose returns correlate at 1 - gap: each
+        # market is its own permutation, so the two prices must agree.  The
+        # optimum (1/2, 1/2) is unique, but its face's sum-zero curvature h
+        # (at unit gradient scale) is small, and the proximal term leaves the
+        # weights, and so the prices, about 1e-14 / h apart (gap times h from
+        # 1e-14 to 2e-14 measured); a tilt of every problem's linear term by
+        # LEX_EPS max|c| put them up to 5e-13 / h apart
+        for gap in (1e-5, 1e-6, 1e-7, 1e-8):
+            sigma = np.array([[1.0, 1.0 - gap], [1.0 - gap, 1.0]])
+            for q in (0.01, 1.0, 100.0):
+                market = market_from_mu([1.0, 1.0], sigma, q)
+                h = 2.0 * q * gap / market_problem(market)._scale
+                prices = price_schedule(market).offer_prices
+                assert abs(prices[0] - prices[1]) <= 1e-13 / h, (gap, q)
 
 
 class TestQmapPrices:
