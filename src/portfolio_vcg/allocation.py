@@ -15,22 +15,19 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import qp
-from .market import MarketInstance
+from .market import MAX_POOL_SIZE, DiagnosticsError, MarketInstance
 from .qp import SYM_TOL, QpProblem, psd_slack, quadratic_scan
 
 
-class QmapValidationError(ValueError):
+class QmapValidationError(DiagnosticsError):
     """A call-count instance violates its invariants."""
 
-    def __init__(self, diagnostics: Sequence[tuple[str, str]]):
-        self.diagnostics = [tuple(d) for d in diagnostics]
-        detail = "; ".join(f"{code}: {message}" for code, message in self.diagnostics)
-        super().__init__(f"invalid call-count instance: {detail}")
+    prefix = "invalid call-count instance"
 
 
 class TransformUndefinedError(ValueError):
@@ -38,46 +35,21 @@ class TransformUndefinedError(ValueError):
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """A feasible outcome with its achieved objective value.
+class Allocation(qp.QpSolution):
+    """A kernel solve's optimum with the pool apportioned to it.
 
     ``weights`` live on the scaled simplex (fractions for portfolio
     markets, call counts for the count formulation); ``call_counts`` is
-    the deterministic integer apportionment of the pool.  ``solution`` is
-    the kernel solve behind the allocation, if any; its diagnostics ride
-    along for audit output as ``kkt_residual``, ``iterations`` and
-    ``degenerate``, which read NaN, 0 and False without a solve.
-    ``degenerate`` is computed on first read, so an allocation whose flag
-    nobody reads does not pay for it.
+    the deterministic integer apportionment of the pool.
     """
 
-    weights: np.ndarray
-    call_counts: np.ndarray
-    objective_value: float
-    solution: Optional[qp.QpSolution] = field(default=None, repr=False,
-                                              compare=False)
+    call_counts: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", qp._readonly(self.weights))
+        super().__post_init__()
         k = np.array(self.call_counts, dtype=int, copy=True)
         k.setflags(write=False)
         object.__setattr__(self, "call_counts", k)
-
-    @property
-    def kkt_residual(self) -> float:
-        """The solve's KKT residual (NaN without one)."""
-        return math.nan if self.solution is None else self.solution.kkt_residual
-
-    @property
-    def iterations(self) -> int:
-        """The solve's face solves after its first, each a working-set change
-        of one or more bounds (0 without a solve)."""
-        return 0 if self.solution is None else self.solution.iterations
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the solve's maximizer is not unique (False without one)."""
-        return self.solution is not None and self.solution.degenerate
 
 
 @dataclass(frozen=True)
@@ -151,9 +123,11 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
         problems.append(("negative_risk_parameter",
                          f"q must be >= 0, got {instance.q}"))
     if (not isinstance(instance.m, (int, np.integer))
-            or isinstance(instance.m, bool) or instance.m <= 0):
+            or isinstance(instance.m, bool)
+            or not 0 < instance.m <= MAX_POOL_SIZE):
         problems.append(("invalid_pool_size",
-                         f"m must be a positive integer, got {instance.m!r}"))
+                         f"m must be a positive integer of at most 2**53, "
+                         f"got {instance.m!r}"))
     if problems:
         raise QmapValidationError(problems)
     object.__setattr__(instance, "_scan", (peak, lam_bound))
@@ -165,15 +139,17 @@ def apportion(weights, total: int) -> np.ndarray:
 
     Deterministic and total-preserving: floors first, then hands the
     leftover units to the largest fractional remainders (lowest index on
-    ties).  ``weights`` need not be normalized but must be finite.
+    ties).  ``weights`` need not be normalized but must be finite.  A total
+    above ``MAX_POOL_SIZE``, which floats cannot count, raises ValueError
+    (near it, a rounded floor can still miss the total by a call or two).
     """
     w = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     w = np.maximum(w, 0.0)
     total = int(total)
-    if total < 0:
-        raise ValueError("total must be nonnegative")
+    if not 0 <= total <= MAX_POOL_SIZE:
+        raise ValueError(f"total must lie in [0, 2**53], got {total}")
     mass = float(w.sum())
     if mass <= 0.0:
         raise ValueError("weights must have positive mass")
@@ -182,7 +158,7 @@ def apportion(weights, total: int) -> np.ndarray:
     leftover = total - int(base.sum())
     if leftover > 0:
         frac = raw - base
-        order = np.lexsort((np.arange(w.size), -frac))
+        order = np.argsort(-frac, kind="stable")
         base[order[:leftover]] += 1
     return base
 
@@ -230,9 +206,11 @@ def solve_allocation(problem: QpProblem, total: int) -> Allocation:
     solution = qp.solve(problem)
     return Allocation(
         weights=solution.weights,
-        call_counts=apportion(solution.weights, total),
         objective_value=solution.objective_value,
-        solution=solution,
+        kkt_residual=solution.kkt_residual,
+        iterations=solution.iterations,
+        problem=solution.problem,
+        call_counts=apportion(solution.weights, total),
     )
 
 

@@ -29,12 +29,11 @@ import numpy as np
 from .allocation import (
     Allocation,
     QmapInstance,
-    QmapValidationError,
     TransformUndefinedError,
     allocate,
     min_form_to_max_form,
 )
-from .market import MarketInstance, MarketValidationError, Offer, make_market
+from .market import DiagnosticsError, MarketInstance, Offer, make_market
 from .pricing import PriceSchedule, QmapPricingError, price_schedule, qmap_prices
 from . import qp
 from .qp import InfeasibleProblemError, QpValidationError, SolverConvergenceError
@@ -48,8 +47,7 @@ EXIT_PROPERTY = 5
 EXIT_OUTPUT = 6
 
 _VALIDATION_ERRORS = (
-    MarketValidationError,
-    QmapValidationError,
+    DiagnosticsError,
     QmapPricingError,
     TransformUndefinedError,
     QpValidationError,
@@ -167,13 +165,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     return value
 
 

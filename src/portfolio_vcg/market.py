@@ -25,19 +25,30 @@ from .qp import SYM_TOL, _readonly, psd_slack, quadratic_scan
 
 PER_AD_CALL = "per_ad_call"
 PER_RESPONSE = "per_response"
+# the largest pool: calls are apportioned in float arithmetic, which counts
+# whole calls exactly only up to 2**53
+MAX_POOL_SIZE = 2**53
 
 
-class MarketValidationError(ValueError):
-    """A market violates its invariants.
+class DiagnosticsError(ValueError):
+    """Input data violates its invariants.
 
     ``diagnostics`` holds one (code, message) pair per violated invariant
-    so a caller can report every problem at once.
+    so a caller can report every problem at once, after ``prefix``.
     """
+
+    prefix = "invalid input"
 
     def __init__(self, diagnostics: Sequence[tuple[str, str]]):
         self.diagnostics = [tuple(d) for d in diagnostics]
         detail = "; ".join(f"{code}: {message}" for code, message in self.diagnostics)
-        super().__init__(f"invalid market: {detail}")
+        super().__init__(f"{self.prefix}: {detail}")
+
+
+class MarketValidationError(DiagnosticsError):
+    """A market violates its invariants."""
+
+    prefix = "invalid market"
 
 
 @dataclass(frozen=True)
@@ -139,8 +150,9 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     Returns a new instance with ``mu`` populated, or raises
     MarketValidationError carrying one named diagnostic per violated
     invariant (dimension mismatch, asymmetry, PSD failure, n < 2, q < 0,
-    bad pool size, per-offer problems, infeasible caps, caps that leave no
-    feasible allocation once one offer is removed for its price).
+    a pool size outside the integers 1 to 2**53, per-offer problems,
+    infeasible caps, caps that leave no feasible allocation once one offer
+    is removed for its price).
 
     These are the only checks of the market's data: each offer is checked
     once, and Sigma is scanned and factored once (``quadratic_scan``:
@@ -196,10 +208,11 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
         problems.append(("negative_risk_parameter",
                          f"risk parameter q must be >= 0, got {raw.q}"))
     if (not isinstance(raw.pool_size, (int, np.integer))
-            or isinstance(raw.pool_size, bool) or raw.pool_size <= 0):
+            or isinstance(raw.pool_size, bool)
+            or not 0 < raw.pool_size <= MAX_POOL_SIZE):
         problems.append(("invalid_pool_size",
-                         f"pool_size must be a positive integer, "
-                         f"got {raw.pool_size!r}"))
+                         f"pool_size must be a positive integer of at most "
+                         f"2**53, got {raw.pool_size!r}"))
     if raw.caps is not None:
         caps = raw.caps
         if caps.shape != (n,):

@@ -196,7 +196,9 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """A feasible point together with its optimality certificate.
+    """A feasible point together with its optimality certificate; an
+    allocation (``allocation.Allocation``) is one with the pool's call
+    counts added.
 
     ``iterations`` counts the active-set method's face solves after its
     first, from its start one projected-gradient step from the greedy
@@ -207,14 +209,15 @@ class QpSolution:
     face already holds the optimum and on the exact linear path, which
     also serves a single free coordinate.  ``problem`` is the solve's input;
     ``degenerate`` is computed from it on first read, so a solve whose
-    caller only wants the optimum does not pay for it.
+    caller only wants the optimum does not pay for it.  A point built
+    without a solve reads NaN, 0, None and False.
     """
 
     weights: np.ndarray
     objective_value: float
-    kkt_residual: float
-    iterations: int
-    problem: QpProblem = field(repr=False, compare=False)
+    kkt_residual: float = math.nan
+    iterations: int = 0
+    problem: Optional[QpProblem] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
@@ -222,7 +225,8 @@ class QpSolution:
     @cached_property
     def degenerate(self) -> bool:
         """True when the maximizer is not unique (see ``_detect_degenerate``)."""
-        return _detect_degenerate(self.problem, self.weights)
+        return self.problem is not None and _detect_degenerate(self.problem,
+                                                               self.weights)
 
 
 @dataclass(frozen=True)
@@ -544,7 +548,10 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     that carries weight or whose bound multiplier vanishes.  The smallest
     such curvature is the smallest eigenvalue of P H P + max|H| 11', P =
     I - 11'/k: the ones direction, 0 under P, is lifted to k max|H|, which
-    is at least H's largest eigenvalue.
+    is at least H's largest eigenvalue.  The test does not depend on H's
+    scale, so H is Q's face block over its largest entry, without the risk
+    weight, and neither overflows nor underflows; risk 0 or a zero block is
+    flat.
     """
     g = gradient(problem, w) / problem._scale
     n = problem.dimension
@@ -561,10 +568,12 @@ def _detect_degenerate(problem: QpProblem, w: np.ndarray) -> bool:
     idx = np.flatnonzero(in_face)
     if idx.size < 2:
         return False
-    if problem.risk == 0.0:
-        return True
     H = problem.quadratic[np.ix_(idx, idx)]
-    H = problem.risk * (H + H.T)
+    top = float(np.max(np.abs(H)))
+    if problem.risk == 0.0 or top == 0.0:
+        return True
+    H = H / top
+    H = H + H.T
     peak, col = float(np.max(np.abs(H))), H.mean(axis=0)
     centered = H - col - col[:, None] + (col.mean() + peak)
     return float(np.linalg.eigvalsh(centered)[0]) <= DEGENERATE_TOL * peak

@@ -73,6 +73,23 @@ class TestAllocate:
                               objective_value=alloc.objective_value)
         assert not unsolved.degenerate
 
+    def test_allocation_is_its_solve(self):
+        market = market_from_mu([1.0, 0.8], np.eye(2), 0.5, 1000)
+        alloc = allocate(market)
+        assert isinstance(alloc, qp.QpSolution)
+        assert np.shares_memory(alloc.problem.quadratic, market.sigma)
+        assert alloc.kkt_residual <= qp.KKT_TOL and not alloc.degenerate
+        assert alloc.call_counts.dtype.kind == "i"
+        assert not alloc.call_counts.flags.writeable
+        # one built without a solve reads the defaults of no solve
+        unsolved = Allocation(weights=alloc.weights,
+                              objective_value=alloc.objective_value,
+                              call_counts=[600, 400])
+        assert np.isnan(unsolved.kkt_residual)
+        assert unsolved.iterations == 0 and unsolved.problem is None
+        assert unsolved.degenerate is False
+        assert not unsolved.call_counts.flags.writeable
+
     def test_objective_nonincreasing_in_risk_aversion(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -141,6 +158,14 @@ class TestApportion:
             assert counts.sum() == total
             shares = w / w.sum() * total
             assert np.all(np.abs(counts - shares) < 1.0)
+
+    def test_total_beyond_float_counting_rejected(self):
+        # at 2**60 + 7 the floors came out 5 calls short, and past 2**63
+        # the int cast gave -2**63 + 1
+        np.testing.assert_array_equal(apportion([1.0, 0.0], 2**53), [2**53, 0])
+        for total in (2**53 + 1, 2**60 + 7, 2**63, 10**30):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                apportion([0.6, 0.4], total)
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):

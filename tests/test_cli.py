@@ -378,6 +378,20 @@ class TestExtremeData:
         assert captured.err.startswith("validation error: problem data too large")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, doc", [
+        ("price", dict(FIXTURE_DOC, pool_size=10**30)),
+        ("allocate", dict(FIXTURE_DOC, pool_size=2**53 + 1)),
+        ("qmap", dict(QMAP_DOC, m=10**30))])
+    def test_pool_beyond_float_counting_exits_3(self, tmp_path, capsys,
+                                                command, doc):
+        # such pools used to exit 0 with call counts of -2**63 + 1
+        path = write_json(tmp_path / "doc.json", doc)
+        assert main([command, "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: invalid_pool_size")
+        assert captured.err.count("\n") == 1
+
     def test_tied_bids_at_the_float_limit_price_without_traceback(self, tmp_path,
                                                                    capsys, recwarn):
         doc = dict(FIXTURE_DOC, offers=[{"id": "a", "bid": 1e308},

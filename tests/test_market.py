@@ -20,7 +20,8 @@ from portfolio_vcg import (
     validate_market,
     validate_qmap,
 )
-from portfolio_vcg.market import PER_AD_CALL, PER_RESPONSE, replace_offer
+from portfolio_vcg.market import (
+    MAX_POOL_SIZE, PER_AD_CALL, PER_RESPONSE, DiagnosticsError, replace_offer)
 
 
 class TestExpectedValue:
@@ -104,6 +105,32 @@ class TestValidateMarket:
                             pool_size)
             assert [code for code, _ in err.value.diagnostics] == [
                 "invalid_pool_size"], pool_size
+
+    def test_pool_beyond_float_counting_rejected(self):
+        # apportionment counts calls in floats, which stop counting whole
+        # calls past 2**53; 10**30 used to pass and apportion to -2**63 + 1
+        offers = [Offer("a", 1.0), Offer("b", 1.0)]
+        assert make_market(offers, np.eye(2), 0.5, MAX_POOL_SIZE).pool_size == 2**53
+        for pool_size in (2**53 + 1, 2**60 + 7, 10**30):
+            with pytest.raises(MarketValidationError) as err:
+                make_market(offers, np.eye(2), 0.5, pool_size)
+            assert [code for code, _ in err.value.diagnostics] == [
+                "invalid_pool_size"], pool_size
+            with pytest.raises(QmapValidationError) as err:
+                validate_qmap(QmapInstance(a_matrix=np.eye(2), b_vector=np.zeros(2),
+                                           c_vector=np.array([1.0, 1.0]), q=1.0,
+                                           m=pool_size))
+            assert [code for code, _ in err.value.diagnostics] == [
+                "invalid_pool_size"], pool_size
+
+    def test_validation_errors_share_one_diagnostics_base(self):
+        diagnostics = [("invalid_pool_size", "bad pool")]
+        for cls, prefix in ((MarketValidationError, "invalid market: "),
+                            (QmapValidationError, "invalid call-count instance: ")):
+            err = cls(diagnostics)
+            assert isinstance(err, DiagnosticsError)
+            assert err.diagnostics == diagnostics
+            assert str(err) == prefix + "invalid_pool_size: bad pool"
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(MarketValidationError) as err:

@@ -586,7 +586,7 @@ class TestZeroWeightShortcut:
             schedule = price_schedule(market)
             assert sorted(checked) == sorted(offer.id for offer in offers)
             assert scans == [(n, n)]
-            problem = schedule.allocation.solution.problem
+            problem = schedule.allocation.problem
             assert np.shares_memory(problem.quadratic, market.sigma)
             assert np.shares_memory(problem.linear, market.mu)
             deltas = [-0.2, 0.1, 0.3]

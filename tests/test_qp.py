@@ -698,6 +698,27 @@ class TestDegenerateFlag:
         assert 0 < np.count_nonzero(flags[:, 2]) < len(flags)
         assert np.all(flags == flags[:, 2:3])
 
+    @pytest.mark.parametrize("q", [1.0, 1e-300, 1e-318, 1e-320])
+    def test_does_not_depend_on_the_risk_weight(self, q):
+        # returns correlated at 1 - 1e-6: the optimum is unique at every
+        # q > 0.  q times the face block underflowed below about 1e-308,
+        # where the flag read True
+        sigma = np.array([[1.0, 1.0 - 1e-6], [1.0 - 1e-6, 1.0]])
+        sol = solve(QpProblem(linear=np.array([1.0, 1.0]), quadratic=sigma, risk=q))
+        assert sol.degenerate is False
+
+    def test_does_not_overflow_at_the_float_limit(self, recwarn):
+        # the face block's sum H + H' overflowed at Sigma = 1e308 I
+        sol = solve(QpProblem(linear=np.array([1.0, 0.5]),
+                              quadratic=1e308 * np.eye(2), risk=1e-10))
+        assert sol.degenerate is False
+        assert not recwarn.list
+
+    def test_all_zero_face_block_is_flat(self):
+        problem = QpProblem(linear=np.array([1.0, 1.0, 0.5]),
+                            quadratic=np.zeros((3, 3)), risk=1.0)
+        assert solve(problem).degenerate
+
 
 def family_problems(rng: np.random.Generator, kind: str):
     """Seeded problems for comparing the pinned family with single pinned
