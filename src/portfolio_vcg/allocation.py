@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import qp
-from .market import MAX_POOL_SIZE, DiagnosticsError, MarketInstance
-from .qp import SYM_TOL, QpProblem, psd_slack, quadratic_scan
+from .market import MAX_POOL_SIZE, DiagnosticsError, MarketInstance, pool_problems
+from .qp import QpProblem, quadratic_problems, risk_problems
 
 
 class QmapValidationError(DiagnosticsError):
@@ -81,12 +81,14 @@ class QmapInstance:
 
 
 def validate_qmap(instance: QmapInstance) -> QmapInstance:
-    """Check finite data, dimensions, symmetry and PSD of A, q >= 0, m > 0.
+    """Check finite data, dimensions, symmetry and PSD of A, q >= 0, and m
+    from 1 to 2**53.
 
-    These are the only checks of the instance's data, made once: the
-    instance keeps max|A| and the bound on A's largest eigenvalue found
-    here, so the kernel problem built from it checks and factors nothing
-    again, and validating it a second time returns it as it is.
+    These are the only checks of the instance's data, made once; A, q and m
+    get the market's checks, with A in place of Sigma.  The instance keeps
+    max|A| and the bound on A's largest eigenvalue found here, so the kernel
+    problem built from it checks and factors nothing again, and validating
+    it a second time returns it as it is.
     """
     if instance._scan is not None:
         return instance
@@ -96,41 +98,23 @@ def validate_qmap(instance: QmapInstance) -> QmapInstance:
         raise QmapValidationError([("dimension_mismatch",
                                     f"c_vector must be a vector, got {got}")])
     problems = []
-    peak = lam_bound = None
     n = instance.n
     if n == 0:
         problems.append(("empty_instance", "c_vector must be nonempty"))
     elif not np.all(np.isfinite(c)):
         problems.append(("non_finite_data", "c_vector entries must be finite"))
-    if A.shape != (n, n):
-        problems.append(("dimension_mismatch",
-                         f"A shape {A.shape} does not match {n} offers"))
-    else:
-        peak, gap, floor, lam_bound = quadratic_scan(A)
-        if math.isnan(peak):
-            problems.append(("non_finite_data", "A entries must be finite"))
-        elif gap > SYM_TOL * peak:
-            problems.append(("asymmetric_matrix", "A must be symmetric"))
-        elif floor < -psd_slack(A):
-            problems.append(("not_positive_semidefinite",
-                             f"A has min eigenvalue {floor:.6g}"))
+    found, scan = quadratic_problems(A, n, "A", "A", "non_finite_data",
+                                     "asymmetric_matrix")
+    problems += found
     if b.shape != (n,):
         problems.append(("dimension_mismatch",
                          f"b shape {b.shape} does not match {n} offers"))
     elif not np.all(np.isfinite(b)):
         problems.append(("non_finite_data", "b_vector entries must be finite"))
-    if not np.isfinite(instance.q) or instance.q < 0:
-        problems.append(("negative_risk_parameter",
-                         f"q must be >= 0, got {instance.q}"))
-    if (not isinstance(instance.m, (int, np.integer))
-            or isinstance(instance.m, bool)
-            or not 0 < instance.m <= MAX_POOL_SIZE):
-        problems.append(("invalid_pool_size",
-                         f"m must be a positive integer of at most 2**53, "
-                         f"got {instance.m!r}"))
+    problems += risk_problems(instance.q) + pool_problems(instance.m, "m")
     if problems:
         raise QmapValidationError(problems)
-    object.__setattr__(instance, "_scan", (peak, lam_bound))
+    object.__setattr__(instance, "_scan", scan)
     return instance
 
 
@@ -138,10 +122,12 @@ def apportion(weights, total: int) -> np.ndarray:
     """Largest-remainder apportionment of ``total`` indivisible calls.
 
     Deterministic and total-preserving: floors first, then hands the
-    leftover units to the largest fractional remainders (lowest index on
-    ties).  ``weights`` need not be normalized but must be finite.  A total
-    above ``MAX_POOL_SIZE``, which floats cannot count, raises ValueError
-    (near it, a rounded floor can still miss the total by a call or two).
+    leftover units to the largest fractional remainders among the offers
+    with positive weight (lowest index on ties), one each per round.  Near
+    2**53 the rounded floors can overshoot the total; the surplus is taken
+    back from the smallest remainders among the offers holding a call.
+    ``weights`` need not be normalized but must be finite.  A total above
+    ``MAX_POOL_SIZE``, which floats cannot count, raises ValueError.
     """
     w = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -156,10 +142,15 @@ def apportion(weights, total: int) -> np.ndarray:
     raw = w * (total / mass)
     base = np.floor(raw).astype(int)
     leftover = total - int(base.sum())
-    if leftover > 0:
-        frac = raw - base
-        order = np.argsort(-frac, kind="stable")
-        base[order[:leftover]] += 1
+    frac = raw - base
+    while leftover:
+        step = 1 if leftover > 0 else -1
+        (eligible,) = np.nonzero(w > 0.0 if step > 0 else base > 0)
+        order = np.argsort(-step * frac[eligible], kind="stable")
+        picked = eligible[order[:abs(leftover)]]
+        base[picked] += step
+        frac[picked] -= step
+        leftover -= step * picked.size
     return base
 
 

@@ -98,6 +98,10 @@ def market_from_dict(doc: dict) -> MarketInstance:
             raise ParseError(f"'pool_size' must be an integer, got {pool_size!r}")
         caps = doc.get("caps")
         caps_arr = None
+        if isinstance(caps, dict):
+            stray = set(caps).difference(offer.id for offer in offers)
+            if stray:
+                raise ParseError(f"caps entry {min(stray)!r} names no offer")
         if caps is not None:
             caps_arr = np.array([float(caps[offer.id]) for offer in offers]) \
                 if isinstance(caps, dict) else np.array(caps, dtype=float)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qp import SYM_TOL, _readonly, psd_slack, quadratic_scan
+from .qp import _readonly, cap_problems, quadratic_problems, risk_problems
 
 PER_AD_CALL = "per_ad_call"
 PER_RESPONSE = "per_response"
@@ -144,6 +144,15 @@ def expected_value(offer: Offer) -> float:
     return _value(offer)
 
 
+def pool_problems(size, name: str) -> list:
+    """The pool size's problem, if any: an integer from 1 to 2**53."""
+    if (isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+            and 0 < size <= MAX_POOL_SIZE):
+        return []
+    return [("invalid_pool_size", f"{name} must be a positive integer of at "
+             f"most 2**53, got {size!r}")]
+
+
 def validate_market(raw: MarketInstance) -> MarketInstance:
     """Check every market invariant and derive the expected-value vector.
 
@@ -155,11 +164,11 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     is removed for its price).
 
     These are the only checks of the market's data: each offer is checked
-    once, and Sigma is scanned and factored once (``quadratic_scan``:
-    finite entries, max|Sigma - Sigma'| <= SYM_TOL * max|Sigma|, the PSD
-    check by Cholesky).  The result shares the raw instance's arrays, keeps
-    max|Sigma| and the scan's bound on Sigma's largest eigenvalue, and
-    hands all three to its kernel problems.
+    once, and Sigma, q, the pool and the caps by the checks the call-count
+    instance and the kernel problem share (``qp.quadratic_problems`` scans
+    and factors Sigma once).  The result shares the raw instance's arrays,
+    keeps max|Sigma| and the scan's bound on Sigma's largest eigenvalue,
+    and hands all three to its kernel problems.
     """
     problems = []
     n = raw.n
@@ -179,49 +188,13 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
         if not offer_issues:
             mu[i] = _value(offer)
 
-    sigma = raw.sigma
-    peak = lam_bound = None
-    if sigma.shape != (n, n):
-        problems.append(("dimension_mismatch",
-                         f"covariance shape {sigma.shape} does not match "
-                         f"{n} offers"))
-    else:
-        peak, gap, floor, lam_bound = quadratic_scan(sigma)
-        if math.isnan(peak):
-            problems.append(("non_finite_covariance",
-                             "covariance entries must be finite"))
-        else:
-            if gap > SYM_TOL * peak:
-                i, j = np.unravel_index(int(np.argmax(np.abs(sigma - sigma.T))),
-                                        sigma.shape)
-                problems.append(("asymmetric_covariance",
-                                 f"sigma[{i}][{j}]={float(sigma[i, j])!r} vs "
-                                 f"sigma[{j}][{i}]={float(sigma[j, i])!r} "
-                                 f"(gap {gap:.3e} > {SYM_TOL:.0e} * max|sigma| "
-                                 f"{peak:.3e})"))
-            if floor < -psd_slack(sigma):
-                problems.append(("not_positive_semidefinite",
-                                 f"covariance has min eigenvalue {floor:.6g}; "
-                                 "input is rejected, not repaired"))
-
-    if not np.isfinite(raw.q) or raw.q < 0:
-        problems.append(("negative_risk_parameter",
-                         f"risk parameter q must be >= 0, got {raw.q}"))
-    if (not isinstance(raw.pool_size, (int, np.integer))
-            or isinstance(raw.pool_size, bool)
-            or not 0 < raw.pool_size <= MAX_POOL_SIZE):
-        problems.append(("invalid_pool_size",
-                         f"pool_size must be a positive integer of at most "
-                         f"2**53, got {raw.pool_size!r}"))
-    if raw.caps is not None:
-        caps = raw.caps
-        if caps.shape != (n,):
-            problems.append(("caps_dimension_mismatch",
-                             f"caps shape {caps.shape} does not match {n} offers"))
-        elif np.any(caps < 0) or not np.all(np.isfinite(caps)):
-            problems.append(("invalid_caps",
-                             "caps must be finite and nonnegative"))
-        elif float(caps.sum()) < 1.0 - 1e-12:
+    found, scan = quadratic_problems(raw.sigma, n, "covariance", "sigma",
+                                     "non_finite_covariance", "asymmetric_covariance")
+    problems += found + risk_problems(raw.q) + pool_problems(raw.pool_size, "pool_size")
+    caps, cap_issues = raw.caps, cap_problems(raw.caps, n)
+    problems += cap_issues
+    if caps is not None and not cap_issues:
+        if float(caps.sum()) < 1.0 - 1e-12:
             problems.append(("infeasible_caps",
                              f"caps sum to {float(caps.sum()):.6g} < 1; "
                              "no feasible allocation"))
@@ -239,7 +212,7 @@ def validate_market(raw: MarketInstance) -> MarketInstance:
     mu.setflags(write=False)
     market = copy.copy(raw)
     object.__setattr__(market, "mu", mu)
-    object.__setattr__(market, "_scan", (peak, lam_bound))
+    object.__setattr__(market, "_scan", scan)
     return market
 
 

@@ -119,8 +119,9 @@ class QpProblem:
     the pool size for call-count problems.
 
     A problem built by hand holds read-only copies of its arrays and is
-    checked once, when it is built: malformed data raises QpValidationError
-    there.  One built from a validated market or call-count instance
+    checked once, when it is built, by a market's checks of the same data:
+    malformed data raises one QpValidationError there, "code: message; ...".
+    One built from a validated market or call-count instance
     (``market_problem``, ``qmap_problem``, through ``shared_problem``)
     shares the instance's private read-only arrays without copying them and
     is not checked again: the instance's checks cover the data's, and it
@@ -148,35 +149,22 @@ class QpProblem:
         object.__setattr__(self, "zero_set", frozenset(self.zero_set))
         if self.caps is not None:
             object.__setattr__(self, "caps", _readonly(self.caps))
-        c, Q = self.linear, self.quadratic
+        c = self.linear
         if c.ndim != 1 or c.size == 0:
-            raise QpValidationError("linear term must be a nonempty vector")
+            raise QpValidationError(
+                "dimension_mismatch: linear term must be a nonempty vector")
         n = c.shape[0]
-        if Q.shape != (n, n):
-            raise QpValidationError(
-                f"quadratic term shape {Q.shape} does not match dimension {n}"
-            )
-        peak, gap, floor, bound = quadratic_scan(Q)
-        if math.isnan(peak) or not np.all(np.isfinite(c)):
-            raise QpValidationError("problem data must be finite")
-        if self.risk < 0 or not np.isfinite(self.risk):
-            raise QpValidationError(f"risk weight must be >= 0, got {self.risk}")
+        problems, scan = quadratic_problems(self.quadratic, n, "quadratic term", "Q",
+                                            "non_finite_data", "asymmetric_matrix")
+        if not np.all(np.isfinite(c)):
+            problems.append(("non_finite_data", "linear term entries must be finite"))
+        problems += risk_problems(self.risk)
         if self.mass <= 0 or not np.isfinite(self.mass):
-            raise QpValidationError(f"mass must be positive, got {self.mass}")
-        if gap > SYM_TOL * peak:
-            raise QpValidationError("quadratic term must be symmetric")
-        if floor < -psd_slack(Q):
-            raise QpValidationError(
-                f"quadratic term is not positive semidefinite "
-                f"(min eigenvalue {floor:.3e})"
-            )
-        if self.caps is not None:
-            u = self.caps
-            if u.shape != (n,):
-                raise QpValidationError("caps must match the problem dimension")
-            if np.any(u < 0) or not np.all(np.isfinite(u)):
-                raise QpValidationError("caps must be finite and nonnegative")
-        _seed(self, peak, bound)
+            problems.append(("invalid_mass", f"mass must be positive, got {self.mass}"))
+        problems += cap_problems(self.caps, n)
+        if problems:
+            raise QpValidationError("; ".join(map(": ".join, problems)))
+        _seed(self, *scan)
 
     @property
     def dimension(self) -> int:
@@ -357,11 +345,10 @@ def _project_capped(v: np.ndarray, mass: float, caps: np.ndarray) -> np.ndarray:
 def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
     """(max|M|, max|M - M'|, PSD floor, lambda_max bound) of a square matrix.
 
-    The one pass over a quadratic term that every validation makes
-    (``validate_market``, ``validate_qmap``, ``QpProblem``'s); each
-    tests ``max|M - M'| <= SYM_TOL * max|M|`` and ``floor >= -psd_slack(M)``
-    on the result.  Floor and bound are those of the symmetric part S (M
-    itself when it is exactly symmetric).
+    The one pass over a quadratic term, made by ``quadratic_problems``,
+    which tests ``max|M - M'| <= SYM_TOL * max|M|`` and
+    ``floor >= -psd_slack(M)`` on the result.  Floor and bound are those of
+    the symmetric part S (M itself when it is exactly symmetric).
 
     The PSD test is one Cholesky factorization of S + psd_slack(M) I, built
     in the scan's one n x n buffer: when it exists, no eigenvalue of S is
@@ -399,6 +386,47 @@ def quadratic_scan(matrix: np.ndarray) -> tuple[float, float, float, float]:
     return peak, gap, floor, bound
 
 
+def quadratic_problems(matrix: np.ndarray, n: int, noun: str, symbol: str,
+                       non_finite_code: str, asymmetric_code: str) -> tuple:
+    """The named problems of a quadratic term over n offers, and its scan
+    (max|M|, the bound on M's largest eigenvalue; None when the shape or an
+    entry is bad): the one check of Sigma, A and Q, by one ``quadratic_scan``.
+    """
+    if matrix.shape != (n, n):
+        return [("dimension_mismatch",
+                 f"{noun} shape {matrix.shape} does not match {n} offers")], None
+    peak, gap, floor, bound = quadratic_scan(matrix)
+    if math.isnan(peak):
+        return [(non_finite_code, f"{noun} entries must be finite")], None
+    problems = []
+    if gap > SYM_TOL * peak:
+        i, j = np.unravel_index(int(np.argmax(np.abs(matrix - matrix.T))), (n, n))
+        problems.append((asymmetric_code,
+                         f"{symbol}[{i}][{j}]={float(matrix[i, j])!r} vs "
+                         f"{symbol}[{j}][{i}]={float(matrix[j, i])!r} (gap {gap:.3e} "
+                         f"> {SYM_TOL:.0e} * max|{symbol}| {peak:.3e})"))
+    if floor < -psd_slack(matrix):
+        problems.append(("not_positive_semidefinite", f"{noun} has min eigenvalue "
+                         f"{floor:.6g}; input is rejected, not repaired"))
+    return problems, (peak, bound)
+
+
+def risk_problems(q: float) -> list:
+    """The risk parameter's problem, if any: q must be finite and >= 0."""
+    return [] if np.isfinite(q) and q >= 0 else [
+        ("negative_risk_parameter", f"risk parameter q must be >= 0, got {q}")]
+
+
+def cap_problems(caps: Optional[np.ndarray], n: int) -> list:
+    """The caps' problem, if any: one finite, nonnegative cap per offer."""
+    if caps is not None and caps.shape != (n,):
+        return [("caps_dimension_mismatch",
+                 f"caps shape {caps.shape} does not match {n} offers")]
+    if caps is not None and (np.any(caps < 0) or not np.all(np.isfinite(caps))):
+        return [("invalid_caps", "caps must be finite and nonnegative")]
+    return []
+
+
 def _seed(problem: QpProblem, peak: float, bound: float) -> None:
     """Store on ``problem`` the bound on Q's largest eigenvalue and the
     gradient scale computed from max|Q| (``peak``).
@@ -421,7 +449,7 @@ def shared_problem(scan: tuple, **data) -> QpProblem:
     ``data`` are ``QpProblem``'s arguments, whose arrays must be private
     and read-only, like the instance's own: they are shared, not copied.
     ``scan`` is the (max|Q|, lambda_max bound) that the instance's
-    ``quadratic_scan`` found; the gradient scale is computed from it
+    ``quadratic_problems`` found; the gradient scale is computed from it
     exactly as the constructor computes it, which is bypassed: the caller
     vouches that the instance's checks cover every check of the
     constructor.

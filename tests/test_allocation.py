@@ -167,6 +167,28 @@ class TestApportion:
             with pytest.raises(ValueError, match=r"2\*\*53"):
                 apportion([0.6, 0.4], total)
 
+    @pytest.mark.parametrize("weights, below", [
+        ([0.0, 0.1], 2), ([0.0, 0.1], 5), ([0.59, 0.34, 0.39], 16)])
+    def test_total_near_float_limit_is_exact(self, weights, below):
+        # the rounded floors fell one call short with no positive remainder
+        # left (the call went to the zero-weight offer, or was lost), or
+        # overshot the total by one
+        total = 2**53 - below
+        counts = apportion(weights, total)
+        assert int(counts.sum()) == total
+        assert counts.min() >= 0 and counts[np.asarray(weights) == 0.0].sum() == 0
+
+    def test_random_totals_near_float_limit(self):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            w = rng.lognormal(0.0, 3.0, n) * (rng.random(n) < 0.5)
+            w[int(rng.integers(0, n))] = 1.0
+            total = 2**53 - int(rng.integers(0, 1000))
+            counts = apportion(w, total)
+            assert int(counts.sum()) == total
+            assert counts.min() >= 0 and counts[w == 0.0].sum() == 0
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             apportion([0.0, 0.0], 10)

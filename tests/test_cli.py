@@ -117,6 +117,14 @@ class TestAllocateCommand:
         assert "infeasible_without_offer" in err
         assert "'a'" in err
 
+    def test_caps_id_of_no_offer_exits_2(self, tmp_path, capsys):
+        # a misspelt id would otherwise leave its cap unread
+        doc = dict(FIXTURE_DOC, caps={"a": 1.0, "b": 1.0, "dirrect": 0.01})
+        path = write_json(tmp_path / "stray.json", doc)
+        assert main(["price", "--input", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "parse error: caps entry 'dirrect' names no offer"]
+
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"offers": [')

@@ -299,6 +299,47 @@ def _kernel_accepts(sigma) -> bool:
     return True
 
 
+# one fault of the data per case, as (Sigma or A, q, pool size or m) of a
+# two-offer market and of the call-count instance with the same data, and
+# the codes the call-count instance reports
+SHARED_FAULTS = {
+    "shape": (np.eye(3), 0.5, 100, ["dimension_mismatch"]),
+    "non_finite": (np.array([[1.0, np.nan], [np.nan, 1.0]]), 0.5, 100,
+                   ["non_finite_data"]),
+    "asymmetric": (np.array([[1.0, 0.5], [0.0, 1.0]]), 0.5, 100,
+                   ["asymmetric_matrix"]),
+    "indefinite": (np.array([[1.0, 2.0], [2.0, 1.0]]), 0.5, 100,
+                   ["not_positive_semidefinite"]),
+    "asymmetric_and_indefinite": (np.array([[1.0, 3.0], [0.0, 1.0]]), 0.5, 100,
+                                  ["asymmetric_matrix",
+                                   "not_positive_semidefinite"]),
+    "negative_q": (np.eye(2), -0.5, 100, ["negative_risk_parameter"]),
+    "bad_pool": (np.eye(2), 0.5, 0, ["invalid_pool_size"]),
+}
+# the call-count instance's code for each market code that differs
+QMAP_CODES = {"non_finite_covariance": "non_finite_data",
+              "asymmetric_covariance": "asymmetric_matrix"}
+
+
+@pytest.mark.parametrize("matrix, q, pool, codes", SHARED_FAULTS.values(),
+                         ids=SHARED_FAULTS.keys())
+def test_market_and_call_count_instance_share_each_check(matrix, q, pool,
+                                                         codes):
+    # one check per invariant: the same codes in the same order, and the
+    # same messages with A for the covariance and m for the pool size
+    with pytest.raises(MarketValidationError) as market_err:
+        make_market([Offer("a", 1.0), Offer("b", 0.8)], matrix, q, pool)
+    with pytest.raises(QmapValidationError) as qmap_err:
+        validate_qmap(QmapInstance(a_matrix=matrix, b_vector=np.zeros(2),
+                                   c_vector=np.array([1.0, 0.8]), q=q, m=pool))
+    assert [code for code, _ in qmap_err.value.diagnostics] == codes
+    renamed = [(QMAP_CODES.get(code, code),
+                message.replace("covariance", "A").replace("sigma", "A")
+                .replace("pool_size", "m"))
+               for code, message in market_err.value.diagnostics]
+    assert renamed == qmap_err.value.diagnostics
+
+
 class TestRelativeSymmetryTolerance:
     # max|Sigma - Sigma'| <= SYM_TOL * max|Sigma| in the one scan every
     # validation shares, so a relative asymmetry is accepted or rejected

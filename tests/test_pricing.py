@@ -19,7 +19,7 @@ from portfolio_vcg import (
     solve,
     utility,
 )
-from portfolio_vcg import allocation, qp
+from portfolio_vcg import qp
 from portfolio_vcg import market as market_module
 from portfolio_vcg.allocation import market_problem, qmap_problem, solve_allocation
 from portfolio_vcg.pricing import _vcg_prices
@@ -554,7 +554,8 @@ class TestZeroWeightShortcut:
                                          c_vector=np.ones(n), q=0.1, m=100))
             assert shapes == [(n, n)]
             assert err.value.diagnostics == [(
-                "not_positive_semidefinite", f"A has min eigenvalue {lowest:.6g}")]
+                "not_positive_semidefinite",
+                f"A has min eigenvalue {lowest:.6g}; input is rejected, not repaired")]
 
     def test_one_check_of_the_data_per_market(self, monkeypatch):
         # make_market checks each offer once and scans Sigma once; the kernel
@@ -572,8 +573,7 @@ class TestZeroWeightShortcut:
             return real_scan(matrix)
 
         monkeypatch.setattr(market_module, "offer_problems", counting_problems)
-        for module in (market_module, allocation, qp):
-            monkeypatch.setattr(module, "quadratic_scan", counting_scan)
+        monkeypatch.setattr(qp, "quadratic_scan", counting_scan)
         rng = np.random.default_rng(71)
         for n in (8, 30, 90):
             offers = [Offer(f"o{i}", float(v)) if i % 2 else

@@ -142,6 +142,16 @@ class TestSolve:
         with pytest.raises(QpValidationError, match="nonempty vector"):
             QpProblem(linear=5.0, quadratic=np.eye(1))
 
+    def test_hand_built_problem_names_every_problem(self):
+        # the market's checks of the same data, all of them in one error
+        with pytest.raises(QpValidationError) as err:
+            QpProblem(linear=np.array([1.0, 0.8]),
+                      quadratic=np.array([[1.0, 2.0], [2.0, 1.0]]), risk=-0.5)
+        assert str(err.value) == (
+            "not_positive_semidefinite: quadratic term has min eigenvalue -1; "
+            "input is rejected, not repaired; "
+            "negative_risk_parameter: risk parameter q must be >= 0, got -0.5")
+
     def test_hand_built_problem_is_scanned_once_when_built(self, monkeypatch):
         scans, real_scan = [], qp.quadratic_scan
 
